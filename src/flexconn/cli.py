@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import (
     FlexconnError,
@@ -28,8 +26,6 @@ from .instance_io import gen_random, load_instance, save_instance
 from .model import is_feasible
 from .relaxation import DEFAULT_EPS, solve_relaxation
 from .rounding import RoundingConfig, solve as rounding_solve
-
-THREADS_ENV = "FLEXCONN_THREADS"
 
 
 def _emit(report: dict, pretty: bool) -> None:
@@ -205,15 +201,8 @@ def cmd_bench(args) -> int:
     with open(args.suite) as fh:
         suite = json.load(fh)
     items = suite["items"]
-    threads = args.threads or int(os.environ.get(THREADS_ENV, "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_bench_item, i, item) for i, item in enumerate(items)]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [_bench_item(i, item) for i, item in enumerate(items)]
-    for report in reports:  # ordered by item index regardless of completion
-        _emit(report, args.pretty)
+    for i, item in enumerate(items):
+        _emit(_bench_item(i, item), args.pretty)
     return 0
 
 
@@ -273,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="run a generated suite, one report line per item")
     sp.add_argument("--suite", required=True, help="JSON file with an 'items' list")
-    sp.add_argument("--threads", type=int, help=f"default: ${THREADS_ENV} or 1")
     common(sp)
     sp.set_defaults(func=cmd_bench)
 

@@ -1,7 +1,8 @@
 """Brute-force baselines that verify the other modules at desk scale:
 exact optimum by branch and bound, full-scan separation, and exact
 near-minimum-cut counting.  Everything here trades speed for being an
-independent implementation path.
+independent implementation path; only exact_opt's crossing tables come
+from the solver's graph.crossing_blocks, and its counting stays its own.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 from .errors import TooLargeError
 from .graph import DEFAULT_EXHAUSTIVE_LIMIT, Cut, Multigraph, canonical_masks, check_capacities
+from .graph import crossing_blocks
 from .model import FgcInstance, is_feasible_direct
 from .relaxation import ConstraintRow, candidate_j_sets, constraint_row, violation
 
@@ -44,22 +46,15 @@ def exact_opt(inst: FgcInstance, *, edge_limit: int = DEFAULT_EDGE_LIMIT) -> Exa
         raise TooLargeError(f"instance too large for exact search (m={inst.m} > {edge_limit})")
     p, q = inst.p, inst.q
     need_total = p + q
-    masks = list(canonical_masks(inst.n))
-    n_cuts = len(masks)
 
     # per-edge 0/1 rows over all canonical cuts
-    cross_total = np.zeros((inst.m, n_cuts), dtype=np.int16)
-    cross_safe = np.zeros((inst.m, n_cuts), dtype=np.int16)
-    for e, (u, v) in enumerate(inst.graph.edges):
-        for i, mask in enumerate(masks):
-            if ((mask >> u) ^ (mask >> v)) & 1:
-                cross_total[e, i] = 1
-                if inst.safe[e]:
-                    cross_safe[e, i] = 1
+    blocks = [crossing for _, crossing in crossing_blocks(inst.graph)]
+    cross_total = np.concatenate(blocks).T.astype(np.int16, order="C")
+    cross_safe = cross_total * np.array(inst.safe, dtype=np.int16)[:, None]
 
     order = sorted(range(inst.m), key=lambda e: (inst.cost[e], e))
-    chosen_safe = np.zeros(n_cuts, dtype=np.int16)
-    chosen_total = np.zeros(n_cuts, dtype=np.int16)
+    chosen_safe = np.zeros_like(cross_total[0])
+    chosen_total = np.zeros_like(cross_total[0])
     # potential = chosen plus every undecided edge; starts as all of E
     pot_safe = cross_safe.sum(axis=0, dtype=np.int16)
     pot_total = cross_total.sum(axis=0, dtype=np.int16)
@@ -136,7 +131,8 @@ def separate_bruteforce(
     2^(n-1) - 1 cuts and their full candidate families.
 
     Sorted by violation descending; ties by cut mask then the sorted J ids,
-    so the order is deterministic.
+    so the order is deterministic.  A plain per-mask loop on purpose: it is
+    the reference that criterion 2 checks ``separate`` against.
     """
     if inst.n > vertex_limit:
         raise TooLargeError(
@@ -158,7 +154,8 @@ def separate_bruteforce(
 
 def all_cut_capacities(g: Multigraph, caps: Sequence) -> list[tuple[int, float]]:
     """(side_mask, capacity) for every canonical nontrivial cut, by direct
-    scan; the oracle other modules' cut routines are checked against."""
+    scan; the oracle other modules' cut routines are checked against, so
+    it stays a plain loop that shares no code with graph.crossing_blocks."""
     check_capacities(caps, g.m)
     out = []
     for mask in canonical_masks(g.n):

@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import GraphStructureError, TooLargeError
 
@@ -20,6 +22,9 @@ DEFAULT_EXHAUSTIVE_LIMIT = 20
 # Relative slop applied at enumeration thresholds so that capacities within
 # floating-point noise of the threshold count as *at* it (strict inequality).
 CUT_REL_TOL = 1e-9
+
+# Canonical masks per crossing_blocks block; bounds a block's memory at n = 20.
+CROSSING_BLOCK = 1 << 12
 
 # Contraction mode refuses thresholds further above the minimum cut than this.
 DEFAULT_ALPHA_MAX = 4.0
@@ -48,26 +53,28 @@ class Multigraph:
                 raise GraphStructureError(f"edge {eid}: endpoint out of range")
             if u == v:
                 raise GraphStructureError(f"edge {eid}: self-loop at vertex {u}")
-        if not self._connected():
+        if not is_connected(self.n, self.edges):
             raise GraphStructureError("graph is not connected")
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def _connected(self) -> bool:
-        parent = list(range(self.n))
 
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
+def is_connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether the edges connect all n vertices (union-find)."""
+    parent = list(range(n))
 
-        for u, v in self.edges:
-            parent[find(u)] = find(v)
-        root = find(0)
-        return all(find(v) == root for v in range(self.n))
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    root = find(0)
+    return all(find(v) == root for v in range(n))
 
 
 @dataclass(frozen=True)
@@ -154,6 +161,22 @@ def canonical_masks(n: int) -> Iterable[int]:
         yield s << 1
 
 
+def crossing_blocks(g: Multigraph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """All canonical masks in canonical order, in blocks of at most
+    CROSSING_BLOCK, each with its 0/1 crossing matrix.
+
+    Yields ``(masks, crossing)``: ``masks`` is an int64 vector of side
+    masks and ``crossing[i, e]`` is 1 exactly when edge e crosses
+    ``masks[i]`` (uint8, shape ``(len(masks), m)``).
+    """
+    u, v = np.array(g.edges, dtype=np.int64).T
+    end = 1 << (g.n - 1)
+    for start in range(1, end, CROSSING_BLOCK):
+        masks = np.arange(start, min(start + CROSSING_BLOCK, end), dtype=np.int64) << 1
+        side = ((masks[:, None] >> np.arange(g.n)) & 1).astype(np.uint8)
+        yield masks, side[:, u] ^ side[:, v]
+
+
 def min_cut(g: Multigraph, caps: Sequence) -> tuple[Cut, float]:
     """Exact global minimum cut by repeated maximum-adjacency phases.
 
@@ -216,20 +239,22 @@ def enumerate_cuts_below(
     delta: float = 1e-6,
     seed: int = 0,
     exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    alpha_max: float = DEFAULT_ALPHA_MAX,
-    repetition_constant: float = DEFAULT_REPETITION_CONSTANT,
     rel_tol: float = CUT_REL_TOL,
 ) -> list[Cut]:
     """All canonical nontrivial cuts with capacity strictly below ``threshold``.
 
-    Exhaustive mode scans every bipartition and is exact; it refuses graphs
-    with more than ``exhaustive_limit`` vertices rather than silently
-    degrading. Contraction mode runs ``ceil(K * n^(2a) * ln(n/delta))``
-    independent capacity-weighted contraction runs (a = threshold / min cut,
-    K = ``repetition_constant``); each run contracts down to max(2, ceil(2a))
-    supervertices and scores every bipartition of the quotient against the
-    original capacities. With probability at least 1 - delta the result
-    contains every qualifying cut; it never contains a non-qualifying one.
+    Exhaustive mode scans every bipartition and is exact: a float mat-vec
+    per crossing block shortlists masks within a rounding margin of the
+    cutoff, and cut_capacity re-sums each in the capacities' own type. It
+    refuses graphs with more than ``exhaustive_limit`` vertices rather than
+    silently degrading. Contraction mode runs
+    ``ceil(K * n^(2a) * ln(n/delta))`` independent capacity-weighted
+    contraction runs (a = threshold / min cut, at most DEFAULT_ALPHA_MAX;
+    K = DEFAULT_REPETITION_CONSTANT); each run contracts down to
+    max(2, ceil(2a)) supervertices and scores every bipartition of the
+    quotient against the original capacities. With probability at least
+    1 - delta the result contains every qualifying cut; it never contains a
+    non-qualifying one.
 
     Capacities within ``rel_tol`` (relative) of the threshold count as at
     the threshold and are excluded; pass ``rel_tol=0`` for exact arithmetic.
@@ -246,15 +271,9 @@ def enumerate_cuts_below(
             raise TooLargeError(
                 f"instance too large for exhaustive mode (n={g.n} > {exhaustive_limit})"
             )
-        found = {}
-        for mask in canonical_masks(g.n):
-            cap = cut_capacity(g, caps, mask)
-            if cap < cutoff:
-                found[mask] = cap
+        found = _enumerate_exhaustive(g, caps, cutoff)
     elif mode == "contraction":
-        found = _enumerate_by_contraction(
-            g, caps, cutoff, threshold, delta, seed, alpha_max, repetition_constant
-        )
+        found = _enumerate_by_contraction(g, caps, cutoff, threshold, delta, seed)
     else:
         raise ValueError(f"unknown enumeration mode {mode!r}")
 
@@ -263,18 +282,34 @@ def enumerate_cuts_below(
     return cuts
 
 
-def _enumerate_by_contraction(g, caps, cutoff, threshold, delta, seed, alpha_max, constant):
+def _enumerate_exhaustive(g, caps, cutoff):
+    try:
+        weights = np.array([float(c) for c in caps])
+        # covers float rounding of the capacities, the cutoff and each sum
+        bound = float(cutoff) + 1e-9 * (float(weights.sum()) + 1.0)
+    except OverflowError:  # int or Fraction values beyond float range: shortlist all
+        weights, bound = np.zeros(g.m), 1.0
+    found = {}
+    for masks, crossing in crossing_blocks(g):
+        for mask in masks[crossing @ weights < bound].tolist():
+            cap = cut_capacity(g, caps, mask)
+            if cap < cutoff:
+                found[mask] = cap
+    return found
+
+
+def _enumerate_by_contraction(g, caps, cutoff, threshold, delta, seed):
     _, lam = min_cut(g, caps)
     if lam <= 0:
         raise ValueError("contraction mode requires a positive minimum cut")
     if lam >= cutoff:
         return {}
     alpha = float(threshold) / float(lam)
-    if alpha > alpha_max:
+    if alpha > DEFAULT_ALPHA_MAX:
         raise ValueError(
-            f"threshold is {alpha:.3g}x the minimum cut, above alpha_max={alpha_max}"
+            f"threshold is {alpha:.3g}x the minimum cut, above alpha_max={DEFAULT_ALPHA_MAX}"
         )
-    runs = math.ceil(constant * g.n ** (2 * alpha) * math.log(g.n / delta))
+    runs = math.ceil(DEFAULT_REPETITION_CONSTANT * g.n ** (2 * alpha) * math.log(g.n / delta))
     target = max(2, math.ceil(2 * alpha))
     rng = random.Random(seed)
     found = {}

@@ -22,7 +22,7 @@ import random
 from pathlib import Path
 
 from .errors import FieldRangeError, GenerationError, ParseError
-from .graph import Multigraph
+from .graph import Multigraph, is_connected
 from .model import FgcInstance, is_feasible, validate_instance
 
 HEADER = "fgc"
@@ -146,11 +146,25 @@ def instance_to_json(inst: FgcInstance) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass; JSON true must not read as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_cost(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"cost must be a number, got {value!r}")
+    return float(value)
+
+
 def instance_from_json(obj: dict) -> FgcInstance:
+    """Parse and fully validate a JSON instance; coerces no field (see parse_instance)."""
     try:
         if obj.get("format") != HEADER or obj.get("version") != VERSION:
             raise ParseError("not a fgc/1 JSON object")
-        n = int(obj["nodes"])
+        n = _json_int(obj["nodes"], "nodes")
         raw_edges = obj["edges"]
         endpoints = []
         safety = []
@@ -158,11 +172,11 @@ def instance_from_json(obj: dict) -> FgcInstance:
         for u, v, flag, cost in raw_edges:
             if flag not in ("S", "U"):
                 raise ParseError(f"safety flag must be S or U, got {flag!r}")
-            endpoints.append((int(u), int(v)))
+            endpoints.append((_json_int(u, "endpoint"), _json_int(v, "endpoint")))
             safety.append(flag == "S")
-            costs.append(float(cost))
-        p, q = int(obj["p"]), int(obj["q"])
-    except (KeyError, TypeError, ValueError) as exc:
+            costs.append(_json_cost(cost))
+        p, q = _json_int(obj["p"], "p"), _json_int(obj["q"], "q")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed JSON instance: {exc}") from None
     if n < 2:
         raise FieldRangeError(f"nodes must be at least 2, got {n}")
@@ -195,21 +209,6 @@ def save_instance(inst: FgcInstance, path: str | Path) -> None:
         path.write_text(json.dumps(instance_to_json(inst), indent=2) + "\n")
     else:
         path.write_text(serialize_instance(inst))
-
-
-def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    root = find(0)
-    return all(find(v) == root for v in range(n))
 
 
 def gen_random(
@@ -250,7 +249,7 @@ def gen_random(
             if v >= u:
                 v += 1
             edges.append((min(u, v), max(u, v)))
-        if _connected(n, edges):
+        if is_connected(n, edges):
             break
     else:
         raise GenerationError(

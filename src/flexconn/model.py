@@ -123,7 +123,9 @@ def is_feasible_direct(
     """Exhaustive feasibility check over every nontrivial cut.
 
     The witness, when infeasible, is the first violated cut in canonical
-    iteration order.
+    iteration order.  Deliberately a plain per-mask loop that shares no
+    code with graph.crossing_blocks: it is the reference that is_feasible
+    and exact_opt are checked against.
     """
     if inst.n > exhaustive_limit:
         raise TooLargeError(
@@ -169,14 +171,10 @@ def is_feasible(
 
     bound = p * (p + q - 1) + q * (p - 1)
     # integer capacities: cap <= bound is cap < bound + 0.5
-    if mode == "exhaustive":
-        cuts = enumerate_cuts_below(
-            inst.graph, caps, bound + 0.5, "exhaustive", exhaustive_limit=exhaustive_limit
-        )
-    else:
-        cuts = enumerate_cuts_below(
-            inst.graph, caps, bound + 0.5, "contraction", delta=delta, seed=seed
-        )
+    cuts = enumerate_cuts_below(
+        inst.graph, caps, bound + 0.5, mode,
+        delta=delta, seed=seed, exhaustive_limit=exhaustive_limit,
+    )
     for r in cuts:
         s, t = cut_tallies(inst, f, r.side_mask)
         if s < p and t < p + q:
@@ -184,13 +182,7 @@ def is_feasible(
     return FeasibilityVerdict(True, None, mode)
 
 
-def validate_instance(
-    inst: FgcInstance,
-    *,
-    delta: float = 1e-9,
-    seed: int = 0,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-) -> None:
+def validate_instance(inst: FgcInstance) -> None:
     """Raise InvalidInstanceError unless the instance satisfies every invariant.
 
     Checks, with distinct error codes: parameter ranges ("params"),
@@ -207,9 +199,7 @@ def validate_instance(
             raise InvalidInstanceError("costs", f"cost of edge {e} is not finite")
         if c < 0:
             raise InvalidInstanceError("costs", f"cost of edge {e} is negative")
-    verdict = is_feasible(
-        inst, inst.all_edges, delta=delta, seed=seed, exhaustive_limit=exhaustive_limit
-    )
+    verdict = is_feasible(inst, inst.all_edges)
     if not verdict:
         side = sorted(verdict.witness.vertices)
         raise InvalidInstanceError(

@@ -184,13 +184,15 @@ def separate(
     if j_family not in ("full", "basic"):
         raise ValueError(f"unknown j_family {j_family!r}")
 
-    wcut, lam = min_cut(inst.graph, ux)
     if j_family == "basic":
+        wcut, _ = min_cut(inst.graph, ux)
         row = constraint_row(inst, wcut, frozenset())
         return row if violation(row, x) > eps else None
 
-    if mode == "contraction" and lam < need * (1 - eps):
-        return constraint_row(inst, wcut, frozenset())
+    if mode == "contraction":
+        wcut, lam = min_cut(inst.graph, ux)
+        if lam < need * (1 - eps):
+            return constraint_row(inst, wcut, frozenset())
 
     cuts = enumerate_cuts_below(
         inst.graph,
@@ -234,7 +236,9 @@ def lp_solve(
 ) -> tuple[tuple[float, ...], float]:
     """Minimize objective . x over the box [0,1]^m subject to the rows.
 
-    Deterministic; primal feasibility within 1e-9 per row.  The row system
+    Deterministic.  Rows hold only to within HiGHS's default primal
+    feasibility tolerance, 1e-7; x is clipped to the box afterwards and
+    nothing here re-checks the rows.  The row system
     is always satisfiable (x = 1 satisfies every covering row), so failures
     are numerical and reported with the row set attached.
     """
@@ -392,9 +396,6 @@ def solve_relaxation(
     j_family: str = "full",
     numeric: str = "float",
     max_iterations: int | None = None,
-    delta: float = 1e-6,
-    seed: int = 0,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     on_iterate: Callable[[int, tuple, float], None] | None = None,
 ) -> RelaxationResult:
     """Cutting-plane solve of the covering LP.
@@ -430,17 +431,7 @@ def solve_relaxation(
         x, value = solver(rows, inst.cost, inst.m)
         if on_iterate is not None:
             on_iterate(iterations, x, value)
-        row = separate(
-            inst,
-            x,
-            eps,
-            mode,
-            j_family=j_family,
-            delta=delta,
-            seed=seed,
-            exhaustive_limit=exhaustive_limit,
-            rel_tol=rel_tol,
-        )
+        row = separate(inst, x, eps, mode, j_family=j_family, rel_tol=rel_tol)
         if row is None:
             return RelaxationResult(
                 x=x,

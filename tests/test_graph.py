@@ -17,7 +17,13 @@ from flexconn import (
     min_cut,
 )
 from flexconn.exact import all_cut_capacities
-from flexconn.graph import canonical_masks
+from flexconn.graph import (
+    CROSSING_BLOCK,
+    CUT_REL_TOL,
+    canonical_masks,
+    crossing_blocks,
+    edge_crosses,
+)
 
 from instances import cycle_graph
 
@@ -240,3 +246,65 @@ def test_canonical_masks_cover_all_bipartitions():
     assert len(masks) == 7
     assert all(not (mask & 1) for mask in masks)
     assert masks == sorted(masks)
+
+
+def test_enumerate_exact_beyond_float_range():
+    rng = random.Random(5)
+    g = random_connected(rng, 6, 10)
+    caps = [Fraction(rng.randint(1, 9) * 10**400, 7) for _ in range(g.m)]
+    table = all_cut_capacities(g, caps)
+    threshold = sorted(cap for _, cap in table)[10]
+    expected = sorted((cap, mask) for mask, cap in table if cap < threshold)
+    cuts = enumerate_cuts_below(g, caps, threshold, rel_tol=0)
+    assert [(c.capacity, c.side_mask) for c in cuts] == expected
+
+
+# At 2^12 masks per block, n <= 13 fits one block; n = 14 and 15 span two
+# and four blocks, each ending in a partial block.
+BLOCK_SIZES = [2, 3, 13, 14, 15]
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_crossing_blocks_yield_each_canonical_mask_once(n):
+    g = random_connected(random.Random(n), n, 2 * n)
+    blocks = list(crossing_blocks(g))
+    total = 2 ** (n - 1) - 1
+    assert len(blocks) == -(-total // CROSSING_BLOCK)
+    assert all(len(masks) == CROSSING_BLOCK for masks, _ in blocks[:-1])
+    masks = [mask for block, _ in blocks for mask in block.tolist()]
+    assert masks == list(canonical_masks(n))  # none dropped or repeated
+    for block, crossing in blocks:
+        assert crossing.shape == (len(block), g.m)
+        for mask, row in zip(block.tolist(), crossing.tolist()):
+            assert row == [int(edge_crosses(mask, u, v)) for u, v in g.edges]
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("kind", ["int", "float", "fraction"])
+def test_enumerate_matches_reference_scan_across_blocks(n, kind):
+    rng = random.Random(100 + n)
+    g = random_connected(rng, n, 2 * n)
+    draw = {
+        "int": lambda: rng.randint(1, 5),
+        "float": lambda: rng.uniform(0.1, 5.0),
+        "fraction": lambda: Fraction(rng.randint(1, 30), rng.randint(1, 7)),
+    }[kind]
+    caps = [draw() for _ in range(g.m)]
+    table = all_cut_capacities(g, caps)
+    existing = sorted({cap for _, cap in table})
+    mid = existing[len(existing) // 2]
+    near = mid + mid / 10**10  # within CUT_REL_TOL above an existing capacity
+    cases = [
+        (existing[-1] + 1, CUT_REL_TOL),  # every mask qualifies, so a lost mask shows
+        (mid, CUT_REL_TOL),  # equal to an existing capacity: strictly below only
+        (near, CUT_REL_TOL),
+        (mid, 0),
+        (near, 0),
+    ]
+    for threshold, rel_tol in cases:
+        cutoff = threshold - rel_tol * threshold
+        expected = sorted((cap, mask) for mask, cap in table if cap < cutoff)
+        cuts = enumerate_cuts_below(g, caps, threshold, rel_tol=rel_tol)
+        assert [(c.side_mask, c.capacity) for c in cuts] == [
+            (mask, cap) for cap, mask in expected
+        ]

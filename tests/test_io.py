@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexconn import (
+    FgcInstance,
     FieldRangeError,
     GenerationError,
     GraphStructureError,
@@ -139,6 +142,70 @@ def test_json_errors():
             {"format": "fgc", "version": 1, "p": 1, "q": 0, "nodes": 2,
              "edges": [[0, 1, "S", -3]]}
         )
+
+
+JSON_BASE = {
+    "format": "fgc",
+    "version": 1,
+    "p": 1,
+    "q": 0,
+    "nodes": 2,
+    "edges": [[0, 1, "S", 1.0], [0, 1, "U", 2]],
+}
+
+
+def _json_with(path, value):
+    obj = json.loads(json.dumps(JSON_BASE))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+def test_json_base_object_loads():
+    inst = instance_from_json(JSON_BASE)
+    assert (inst.p, inst.q, inst.n, inst.cost) == (1, 0, 2, (1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("p",), 1.7),
+        (("p",), True),
+        (("q",), 0.9),
+        (("nodes",), 2.5),
+        (("edges", 1, 0), 0.9),
+        (("edges", 1, 1), True),
+        (("edges", 0, 3), "3"),
+        (("edges", 0, 3), True),
+    ],
+)
+def test_json_rejects_non_integer_or_non_numeric_field(path, value):
+    # each of these used to be coerced (1.7 -> 1, true -> 1, "3" -> 3.0)
+    with pytest.raises(ParseError):
+        instance_from_json(_json_with(path, value))
+
+
+def test_json_rejects_integer_cost_beyond_float_range():
+    obj = json.loads(json.dumps(JSON_BASE).replace("2]]", "1" + "0" * 400 + "]]"))
+    with pytest.raises(ParseError):
+        instance_from_json(obj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_json_round_trip_property(data):
+    n = data.draw(st.integers(2, 6), label="n")
+    m = data.draw(st.integers(n - 1, 2 * n), label="m")
+    p = data.draw(st.integers(1, 3), label="p")
+    q = data.draw(st.integers(0, 3), label="q")
+    base = gen_random(n, m, 0.5, (1, 10), p, q, seed=data.draw(st.integers(0, 2**16)))
+    cost = st.floats(0, 1e12, allow_nan=False) | st.integers(0, 10**6)
+    costs = data.draw(st.lists(cost, min_size=base.m, max_size=base.m), label="costs")
+    inst = FgcInstance(base.graph, base.safe, tuple(costs), p, q)
+    assert instance_from_json(instance_to_json(inst)) == inst
+    assert instance_from_json(json.loads(json.dumps(instance_to_json(inst)))) == inst
 
 
 def test_load_reports_json_syntax_error(tmp_path):
