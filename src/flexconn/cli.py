@@ -21,7 +21,8 @@ from .errors import (
     InvalidInstanceError,
     ParseError,
 )
-from .exact import all_cut_capacities, count_cuts_at_most, exact_opt
+from .exact import count_cuts_at_most, exact_opt
+from .graph import min_cut
 from .instance_io import gen_random, load_instance, save_instance
 from .model import is_feasible
 from .relaxation import DEFAULT_EPS, solve_relaxation
@@ -152,7 +153,7 @@ def cmd_gen(args) -> int:
 def cmd_counts(args) -> int:
     inst = load_instance(args.file)
     caps = [1] * inst.m
-    lam = min(cap for _, cap in all_cut_capacities(inst.graph, caps))
+    _, lam = min_cut(inst.graph, caps)
     count = count_cuts_at_most(inst.graph, caps, args.alpha)
     report = {
         "command": "counts",

@@ -1,8 +1,8 @@
 """Brute-force baselines that verify the other modules at desk scale:
 exact optimum by branch and bound, full-scan separation, and exact
 near-minimum-cut counting.  Everything here trades speed for being an
-independent implementation path; only exact_opt's crossing tables come
-from the solver's graph.crossing_blocks, and its counting stays its own.
+independent implementation path: exact_opt builds its own crossing table
+and shares no cut-scan code with the solver's graph module.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import TooLargeError
 from .graph import DEFAULT_EXHAUSTIVE_LIMIT, Cut, Multigraph, canonical_masks, check_capacities
-from .graph import crossing_blocks
 from .model import FgcInstance, is_feasible_direct
 from .relaxation import ConstraintRow, candidate_j_sets, constraint_row, violation
 
@@ -48,8 +47,9 @@ def exact_opt(inst: FgcInstance, *, edge_limit: int = DEFAULT_EDGE_LIMIT) -> Exa
     need_total = p + q
 
     # per-edge 0/1 rows over all canonical cuts
-    blocks = [crossing for _, crossing in crossing_blocks(inst.graph)]
-    cross_total = np.concatenate(blocks).T.astype(np.int16, order="C")
+    masks = np.arange(1, 1 << (inst.n - 1), dtype=np.int64) << 1
+    u, v = np.array(inst.graph.edges, dtype=np.int64).T[:, :, None]
+    cross_total = (((masks >> u) ^ (masks >> v)) & 1).astype(np.int16)
     cross_safe = cross_total * np.array(inst.safe, dtype=np.int16)[:, None]
 
     order = sorted(range(inst.m), key=lambda e: (inst.cost[e], e))
@@ -155,7 +155,7 @@ def separate_bruteforce(
 def all_cut_capacities(g: Multigraph, caps: Sequence) -> list[tuple[int, float]]:
     """(side_mask, capacity) for every canonical nontrivial cut, by direct
     scan; the oracle other modules' cut routines are checked against, so
-    it stays a plain loop that shares no code with graph.crossing_blocks."""
+    it stays a plain loop that shares no code with the solver's cut table."""
     check_capacities(caps, g.m)
     out = []
     for mask in canonical_masks(g.n):

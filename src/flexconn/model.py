@@ -81,7 +81,7 @@ class FeasibilityVerdict:
     which checking route produced the verdict: "direct" (exhaustive cut
     characterization) or the capacitated route with "exhaustive" or
     "contraction" enumeration.  Contraction-mode "feasible" verdicts are
-    Monte Carlo with one-sided error at most the delta used.
+    Monte Carlo with one-sided error at most 1e-9.
     """
 
     feasible: bool
@@ -124,7 +124,7 @@ def is_feasible_direct(
 
     The witness, when infeasible, is the first violated cut in canonical
     iteration order.  Deliberately a plain per-mask loop that shares no
-    code with graph.crossing_blocks: it is the reference that is_feasible
+    code with the solver's cut table: it is the reference that is_feasible
     and exact_opt are checked against.
     """
     if inst.n > exhaustive_limit:
@@ -140,29 +140,23 @@ def is_feasible_direct(
     return FeasibilityVerdict(True, None, "direct")
 
 
-def is_feasible(
-    inst: FgcInstance,
-    f: Iterable[int],
-    *,
-    delta: float = 1e-9,
-    seed: int = 0,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-) -> FeasibilityVerdict:
+def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
     """Capacitated feasibility check without full bipartition iteration.
 
     Safe selected edges get capacity p+q, unsafe ones p, everything else 0.
     A selection is feasible only if the minimum cut reaches p(p+q); when it
     does, any still-violating cut has capacity at most p(p+q-1) + q(p-1)
     (from safe count <= p-1 and total count <= p+q-1), so only cuts up to
-    that bound need testing against the characterization.  Above the
-    exhaustive limit the enumeration runs in contraction mode and a
-    "feasible" verdict is Monte Carlo with one-sided error <= delta.
+    that bound need testing against the characterization.  Above
+    DEFAULT_EXHAUSTIVE_LIMIT vertices the enumeration runs in contraction
+    mode and a "feasible" verdict is Monte Carlo with one-sided error
+    at most 1e-9.
     """
     f = check_selection(inst, f)
     p, q = inst.p, inst.q
     need = p * (p + q)
     caps = [(p + q if inst.safe[e] else p) if e in f else 0 for e in range(inst.m)]
-    mode = "exhaustive" if inst.n <= exhaustive_limit else "contraction"
+    mode = "exhaustive" if inst.n <= DEFAULT_EXHAUSTIVE_LIMIT else "contraction"
 
     witness, lam = min_cut(inst.graph, caps)
     if lam < need:
@@ -171,10 +165,7 @@ def is_feasible(
 
     bound = p * (p + q - 1) + q * (p - 1)
     # integer capacities: cap <= bound is cap < bound + 0.5
-    cuts = enumerate_cuts_below(
-        inst.graph, caps, bound + 0.5, mode,
-        delta=delta, seed=seed, exhaustive_limit=exhaustive_limit,
-    )
+    cuts = enumerate_cuts_below(inst.graph, caps, bound + 0.5, mode, delta=1e-9)
     for r in cuts:
         s, t = cut_tallies(inst, f, r.side_mask)
         if s < p and t < p + q:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import IterationLimitError, LpSolveError
-from .graph import CUT_REL_TOL, DEFAULT_EXHAUSTIVE_LIMIT, Cut, cut_edges, enumerate_cuts_below, min_cut
+from .graph import CUT_REL_TOL, Cut, cut_edges, enumerate_cuts_below, min_cut
 from .model import FgcInstance
 
 # Absolute tolerance on row violations; rhs values are small integers.
@@ -142,7 +142,7 @@ def candidate_j_sets(
 def _check_box(x: Sequence) -> tuple:
     cleaned = []
     for e, v in enumerate(x):
-        if v < -BOX_SLACK or v > 1 + BOX_SLACK:
+        if not -BOX_SLACK <= v <= 1 + BOX_SLACK:  # also rejects NaN
             raise ValueError(f"x[{e}] = {v} is outside [0, 1]")
         if isinstance(v, Fraction):
             cleaned.append(min(Fraction(1), max(Fraction(0), v)))
@@ -158,9 +158,7 @@ def separate(
     mode: str = "exhaustive",
     *,
     j_family: str = "full",
-    delta: float = 1e-6,
     seed: int = 0,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     rel_tol: float = CUT_REL_TOL,
 ) -> ConstraintRow | None:
     """Most violated covering row at x, or None if all hold within eps.
@@ -194,16 +192,7 @@ def separate(
         if lam < need * (1 - eps):
             return constraint_row(inst, wcut, frozenset())
 
-    cuts = enumerate_cuts_below(
-        inst.graph,
-        ux,
-        2 * need,
-        mode,
-        delta=delta,
-        seed=seed,
-        exhaustive_limit=exhaustive_limit,
-        rel_tol=rel_tol,
-    )
+    cuts = enumerate_cuts_below(inst.graph, ux, 2 * need, mode, seed=seed, rel_tol=rel_tol)
     best = None
     best_violation = eps
     for r in cuts:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import RoundingFailedError
 from .model import FgcInstance, is_feasible
-from .relaxation import DEFAULT_EPS, RelaxationResult, solve_relaxation
+from .relaxation import RelaxationResult, solve_relaxation
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,10 @@ class RoundingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scale_constant <= 0:
-            raise ValueError("scale_constant must be positive")
-        if self.cost_cap_multiplier < 1:
-            raise ValueError("cost_cap_multiplier must be at least 1")
+        if not 0 < self.scale_constant < math.inf:
+            raise ValueError("scale_constant must be positive and finite")
+        if not 1 <= self.cost_cap_multiplier < math.inf:
+            raise ValueError("cost_cap_multiplier must be finite and at least 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
 
@@ -79,8 +79,6 @@ def solve(
     inst: FgcInstance,
     cfg: RoundingConfig = RoundingConfig(),
     *,
-    eps: float = DEFAULT_EPS,
-    mode: str = "exhaustive",
     relaxation: RelaxationResult | None = None,
 ) -> RoundingOutcome:
     """Full pipeline: solve the LP relaxation, then round until accepted.
@@ -90,7 +88,7 @@ def solve(
     with per-attempt diagnostics if max_attempts draws are all rejected.
     A precomputed relaxation may be passed to skip the LP phase.
     """
-    relax = relaxation if relaxation is not None else solve_relaxation(inst, eps, mode=mode)
+    relax = relaxation if relaxation is not None else solve_relaxation(inst)
     y = inclusion_probabilities(inst, relax.x, cfg)
     forced = sum(1 for v in y if v >= 1.0)
     cap = cfg.cost_cap_multiplier * cfg.scale_constant * math.log(inst.n) * float(relax.value)

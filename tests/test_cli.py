@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from flexconn import save_instance
+from flexconn import FgcInstance, exact, save_instance
 from flexconn.cli import run
 
-from instances import gadget_f1, triangle_p1q0, two_vertex
+from instances import cycle_graph, gadget_f1, triangle_p1q0, two_vertex
 
 
 @pytest.fixture
@@ -96,6 +96,25 @@ def test_counts_cycle(tmp_path, capsys):
     assert report["min_cut"] == 2
     assert report["count"] == 3
     assert report["karger_bound"] == 9.0
+
+
+def test_counts_refuses_large_graphs_before_any_cut_scan(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cycle21.fgc"
+    save_instance(FgcInstance(cycle_graph(21), (True,) * 21, (1.0,) * 21, 1, 0), path)
+
+    def no_scan(n):
+        raise AssertionError("scanned every cut before the size guard")
+
+    monkeypatch.setattr(exact, "canonical_masks", no_scan)
+    assert run(["counts", str(path), "--alpha", "1"]) == 3
+    assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--scale-c", "--cost-cap"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_solve_rejects_non_finite_rounding_constants(inst_file, capsys, flag, value):
+    assert run(["solve", inst_file, flag, value]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_pretty_output_is_aligned_not_json(inst_file, capsys):

@@ -1,5 +1,6 @@
 """Brute-force optimum, brute-force separation, and cut counting."""
 
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from flexconn import (
     count_cuts_at_most,
     cut_edges,
     exact_opt,
+    gen_random,
     is_feasible,
     is_feasible_direct,
     min_cut,
@@ -61,6 +63,30 @@ def test_exact_opt_refuses_large_inputs():
     inst = FgcInstance(g, (True,) * 24, (1.0,) * 24, p=1, q=0)
     with pytest.raises(TooLargeError):
         exact_opt(inst)
+
+
+def test_exact_opt_matches_full_subset_enumeration():
+    rng = random.Random(2024)
+    checked = 0
+    for seed in range(40):
+        n = rng.randint(2, 6)
+        p, q = rng.choice([(1, 0), (1, 1), (2, 1), (1, 2)])
+        base = gen_random(n, rng.randint(n, 9), 0.5, (1.0, 9.0), p, q, seed)
+        if base.m > 10:
+            continue
+        # small integer costs make ties exact, so the id tie-break is checked too
+        costs = tuple(float(rng.randint(1, 3)) for _ in range(base.m))
+        inst = FgcInstance(base.graph, base.safe, costs, p, q)
+        subsets = sorted(
+            (inst.selection_cost(ids), ids)
+            for size in range(inst.m + 1)
+            for ids in itertools.combinations(range(inst.m), size)
+        )
+        cost, ids = next(c for c in subsets if is_feasible_direct(inst, c[1]).feasible)
+        res = exact_opt(inst)
+        assert (res.best_cost, tuple(sorted(res.best_selection))) == (cost, ids), seed
+        checked += 1
+    assert checked >= 20
 
 
 def test_exact_opt_optimum_is_feasible_and_sandwiched():

@@ -140,6 +140,13 @@ def test_separate_rejects_out_of_box_x():
         separate(inst, (1.5, 0.0, 0.0))
 
 
+def test_separate_rejects_nan_x():
+    # NaN fails every comparison, so a one-sided box test would pass it and
+    # the clamp would read it as 0
+    with pytest.raises(ValueError):
+        separate(two_vertex(), (0.0, float("nan"), 0.0))
+
+
 def test_separate_contraction_mode_matches_exhaustive_verdict():
     rng = random.Random(31)
     for trial in range(15):

@@ -26,6 +26,15 @@ def test_config_validation():
         RoundingConfig(max_attempts=0)
 
 
+@pytest.mark.parametrize("field", ["scale_constant", "cost_cap_multiplier"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_config_rejects_non_finite(field, bad):
+    # with C = inf, C ln(n) * 0 is NaN and min(1.0, NaN) is 1.0, so every
+    # x_e = 0 edge would be drawn
+    with pytest.raises(ValueError):
+        RoundingConfig(**{field: bad})
+
+
 def test_inclusion_probabilities_formula():
     inst = two_vertex()
     cfg = RoundingConfig()
