@@ -23,7 +23,7 @@ from .errors import (
 )
 from .exact import count_cuts_at_most, exact_opt
 from .graph import min_cut
-from .instance_io import gen_random, load_instance, save_instance
+from .instance_io import gen_random, json_int, json_number, load_instance, save_instance
 from .model import is_feasible
 from .relaxation import DEFAULT_EPS, solve_relaxation
 from .rounding import RoundingConfig, solve as rounding_solve
@@ -167,28 +167,27 @@ def cmd_counts(args) -> int:
 
 
 def _bench_item(index: int, item: dict) -> dict:
-    inst = gen_random(
-        int(item["n"]),
-        int(item["m"]),
-        float(item.get("safe_fraction", 0.5)),
-        tuple(item.get("cost_range", (1.0, 10.0))),
-        int(item["p"]),
-        int(item["q"]),
-        int(item["seed"]),
-    )
-    cfg = RoundingConfig(
-        scale_constant=float(item.get("scale_constant", 100.0)),
-        max_attempts=int(item.get("max_attempts", 64)),
-        seed=int(item.get("solve_seed", 0)),
-    )
+    try:  # no coercion, as in instance_from_json
+        n, m, p, q, seed = (json_int(item[key], key) for key in ("n", "m", "p", "q", "seed"))
+        lo, hi = (json_number(c, "cost_range") for c in item.get("cost_range", (1.0, 10.0)))
+        safe_fraction = json_number(item.get("safe_fraction", 0.5), "safe_fraction")
+        scale_constant = json_number(item.get("scale_constant", 100.0), "scale_constant")
+        max_attempts = json_int(item.get("max_attempts", 64), "max_attempts")
+        solve_seed = json_int(item.get("solve_seed", 0), "solve_seed")
+    except KeyError as exc:
+        raise ParseError(f"suite item {index}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:  # ValueError includes ParseError
+        raise ParseError(f"suite item {index}: {exc}") from None
+    inst = gen_random(n, m, safe_fraction, (lo, hi), p, q, seed)
+    cfg = RoundingConfig(scale_constant=scale_constant, max_attempts=max_attempts, seed=solve_seed)
     outcome = rounding_solve(inst, cfg)
     report = {
         "item": index,
         "n": inst.n,
         "m": inst.m,
-        "p": int(item["p"]),
-        "q": int(item["q"]),
-        "seed": int(item["seed"]),
+        "p": p,
+        "q": q,
+        "seed": seed,
         "lp_value": outcome.lp_value,
         "solution_cost": outcome.cost,
         "attempts": outcome.attempts_used,
@@ -201,7 +200,9 @@ def _bench_item(index: int, item: dict) -> dict:
 def cmd_bench(args) -> int:
     with open(args.suite) as fh:
         suite = json.load(fh)
-    items = suite["items"]
+    items = suite.get("items") if isinstance(suite, dict) else None
+    if not isinstance(items, list):
+        raise ParseError("a suite is a JSON object with an 'items' list")
     for i, item in enumerate(items):
         _emit(_bench_item(i, item), args.pretty)
     return 0

@@ -7,6 +7,7 @@ and shares no cut-scan code with the solver's graph module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +31,7 @@ class ExactResult:
     nodes_explored: int
 
 
-def exact_opt(inst: FgcInstance, *, edge_limit: int = DEFAULT_EDGE_LIMIT) -> ExactResult:
+def exact_opt(inst: FgcInstance) -> ExactResult:
     """Exact minimum-cost feasible selection by branch and bound.
 
     Edges are branched in ascending (cost, id) order, inclusion first.
@@ -41,8 +42,10 @@ def exact_opt(inst: FgcInstance, *, edge_limit: int = DEFAULT_EDGE_LIMIT) -> Exa
     with is_feasible_direct, keeping the search honest against the
     counter bookkeeping.
     """
-    if inst.m > edge_limit:
-        raise TooLargeError(f"instance too large for exact search (m={inst.m} > {edge_limit})")
+    if inst.m > DEFAULT_EDGE_LIMIT:
+        raise TooLargeError(
+            f"instance too large for exact search (m={inst.m} > {DEFAULT_EDGE_LIMIT})"
+        )
     p, q = inst.p, inst.q
     need_total = p + q
 
@@ -120,13 +123,7 @@ def exact_opt(inst: FgcInstance, *, edge_limit: int = DEFAULT_EDGE_LIMIT) -> Exa
     return ExactResult(best_selection=best_set, best_cost=best_cost, nodes_explored=nodes)
 
 
-def separate_bruteforce(
-    inst: FgcInstance,
-    x: Sequence,
-    eps: float = 0.0,
-    *,
-    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
-) -> list[ConstraintRow]:
+def separate_bruteforce(inst: FgcInstance, x: Sequence, eps: float = 0.0) -> list[ConstraintRow]:
     """Every covering row violated by more than eps, by scanning all
     2^(n-1) - 1 cuts and their full candidate families.
 
@@ -134,9 +131,9 @@ def separate_bruteforce(
     so the order is deterministic.  A plain per-mask loop on purpose: it is
     the reference that criterion 2 checks ``separate`` against.
     """
-    if inst.n > vertex_limit:
+    if inst.n > DEFAULT_VERTEX_LIMIT:
         raise TooLargeError(
-            f"instance too large for brute-force separation (n={inst.n} > {vertex_limit})"
+            f"instance too large for brute-force separation (n={inst.n} > {DEFAULT_VERTEX_LIMIT})"
         )
     if len(x) != inst.m:
         raise ValueError(f"expected {inst.m} coordinates, got {len(x)}")
@@ -167,19 +164,15 @@ def all_cut_capacities(g: Multigraph, caps: Sequence) -> list[tuple[int, float]]
     return out
 
 
-def count_cuts_at_most(
-    g: Multigraph,
-    caps: Sequence,
-    factor: float,
-    *,
-    vertex_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-) -> int:
+def count_cuts_at_most(g: Multigraph, caps: Sequence, factor: float) -> int:
     """Exact number of canonical nontrivial cuts with capacity at most
     factor times the minimum, by exhaustive scan."""
-    if g.n > vertex_limit:
-        raise TooLargeError(f"instance too large for exact counting (n={g.n} > {vertex_limit})")
-    if factor <= 0:
-        raise ValueError("factor must be positive")
+    if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
+        raise TooLargeError(
+            f"instance too large for exact counting (n={g.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
+        )
+    if not 0 < factor < math.inf:  # also rejects NaN
+        raise ValueError(f"factor must be finite and positive, got {factor}")
     table = all_cut_capacities(g, caps)
     lam = min(cap for _, cap in table)
     bound = factor * lam * (1 + 1e-9)

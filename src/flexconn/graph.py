@@ -238,7 +238,6 @@ def enumerate_cuts_below(
     *,
     delta: float = 1e-6,
     seed: int = 0,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     rel_tol: float = CUT_REL_TOL,
 ) -> list[Cut]:
     """All canonical nontrivial cuts with capacity strictly below ``threshold``.
@@ -246,7 +245,7 @@ def enumerate_cuts_below(
     Exhaustive mode scans every bipartition and is exact: a float table of
     every cut's capacity shortlists masks within a rounding margin of the
     cutoff, and cut_capacity re-sums each in the capacities' own type. It
-    refuses graphs with more than ``exhaustive_limit`` vertices rather than
+    refuses graphs with more than DEFAULT_EXHAUSTIVE_LIMIT vertices rather than
     silently degrading. Contraction mode runs
     ``ceil(K * n^(2a) * ln(n/delta))`` independent capacity-weighted
     contraction runs (a = threshold / min cut, at most DEFAULT_ALPHA_MAX;
@@ -267,9 +266,9 @@ def enumerate_cuts_below(
     cutoff = threshold - rel_tol * threshold if rel_tol else threshold
 
     if mode == "exhaustive":
-        if g.n > exhaustive_limit:
+        if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
             raise TooLargeError(
-                f"instance too large for exhaustive mode (n={g.n} > {exhaustive_limit})"
+                f"instance too large for exhaustive mode (n={g.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
             )
         found = _enumerate_exhaustive(g, caps, cutoff)
     elif mode == "contraction":

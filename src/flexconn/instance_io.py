@@ -146,16 +146,16 @@ def instance_to_json(inst: FgcInstance) -> dict:
     }
 
 
-def _json_int(value, what: str) -> int:
+def json_int(value, what: str) -> int:
     # bool is an int subclass; JSON true must not read as 1
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _json_cost(value) -> float:
+def json_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"cost must be a number, got {value!r}")
+        raise ParseError(f"{what} must be a number, got {value!r}")
     return float(value)
 
 
@@ -164,7 +164,7 @@ def instance_from_json(obj: dict) -> FgcInstance:
     try:
         if obj.get("format") != HEADER or obj.get("version") != VERSION:
             raise ParseError("not a fgc/1 JSON object")
-        n = _json_int(obj["nodes"], "nodes")
+        n = json_int(obj["nodes"], "nodes")
         raw_edges = obj["edges"]
         endpoints = []
         safety = []
@@ -172,10 +172,10 @@ def instance_from_json(obj: dict) -> FgcInstance:
         for u, v, flag, cost in raw_edges:
             if flag not in ("S", "U"):
                 raise ParseError(f"safety flag must be S or U, got {flag!r}")
-            endpoints.append((_json_int(u, "endpoint"), _json_int(v, "endpoint")))
+            endpoints.append((json_int(u, "endpoint"), json_int(v, "endpoint")))
             safety.append(flag == "S")
-            costs.append(_json_cost(cost))
-        p, q = _json_int(obj["p"], "p"), _json_int(obj["q"], "q")
+            costs.append(json_number(cost, "cost"))
+        p, q = json_int(obj["p"], "p"), json_int(obj["q"], "q")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed JSON instance: {exc}") from None
     if n < 2:
@@ -235,8 +235,8 @@ def gen_random(
         raise GenerationError(f"{m} edges cannot connect {n} vertices")
     if not 0 <= safe_fraction <= 1:
         raise GenerationError(f"safe_fraction must be in [0, 1], got {safe_fraction}")
-    if lo < 0 or hi < lo:
-        raise GenerationError(f"cost range must satisfy 0 <= lo <= hi, got {cost_range}")
+    if not 0 <= lo <= hi < math.inf:  # also rejects NaN
+        raise GenerationError(f"cost range must satisfy 0 <= lo <= hi < inf, got {cost_range}")
     if p < 1 or q < 0:
         raise GenerationError(f"need p >= 1 and q >= 0, got p={p}, q={q}")
 

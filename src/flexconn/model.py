@@ -60,14 +60,6 @@ class FgcInstance:
     def all_edges(self) -> frozenset[int]:
         return frozenset(range(self.m))
 
-    @property
-    def safe_ids(self) -> frozenset[int]:
-        return frozenset(e for e in range(self.m) if self.safe[e])
-
-    @property
-    def unsafe_ids(self) -> frozenset[int]:
-        return frozenset(e for e in range(self.m) if not self.safe[e])
-
     def selection_cost(self, f: Iterable[int]) -> float:
         return sum(self.cost[e] for e in f)
 
@@ -114,12 +106,7 @@ def cut_tallies(inst: FgcInstance, f: Iterable[int], side_mask: int) -> tuple[in
     return s, t
 
 
-def is_feasible_direct(
-    inst: FgcInstance,
-    f: Iterable[int],
-    *,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-) -> FeasibilityVerdict:
+def is_feasible_direct(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
     """Exhaustive feasibility check over every nontrivial cut.
 
     The witness, when infeasible, is the first violated cut in canonical
@@ -127,9 +114,9 @@ def is_feasible_direct(
     code with the solver's cut table: it is the reference that is_feasible
     and exact_opt are checked against.
     """
-    if inst.n > exhaustive_limit:
+    if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
         raise TooLargeError(
-            f"instance too large for the direct check (n={inst.n} > {exhaustive_limit})"
+            f"instance too large for the direct check (n={inst.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
         )
     f = check_selection(inst, f)
     p, q = inst.p, inst.q

@@ -15,8 +15,10 @@ to certify all J.  A cutting-plane loop drives the LP to optimality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -164,8 +166,8 @@ def separate(
     """Most violated covering row at x, or None if all hold within eps.
 
     Exhaustive mode scans every cut of u_x capacity below 2p(p+q) (no other
-    cut can carry a violation) with the full candidate family and returns
-    the global maximizer, so the reported violation matches a brute-force
+    cut can carry a violation), scores its candidates in closed form and
+    returns the global maximizer, so the violation matches a brute-force
     scan.  Contraction mode first checks the capacitated minimum cut: if it
     falls below p(p+q).(1-eps) its J-empty row is returned immediately,
     which keeps the near-minimum-cut enumeration ratio bounded in the
@@ -175,6 +177,8 @@ def separate(
     minimum cut's row is always the most violated (they share rhs p(p+q)
     and their lhs is u_x of the cut), so no enumeration is needed.
     """
+    if not 0 <= eps < math.inf:  # also rejects NaN
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     x = _check_box(x)
     ux = capacities(inst, x)
     p, q = inst.p, inst.q
@@ -193,17 +197,32 @@ def separate(
             return constraint_row(inst, wcut, frozenset())
 
     cuts = enumerate_cuts_below(inst.graph, ux, 2 * need, mode, seed=seed, rel_tol=rel_tol)
+    # J_{a,b} is scored in closed form from the prefix sums PS, PU of x over
+    # delta(r)'s safe and unsafe edges in candidate_j_sets' order, with
+    # XS = PS[-1], XU = PU[-1]: rhs - [(p-a+(q-b)+).(XS-PS[a]) +
+    # (p-a).(XU-PU[b])], rhs = (p-a).(p+q-a-b)+.  Only a candidate that could
+    # beat the running best is built and scored by violation(), so the result
+    # is that of building every row.  Both evaluations sum at most m terms of
+    # size <= p+q, so with the rounding of best - slack they differ by under
+    # 9u.(p+q).(m+p)^2 (u = 2^-53); the slack is ten times that.
+    slack = 1e-14 * (p + q) * (inst.m + p) ** 2
     best = None
     best_violation = eps
     for r in cuts:
-        for _, _, j in candidate_j_sets(inst, r, x):
-            row = constraint_row(inst, r, j)
-            if row.trivial:
-                continue
-            v = violation(row, x)
-            if v > best_violation:
-                best = row
-                best_violation = v
+        delta = cut_edges(inst.graph, r)
+        ls = sorted((e for e in delta if inst.safe[e]), key=lambda e: (-x[e], e))
+        lu = sorted((e for e in delta if not inst.safe[e]), key=lambda e: (-x[e], e))
+        ps = list(accumulate((x[e] for e in ls), initial=0))
+        pu = list(accumulate((x[e] for e in lu), initial=0))
+        for a in range(min(p - 1, len(ls)) + 1):
+            for b in range(min(p + q - 1, len(lu)) + 1):
+                rhs = (p - a) * max(p + q - a - b, 0)
+                lhs = (p - a + max(q - b, 0)) * (ps[-1] - ps[a]) + (p - a) * (pu[-1] - pu[b])
+                if rhs and rhs - lhs > best_violation - slack:  # rhs 0: a trivial row
+                    row = constraint_row(inst, r, ls[:a] + lu[:b])
+                    v = violation(row, x)
+                    if v > best_violation:
+                        best, best_violation = row, v
     return best
 
 

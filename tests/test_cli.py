@@ -110,6 +110,23 @@ def test_counts_refuses_large_graphs_before_any_cut_scan(tmp_path, capsys, monke
     assert "too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lp", "solve"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_lp_and_solve_reject_bad_eps(inst_file, capsys, command, value):
+    assert run([command, inst_file, "--eps", value]) == 2
+    assert "eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_counts_rejects_non_finite_alpha(tmp_path, capsys, value):
+    path = tmp_path / "triangle.fgc"
+    save_instance(triangle_p1q0(), path)
+    assert run(["counts", str(path), "--alpha", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "factor" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--scale-c", "--cost-cap"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_solve_rejects_non_finite_rounding_constants(inst_file, capsys, flag, value):
@@ -172,6 +189,39 @@ def test_bench_deterministic(tmp_path, capsys):
     lines = [json.loads(line) for line in first.strip().splitlines()]
     assert [r["item"] for r in lines] == [0, 1, 2]
     assert all(r["lp_value"] <= r["solution_cost"] + 1e-9 for r in lines)
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ({"n": 6.9, "m": 12, "p": 2, "q": 1, "seed": 3}, "n must be an integer"),
+        ({"n": 6, "m": 12.5, "p": 2, "q": 1, "seed": 3}, "m must be an integer"),
+        ({"n": 6, "m": 12, "p": 2, "q": True, "seed": 3}, "q must be an integer"),
+        ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": "3"}, "seed must be an integer"),
+        ({"m": 12, "p": 2, "q": 1, "seed": 3}, "missing field 'n'"),
+        ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "safe_fraction": "0.5"}, "safe_fraction"),
+        ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "cost_range": [1, "9"]}, "cost_range"),
+        ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "cost_range": 9}, "suite item 1"),
+        ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "max_attempts": 2.0}, "max_attempts"),
+        ([6, 12, 2, 1, 3], "list indices"),
+    ],
+)
+def test_bench_rejects_malformed_items(tmp_path, capsys, item, message):
+    suite_path = tmp_path / "suite.json"
+    good = {"n": 4, "m": 6, "p": 1, "q": 1, "seed": 3}
+    suite_path.write_text(json.dumps({"items": [good, item]}))
+    assert run(["bench", "--suite", str(suite_path)]) == 2
+    err = capsys.readouterr().err
+    assert "suite item 1" in err
+    assert message in err
+
+
+@pytest.mark.parametrize("suite", [[], {"runs": []}, {"items": {}}])
+def test_bench_rejects_a_suite_without_an_items_list(tmp_path, capsys, suite):
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps(suite))
+    assert run(["bench", "--suite", str(suite_path)]) == 2
+    assert "'items' list" in capsys.readouterr().err
 
 
 def test_solve_seed_changes_nothing_at_default_scale(inst_file, capsys):

@@ -187,6 +187,12 @@ def test_count_cuts_four_cycle_doubled_threshold():
     assert count_cuts_at_most(g, [1] * 4, 1.5) == 6
 
 
+@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
+def test_count_cuts_rejects_bad_factors(factor):
+    with pytest.raises(ValueError, match="factor"):
+        count_cuts_at_most(cycle_graph(4), [1] * 4, factor)
+
+
 def test_count_cuts_at_least_one():
     rng = random.Random(33)
     for _ in range(25):

@@ -202,7 +202,7 @@ def test_enumerate_exhaustive_refuses_large_graphs():
     edges = tuple((v, v + 1) for v in range(n - 1))
     g = Multigraph(n, edges)
     with pytest.raises(TooLargeError):
-        enumerate_cuts_below(g, [1] * g.m, 2, exhaustive_limit=20)
+        enumerate_cuts_below(g, [1] * g.m, 2)
 
 
 def test_enumerate_rejects_bad_arguments():

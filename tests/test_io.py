@@ -248,6 +248,8 @@ def test_gen_random_repairs_high_q():
         dict(n=4, m=5, safe_fraction=0.5, cost_range=(2, 1), p=1, q=0, seed=0),
         dict(n=4, m=5, safe_fraction=0.5, cost_range=(-1, 1), p=1, q=0, seed=0),
         dict(n=4, m=5, safe_fraction=0.5, cost_range=(0, 1), p=0, q=1, seed=0),
+        dict(n=4, m=5, safe_fraction=0.5, cost_range=(0, float("inf")), p=1, q=0, seed=0),
+        dict(n=4, m=5, safe_fraction=0.5, cost_range=(float("nan"), 1), p=1, q=0, seed=0),
     ],
 )
 def test_gen_random_rejects_bad_arguments(kwargs):

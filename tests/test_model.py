@@ -30,8 +30,6 @@ def test_instance_checks_array_lengths():
 
 def test_instance_edge_id_views():
     inst = two_vertex()
-    assert inst.safe_ids == {0}
-    assert inst.unsafe_ids == {1, 2}
     assert inst.all_edges == {0, 1, 2}
     assert inst.selection_cost({0, 1}) == 6.0
 
@@ -53,9 +51,11 @@ def test_direct_witness_is_first_in_canonical_order():
 
 
 def test_direct_refuses_large_instances():
-    inst = two_vertex()
+    # a 21-vertex path is one past the limit; the check raises before any scan
+    g = Multigraph(21, tuple((v, v + 1) for v in range(20)))
+    inst = FgcInstance(g, (True,) * 20, (1.0,) * 20, 1, 0)
     with pytest.raises(TooLargeError):
-        is_feasible_direct(inst, {0}, exhaustive_limit=1)
+        is_feasible_direct(inst, inst.all_edges)
 
 
 def test_direct_rejects_unknown_edge_ids():

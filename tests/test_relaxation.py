@@ -19,9 +19,10 @@ from flexconn import (
     solve_relaxation,
     violation,
 )
+from flexconn import relaxation
 from flexconn.exact import separate_bruteforce
 from flexconn.model import FgcInstance
-from flexconn.graph import Multigraph
+from flexconn.graph import CUT_REL_TOL, Multigraph, enumerate_cuts_below
 
 from instances import (
     gadget_f1,
@@ -134,6 +135,17 @@ def test_separate_gadget_returns_most_violated_row():
     assert violation(row, x) == 3
 
 
+def test_separate_returns_a_row_with_a_safe_edge_in_j():
+    # p=2 q=2, one cut of a safe edge at 1 and three unsafe edges at 1/2:
+    # J = {safe} has violation 3 - 3/2 = 3/2; every other candidate at most 1
+    g = Multigraph(2, ((0, 1),) * 4)
+    inst = FgcInstance(g, (True, False, False, False), (1.0,) * 4, 2, 2)
+    x = (Fraction(1),) + (Fraction(1, 2),) * 3
+    row = separate(inst, x, 0, rel_tol=0.0)
+    assert (row.a, row.b, row.j_edges) == (1, 0, frozenset({0}))
+    assert violation(row, x) == Fraction(3, 2)
+
+
 def test_separate_rejects_out_of_box_x():
     inst = two_vertex()
     with pytest.raises(ValueError):
@@ -145,6 +157,18 @@ def test_separate_rejects_nan_x():
     # the clamp would read it as 0
     with pytest.raises(ValueError):
         separate(two_vertex(), (0.0, float("nan"), 0.0))
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+def test_separate_rejects_bad_eps(eps):
+    # NaN and inf made every row look satisfied; a negative eps re-added pool rows
+    with pytest.raises(ValueError, match="eps"):
+        separate(two_vertex(), (0.0, 0.0, 0.0), eps)
+
+
+def test_solve_relaxation_rejects_nan_eps():
+    with pytest.raises(ValueError, match="eps"):
+        solve_relaxation(random_instance(3, n=6, m=12, p=2, q=1), float("nan"))
 
 
 def test_separate_contraction_mode_matches_exhaustive_verdict():
@@ -173,6 +197,73 @@ def test_separate_agrees_with_bruteforce_on_violation_size():
         assert (row is None) == (not hits)
         if row is not None:
             assert abs(violation(row, x) - violation(hits[0], x)) <= 1e-9
+
+
+def _separate_by_building_every_row(inst, x, eps, rel_tol):
+    """separate's exhaustive loop before closed-form scoring: build the row
+    of every candidate and keep the first strict maximum."""
+    need = inst.p * (inst.p + inst.q)
+    cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need, rel_tol=rel_tol)
+    best = None
+    best_violation = eps
+    for r in cuts:
+        for _, _, j in candidate_j_sets(inst, r, x):
+            row = constraint_row(inst, r, j)
+            if row.trivial:
+                continue
+            v = violation(row, x)
+            if v > best_violation:
+                best = row
+                best_violation = v
+    return best
+
+
+def test_separate_keeps_the_row_of_building_every_candidate(monkeypatch):
+    # Same row key (so the same tie-break) as the build-every-row loop, on
+    # tied, random and exact points; and every row separate builds is a
+    # nontrivial one that could still beat the running best, so the
+    # closed-form score neither drops a winner nor lets losers through.
+    built = []
+
+    def recording_row(inst, r, j):
+        row = constraint_row(inst, r, j)
+        built.append(row)
+        return row
+
+    monkeypatch.setattr(relaxation, "constraint_row", recording_row)
+    rng = random.Random(41)
+    for trial in range(120):
+        p = rng.randint(1, 4)
+        q = rng.randint(0, 3)
+        n = rng.randint(3, 8)
+        inst = random_instance(
+            trial + 700, n=n, m=rng.randint(n, 2 * n + 4), safe_fraction=rng.random(), p=p, q=q
+        )
+        kind = trial % 4
+        if kind == 0:
+            x = tuple(rng.choice((0.0, 0.25, 0.5, 1.0)) for _ in range(inst.m))
+            eps, rel_tol = 1e-7, CUT_REL_TOL
+        elif kind == 1:
+            x = tuple(rng.random() for _ in range(inst.m))
+            eps, rel_tol = 1e-7, CUT_REL_TOL
+        else:
+            # at x = 1 nothing is violated and some candidates are trivial rows
+            # with lhs 0, which only the rhs test keeps from being built
+            quarters = (0, 1, 2, 4) if kind == 2 else (4,)
+            x = tuple(Fraction(rng.choice(quarters), 4) for _ in range(inst.m))
+            eps, rel_tol = 0, 0.0
+        built.clear()
+        row = separate(inst, x, eps, rel_tol=rel_tol)
+        want = _separate_by_building_every_row(inst, x, eps, rel_tol)
+        assert (row is None) == (want is None), trial
+        if row is not None:
+            assert row.key() == want.key(), trial
+        running = eps
+        for b in built:
+            assert not b.trivial, trial
+            v = violation(b, x)
+            assert v > running - 1e-9, trial
+            running = max(running, v)
 
 
 def test_separate_none_when_capacitated_min_cut_is_large():
