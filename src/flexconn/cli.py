@@ -152,6 +152,12 @@ def cmd_gen(args) -> int:
 
 def cmd_counts(args) -> int:
     inst = load_instance(args.file)
+    try:
+        karger_bound = inst.n ** (2 * args.alpha)
+    except OverflowError:
+        raise ValueError(
+            f"--alpha {args.alpha} puts the Karger bound n^(2 alpha) out of float range"
+        ) from None
     caps = [1] * inst.m
     _, lam = min_cut(inst.graph, caps)
     count = count_cuts_at_most(inst.graph, caps, args.alpha)
@@ -160,7 +166,7 @@ def cmd_counts(args) -> int:
         "alpha": args.alpha,
         "min_cut": lam,
         "count": count,
-        "karger_bound": inst.n ** (2 * args.alpha),
+        "karger_bound": karger_bound,
     }
     _emit(report, args.pretty)
     return 0

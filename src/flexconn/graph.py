@@ -44,6 +44,8 @@ class Multigraph:
     def __post_init__(self):
         if self.n < 2:
             raise GraphStructureError(f"need at least 2 vertices, got {self.n}")
+        if len(self.edges) < self.n - 1:  # before is_connected allocates O(n)
+            raise GraphStructureError("graph is not connected")
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
         for eid, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n and 0 <= v < self.n):

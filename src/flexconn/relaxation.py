@@ -18,14 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .errors import IterationLimitError, LpSolveError
-from .graph import CUT_REL_TOL, Cut, cut_edges, enumerate_cuts_below, min_cut
+from .graph import CUT_REL_TOL, Cut, Multigraph, cut_edges, enumerate_cuts_below, min_cut
 from .model import FgcInstance
 
 # Absolute tolerance on row violations; rhs values are small integers.
@@ -33,6 +32,10 @@ DEFAULT_EPS = 1e-7
 
 # x vectors may carry solver noise this far outside the box before we reject.
 BOX_SLACK = 1e-6
+
+# separate() scores this many cuts at a time, which bounds its arrays: at
+# n = 20 up to 2^19 cuts can fall below 2p(p+q).
+SCORE_BLOCK = 4096
 
 
 def capacities(inst: FgcInstance, x: Sequence) -> list:
@@ -166,12 +169,15 @@ def separate(
     """Most violated covering row at x, or None if all hold within eps.
 
     Exhaustive mode scans every cut of u_x capacity below 2p(p+q) (no other
-    cut can carry a violation), scores its candidates in closed form and
-    returns the global maximizer, so the violation matches a brute-force
-    scan.  Contraction mode first checks the capacitated minimum cut: if it
-    falls below p(p+q).(1-eps) its J-empty row is returned immediately,
-    which keeps the near-minimum-cut enumeration ratio bounded in the
-    remaining case.
+    cut can carry a violation) and returns the global maximizer, so the
+    violation matches a brute-force scan.  The J_{a,b} candidates of
+    SCORE_BLOCK cuts at a time are scored in closed form in one numpy pass
+    over a cut x edge crossing matrix; only the candidates within a float
+    error slack of the best score are built as rows and re-checked with
+    violation().  Contraction mode first checks the capacitated minimum
+    cut: if it falls below p(p+q).(1-eps) its J-empty row is returned
+    immediately, which keeps the near-minimum-cut enumeration ratio bounded
+    in the remaining case.
 
     With j_family="basic" only J-empty rows are considered; among those the
     minimum cut's row is always the most violated (they share rhs p(p+q)
@@ -197,33 +203,79 @@ def separate(
             return constraint_row(inst, wcut, frozenset())
 
     cuts = enumerate_cuts_below(inst.graph, ux, 2 * need, mode, seed=seed, rel_tol=rel_tol)
-    # J_{a,b} is scored in closed form from the prefix sums PS, PU of x over
-    # delta(r)'s safe and unsafe edges in candidate_j_sets' order, with
-    # XS = PS[-1], XU = PU[-1]: rhs - [(p-a+(q-b)+).(XS-PS[a]) +
-    # (p-a).(XU-PU[b])], rhs = (p-a).(p+q-a-b)+.  Only a candidate that could
-    # beat the running best is built and scored by violation(), so the result
-    # is that of building every row.  Both evaluations sum at most m terms of
-    # size <= p+q, so with the rounding of best - slack they differ by under
-    # 9u.(p+q).(m+p)^2 (u = 2^-53); the slack is ten times that.
+    # Scores: J_{a,b} of cut r violates by rhs - [(p-a+(q-b)+).(XS-PS[a]) +
+    # (p-a).(XU-PU[b])], rhs = (p-a).(p+q-a-b)+, where PS and PU are prefix
+    # sums of x over delta(r)'s safe and unsafe edges in candidate_j_sets'
+    # order and XS, XU their totals.  With x in [0, 1], coefficients <= p+q
+    # and at most m terms per sum, a score (numpy sums in any order, plus one
+    # rounding per term when a Fraction x goes to float) is within
+    # 5u.(p+q).(m+p)^2 of the exact violation, u = 2^-53, and violation()'s
+    # sequential float sum is within 3u.(p+q).(m+p)^2.  So they differ by
+    # under 8u.(p+q).(m+p)^2; the slack, about 90u.(p+q).(m+p)^2, is over
+    # ten times that.
+    #
+    # Let V be the largest violation() in a block and M its largest score.
+    # Every candidate reaching V scores above V - slack > M - 2.slack, and
+    # above best - slack when V beats the running best, so it is built.
+    # Rows are built in (cut, a, b) order and only a strict gain replaces
+    # the best, which returns the first row of largest violation, as
+    # building every candidate row does.
     slack = 1e-14 * (p + q) * (inst.m + p) ** 2
+    order = sorted(range(inst.m), key=lambda e: (-x[e], e))
+    safe_order = np.array([e for e in order if inst.safe[e]], dtype=np.intp)
+    unsafe_order = np.array([e for e in order if not inst.safe[e]], dtype=np.intp)
+    xf = np.array([float(v) for v in x])
+    a = np.arange(p)[:, None]
+    b = np.arange(p + q)
+    rhs = (p - a) * np.maximum(p + q - a - b, 0)
+    safe_coef = p - a + np.maximum(q - b, 0)
     best = None
     best_violation = eps
-    for r in cuts:
-        delta = cut_edges(inst.graph, r)
-        ls = sorted((e for e in delta if inst.safe[e]), key=lambda e: (-x[e], e))
-        lu = sorted((e for e in delta if not inst.safe[e]), key=lambda e: (-x[e], e))
-        ps = list(accumulate((x[e] for e in ls), initial=0))
-        pu = list(accumulate((x[e] for e in lu), initial=0))
-        for a in range(min(p - 1, len(ls)) + 1):
-            for b in range(min(p + q - 1, len(lu)) + 1):
-                rhs = (p - a) * max(p + q - a - b, 0)
-                lhs = (p - a + max(q - b, 0)) * (ps[-1] - ps[a]) + (p - a) * (pu[-1] - pu[b])
-                if rhs and rhs - lhs > best_violation - slack:  # rhs 0: a trivial row
-                    row = constraint_row(inst, r, ls[:a] + lu[:b])
-                    v = violation(row, x)
-                    if v > best_violation:
-                        best, best_violation = row, v
+    for start in range(0, len(cuts), SCORE_BLOCK):
+        block = cuts[start : start + SCORE_BLOCK]
+        cross = _crossing_matrix(inst.graph, block)
+        cross_s, cross_u = cross[:, safe_order], cross[:, unsafe_order]
+        tail_s, count_s = _tail_sums(cross_s, xf[safe_order], p)
+        tail_u, count_u = _tail_sums(cross_u, xf[unsafe_order], p + q)
+        score = rhs - (safe_coef * tail_s[:, :, None] + (p - a) * tail_u[:, None, :])
+        valid = (rhs > 0) & (a <= count_s[:, None, None]) & (b <= count_u[:, None, None])
+        score = np.where(valid, score, -np.inf)
+        top = score.max()
+        if top <= best_violation - slack:
+            continue
+        keep = (score > best_violation - slack) & (score >= top - 2 * slack)
+        for i, ai, bi in zip(*np.nonzero(keep)):
+            j = safe_order[cross_s[i]][:ai].tolist() + unsafe_order[cross_u[i]][:bi].tolist()
+            row = constraint_row(inst, block[i], j)
+            v = violation(row, x)
+            if v > best_violation:
+                best, best_violation = row, v
     return best
+
+
+def _crossing_matrix(g: Multigraph, cuts: Sequence[Cut]) -> np.ndarray:
+    """Boolean cuts x edges matrix; entry (i, e) is whether e crosses cuts[i].
+
+    Side masks are unpacked from their bytes, so any vertex count works
+    (shifting an int64 mask past bit 62 would give wrong crossings).
+    """
+    width = (g.n + 7) // 8
+    raw = b"".join(r.side_mask.to_bytes(width, "little") for r in cuts)
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(cuts), width)
+    side = np.unpackbits(bits, axis=1, bitorder="little")
+    u, v = np.array(g.edges, dtype=np.intp).T
+    return side[:, u] != side[:, v]
+
+
+def _tail_sums(cross: np.ndarray, xs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per cut, x summed over its crossing edges after the first a, for a < k,
+    and its number of crossing edges; the columns of ``cross`` are in order."""
+    rank = np.cumsum(cross, axis=1)
+    head = np.zeros((len(cross), k))
+    rows, cols = np.nonzero(cross & (rank < k))
+    head[rows, rank[rows, cols]] = xs[cols]
+    total = np.where(cross, xs, 0.0).sum(axis=1)
+    return total[:, None] - np.cumsum(head, axis=1), cross.sum(axis=1)
 
 
 def _lp_matrix(rows: Sequence[ConstraintRow], m: int):

@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, and report formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,16 @@ def test_counts_rejects_non_finite_alpha(tmp_path, capsys, value):
     assert "factor" in captured.err
 
 
+def test_counts_rejects_alpha_whose_karger_bound_overflows(tmp_path, capsys):
+    # 6 ** 800 is beyond float range; it raised OverflowError, exit 1
+    path = tmp_path / "cycle6.fgc"
+    save_instance(FgcInstance(cycle_graph(6), (True,) * 6, (1.0,) * 6, 1, 0), path)
+    assert run(["counts", str(path), "--alpha", "400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--alpha 400" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--scale-c", "--cost-cap"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_solve_rejects_non_finite_rounding_constants(inst_file, capsys, flag, value):
@@ -163,6 +177,37 @@ def test_invalid_instance_exit_code(tmp_path, capsys):
     )
     assert run(["check", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("huge.fgc", "fgc 1\np 1\nq 0\nnodes 1000000000000\nedge 0 1 S 1\n"),
+        (
+            "huge.json",
+            '{"format": "fgc", "version": 1, "p": 1, "q": 0, '
+            '"nodes": 1000000000000, "edges": [[0, 1, "S", 1]]}',
+        ),
+    ],
+    ids=["text", "json"],
+)
+def test_too_few_edges_to_connect_exit_before_allocating_per_vertex(tmp_path, capsys, name, text):
+    # the union-find of is_connected would allocate a list of 10^12 vertices
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(["check", str(path)]) == 1
+    assert "not connected" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli_from_a_source_tree(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-m", "flexconn", "--help"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: flexconn")
 
 
 def test_bad_edges_argument_exit_code(inst_file, capsys):

@@ -22,7 +22,8 @@ from flexconn import (
 from flexconn import relaxation
 from flexconn.exact import separate_bruteforce
 from flexconn.model import FgcInstance
-from flexconn.graph import CUT_REL_TOL, Multigraph, enumerate_cuts_below
+from flexconn.graph import CUT_REL_TOL, Multigraph, cut_edges, enumerate_cuts_below
+from flexconn.relaxation import DEFAULT_EPS
 
 from instances import (
     gadget_f1,
@@ -199,11 +200,12 @@ def test_separate_agrees_with_bruteforce_on_violation_size():
             assert abs(violation(row, x) - violation(hits[0], x)) <= 1e-9
 
 
-def _separate_by_building_every_row(inst, x, eps, rel_tol):
+def _separate_by_building_every_row(inst, x, eps, rel_tol, cuts=None):
     """separate's exhaustive loop before closed-form scoring: build the row
     of every candidate and keep the first strict maximum."""
-    need = inst.p * (inst.p + inst.q)
-    cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need, rel_tol=rel_tol)
+    if cuts is None:
+        need = inst.p * (inst.p + inst.q)
+        cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need, rel_tol=rel_tol)
     best = None
     best_violation = eps
     for r in cuts:
@@ -218,11 +220,9 @@ def _separate_by_building_every_row(inst, x, eps, rel_tol):
     return best
 
 
-def test_separate_keeps_the_row_of_building_every_candidate(monkeypatch):
-    # Same row key (so the same tie-break) as the build-every-row loop, on
-    # tied, random and exact points; and every row separate builds is a
-    # nontrivial one that could still beat the running best, so the
-    # closed-form score neither drops a winner nor lets losers through.
+@pytest.fixture
+def built_rows(monkeypatch):
+    """Every row separate builds, in order."""
     built = []
 
     def recording_row(inst, r, j):
@@ -231,6 +231,31 @@ def test_separate_keeps_the_row_of_building_every_candidate(monkeypatch):
         return row
 
     monkeypatch.setattr(relaxation, "constraint_row", recording_row)
+    return built
+
+
+def _assert_same_row_as_building_every_row(inst, x, eps, rel_tol, built, tol=1e-9):
+    # Same row key (so the same tie-break) as the build-every-row loop; and
+    # every row separate builds is a new, nontrivial one that could still
+    # beat the running best, so the closed-form score neither drops a winner
+    # nor lets losers through.
+    built.clear()
+    row = separate(inst, x, eps, rel_tol=rel_tol)
+    want = _separate_by_building_every_row(inst, x, eps, rel_tol)
+    assert (row is None) == (want is None)
+    if row is not None:
+        assert row.key() == want.key()
+    assert len({b.key() for b in built}) == len(built)
+    running = eps
+    for b in built:
+        assert not b.trivial
+        v = violation(b, x)
+        assert v > running - tol
+        running = max(running, v)
+
+
+def test_separate_keeps_the_row_of_building_every_candidate(built_rows):
+    # tied, random and exact points
     rng = random.Random(41)
     for trial in range(120):
         p = rng.randint(1, 4)
@@ -252,18 +277,75 @@ def test_separate_keeps_the_row_of_building_every_candidate(monkeypatch):
             quarters = (0, 1, 2, 4) if kind == 2 else (4,)
             x = tuple(Fraction(rng.choice(quarters), 4) for _ in range(inst.m))
             eps, rel_tol = 0, 0.0
-        built.clear()
-        row = separate(inst, x, eps, rel_tol=rel_tol)
-        want = _separate_by_building_every_row(inst, x, eps, rel_tol)
-        assert (row is None) == (want is None), trial
-        if row is not None:
-            assert row.key() == want.key(), trial
-        running = eps
-        for b in built:
-            assert not b.trivial, trial
-            v = violation(b, x)
-            assert v > running - 1e-9, trial
-            running = max(running, v)
+        _assert_same_row_as_building_every_row(inst, x, eps, rel_tol, built_rows)
+
+
+def test_separate_keeps_the_row_on_hundreds_of_parallel_edges(built_rows):
+    # p+q-1 unsafe edges at x = 1 and hundreds of edges at x in {0, .001,
+    # .002, .003}: the rows J_{a,b} with b >= q tie exactly, and their float
+    # scores and violations round apart by amounts that grow with the cut,
+    # so the slack decides which rows are built (with no slack some trials
+    # return another row).  Fraction points must match exactly.
+    rng = random.Random(43)
+    for trial in range(24):
+        n = 2 + trial % 3
+        m = rng.randint(200, 1000)
+        p, q = rng.randint(2, 3), rng.randint(0, 2)
+        edges = [(v, v + 1) for v in range(n - 1)]
+        while len(edges) < m:
+            edges.append(tuple(sorted(rng.sample(range(n), 2))))
+        safe = tuple(rng.random() < 0.3 for _ in range(m))
+        inst = FgcInstance(Multigraph(n, tuple(edges)), safe, (1.0,) * m, p, q)
+        heavy = rng.sample([e for e in range(m) if not safe[e]], p + q - 1)
+        units = [1000 if e in heavy else rng.choice((0, 1, 2, 3)) for e in range(m)]
+        if trial % 2:
+            x = tuple(Fraction(t, 1000) for t in units)
+            eps, rel_tol = 0, 0.0
+        else:
+            x = tuple(t / 1000 for t in units)
+            eps, rel_tol = 1e-7, CUT_REL_TOL
+        _assert_same_row_as_building_every_row(inst, x, eps, rel_tol, built_rows, tol=1e-6)
+
+
+def test_separate_scores_cuts_in_every_block(monkeypatch):
+    # At small x all 8191 cuts of n = 14 fall below 2p(p+q), so they are
+    # scored in two blocks.  Rotating the cut list puts the winning cut first,
+    # last, and on either side of the block boundary.
+    inst = random_instance(811, n=14, m=30, p=1, q=1)
+    rng = random.Random(47)
+    x = tuple(rng.random() / 100 for _ in range(inst.m))
+    need = inst.p * (inst.p + inst.q)
+    cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need)
+    assert len(cuts) == 2**13 - 1 > relaxation.SCORE_BLOCK
+    want = _separate_by_building_every_row(inst, x, DEFAULT_EPS, CUT_REL_TOL, cuts)
+    assert separate(inst, x).key() == want.key()
+    win = cuts.index(want.cut)
+    for place in (0, relaxation.SCORE_BLOCK - 1, relaxation.SCORE_BLOCK, len(cuts) - 1):
+        shift = (win - place) % len(cuts)
+        rotated = cuts[shift:] + cuts[:shift]
+        assert rotated[place] == want.cut
+        monkeypatch.setattr(relaxation, "enumerate_cuts_below", lambda *a, **k: rotated)
+        row = separate(inst, x)
+        assert row.key() == want.key(), place
+        assert row.key() == _separate_by_building_every_row(
+            inst, x, DEFAULT_EPS, CUT_REL_TOL, rotated
+        ).key(), place
+
+
+def test_crossing_matrix_matches_cut_edges_past_64_vertices():
+    # masks wider than an int64 must not wrap
+    rng = random.Random(53)
+    n = 70
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(80)]
+    g = Multigraph(n, tuple(edges))
+    masks = [rng.randrange(1, 1 << (n - 1)) << 1 for _ in range(200)]
+    masks += [1 << (n - 1), ((1 << n) - 1) ^ 1, 1 << 63, 1 << 64]
+    cuts = [Cut(n, mask) for mask in masks]
+    cross = relaxation._crossing_matrix(g, cuts)
+    assert cross.shape == (len(cuts), g.m)
+    for r, row in zip(cuts, cross):
+        assert set(row.nonzero()[0].tolist()) == cut_edges(g, r)
 
 
 def test_separate_none_when_capacitated_min_cut_is_large():
