@@ -180,12 +180,14 @@ def _bench_item(index: int, item: dict) -> dict:
         scale_constant = json_number(item.get("scale_constant", 100.0), "scale_constant")
         max_attempts = json_int(item.get("max_attempts", 64), "max_attempts")
         solve_seed = json_int(item.get("solve_seed", 0), "solve_seed")
+        cfg = RoundingConfig(
+            scale_constant=scale_constant, max_attempts=max_attempts, seed=solve_seed
+        )
     except KeyError as exc:
         raise ParseError(f"suite item {index}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:  # ValueError includes ParseError
         raise ParseError(f"suite item {index}: {exc}") from None
     inst = gen_random(n, m, safe_fraction, (lo, hi), p, q, seed)
-    cfg = RoundingConfig(scale_constant=scale_constant, max_attempts=max_attempts, seed=solve_seed)
     outcome = rounding_solve(inst, cfg)
     report = {
         "item": index,

@@ -29,6 +29,10 @@ DEFAULT_ALPHA_MAX = 4.0
 # Multiplier in front of the n^(2*alpha) * ln(n/delta) repetition count.
 DEFAULT_REPETITION_CONSTANT = 2.0
 
+# Cuts per crossing matrix, which bounds its size: at n = 20 up to 2^19
+# cuts can fall below a threshold.
+CUT_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -141,12 +145,39 @@ def cut_edges(g: Multigraph, r: Cut) -> frozenset[int]:
     )
 
 
-def cut_capacity(g: Multigraph, caps: Sequence, mask: int):
-    total = 0
-    for eid, (u, v) in enumerate(g.edges):
-        if ((mask >> u) ^ (mask >> v)) & 1:
-            total += caps[eid]
-    return total
+def crossing_matrix(g: Multigraph, masks: Sequence[int]) -> np.ndarray:
+    """Boolean masks x edges matrix; entry (i, e) is whether edge e crosses
+    the cut with side mask masks[i].
+
+    Side masks are unpacked from their bytes, so any vertex count works
+    (shifting an int64 mask past bit 62 would give wrong crossings).
+    """
+    width = (g.n + 7) // 8
+    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    side = np.unpackbits(bits, axis=1, bitorder="little")
+    u, v = np.array(g.edges, dtype=np.intp).T
+    return side[:, u] != side[:, v]
+
+
+def _cut_capacities(g: Multigraph, caps: Sequence, masks: Sequence[int]) -> list:
+    """Capacity of each side mask in the capacities' own type.
+
+    Each cut's crossing capacities are added left to right in edge order
+    (cumsum, not the pairwise sum), with a 0 in place of every edge that
+    does not cross; x + 0 is exact for x >= 0, so every value equals a
+    plain running total over the cut's edges.  Float capacities sum in
+    float64, anything else (int, Fraction, mixed) as Python objects.
+    """
+    if not masks:
+        return []
+    dtype = float if all(type(c) is float for c in caps) else object
+    values = np.array(caps, dtype=dtype)
+    out = []
+    for start in range(0, len(masks), CUT_BLOCK):
+        cross = crossing_matrix(g, masks[start : start + CUT_BLOCK])
+        out += np.cumsum(np.where(cross, values, 0), axis=1)[:, -1].tolist()
+    return out
 
 
 def canonical_masks(n: int) -> Iterable[int]:
@@ -246,7 +277,8 @@ def enumerate_cuts_below(
 
     Exhaustive mode scans every bipartition and is exact: a float table of
     every cut's capacity shortlists masks within a rounding margin of the
-    cutoff, and cut_capacity re-sums each in the capacities' own type. It
+    cutoff, and each is re-summed exactly in the capacities' own type, over
+    its row of ``crossing_matrix`` in blocks of CUT_BLOCK masks. It
     refuses graphs with more than DEFAULT_EXHAUSTIVE_LIMIT vertices rather than
     silently degrading. Contraction mode runs
     ``ceil(K * n^(2a) * ln(n/delta))`` independent capacity-weighted
@@ -263,8 +295,8 @@ def enumerate_cuts_below(
     Results are sorted by (capacity, side_mask) and duplicate-free.
     """
     check_capacities(caps, g.m)
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < math.inf:  # also rejects NaN
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     cutoff = threshold - rel_tol * threshold if rel_tol else threshold
 
     if mode == "exhaustive":
@@ -294,13 +326,11 @@ def _enumerate_exhaustive(g, caps, cutoff):
         bound = float(cutoff) + 1e-9 * (float(weights.sum()) + 1.0)
     except OverflowError:  # int or Fraction values beyond float range: shortlist all
         weights, bound = np.zeros(g.m), 1.0
-    found = {}
     shortlist = np.flatnonzero(_cut_capacity_table(g, weights) < bound) + 1
-    for mask in (shortlist << 1).tolist():
-        cap = cut_capacity(g, caps, mask)
-        if cap < cutoff:
-            found[mask] = cap
-    return found
+    masks = (shortlist << 1).tolist()
+    return {
+        mask: cap for mask, cap in zip(masks, _cut_capacities(g, caps, masks)) if cap < cutoff
+    }
 
 
 def _enumerate_by_contraction(g, caps, cutoff, threshold, delta, seed):
@@ -317,19 +347,22 @@ def _enumerate_by_contraction(g, caps, cutoff, threshold, delta, seed):
     runs = math.ceil(DEFAULT_REPETITION_CONSTANT * g.n ** (2 * alpha) * math.log(g.n / delta))
     target = max(2, math.ceil(2 * alpha))
     rng = random.Random(seed)
-    found = {}
+    weights = [float(c) for c in caps]
+    masks = set()
     for _ in range(runs):
-        _contraction_run(g, caps, cutoff, target, rng, found)
-    return found
+        masks.update(_contraction_run(g, weights, target, rng))
+    masks = sorted(masks)
+    return {
+        mask: cap for mask, cap in zip(masks, _cut_capacities(g, caps, masks)) if cap < cutoff
+    }
 
 
-def _contraction_run(g, caps, cutoff, target, rng, found):
-    """One capacity-weighted contraction down to ``target`` supervertices,
-    then score every bipartition of the quotient."""
+def _contraction_run(g, weights, target, rng):
+    """One capacity-weighted contraction down to ``target`` supervertices;
+    returns the side mask of every bipartition of the quotient."""
     n = g.n
     label = list(range(n))
     comp_mask = [1 << v for v in range(n)]
-    weights = [float(c) for c in caps]
     alive = n
     while alive > target:
         crossing = []
@@ -356,13 +389,11 @@ def _contraction_run(g, caps, cutoff, target, rng, found):
 
     root0 = label[0]
     others = sorted({lab for lab in label if lab != root0})
+    masks = []
     for bits in range(1, 1 << len(others)):
         mask = 0
         for i, lab in enumerate(others):
             if (bits >> i) & 1:
                 mask |= comp_mask[lab]
-        if mask in found:
-            continue
-        cap = cut_capacity(g, caps, mask)
-        if cap < cutoff:
-            found[mask] = cap
+        masks.append(mask)
+    return masks

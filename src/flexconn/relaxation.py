@@ -24,7 +24,15 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import IterationLimitError, LpSolveError
-from .graph import CUT_REL_TOL, Cut, Multigraph, cut_edges, enumerate_cuts_below, min_cut
+from .graph import (
+    CUT_BLOCK,
+    CUT_REL_TOL,
+    Cut,
+    crossing_matrix,
+    cut_edges,
+    enumerate_cuts_below,
+    min_cut,
+)
 from .model import FgcInstance
 
 # Absolute tolerance on row violations; rhs values are small integers.
@@ -32,10 +40,6 @@ DEFAULT_EPS = 1e-7
 
 # x vectors may carry solver noise this far outside the box before we reject.
 BOX_SLACK = 1e-6
-
-# separate() scores this many cuts at a time, which bounds its arrays: at
-# n = 20 up to 2^19 cuts can fall below 2p(p+q).
-SCORE_BLOCK = 4096
 
 
 def capacities(inst: FgcInstance, x: Sequence) -> list:
@@ -171,8 +175,8 @@ def separate(
     Exhaustive mode scans every cut of u_x capacity below 2p(p+q) (no other
     cut can carry a violation) and returns the global maximizer, so the
     violation matches a brute-force scan.  The J_{a,b} candidates of
-    SCORE_BLOCK cuts at a time are scored in closed form in one numpy pass
-    over a cut x edge crossing matrix; only the candidates within a float
+    CUT_BLOCK cuts at a time are scored in closed form in one numpy pass
+    over the block's crossing_matrix; only the candidates within a float
     error slack of the best score are built as rows and re-checked with
     violation().  Contraction mode first checks the capacitated minimum
     cut: if it falls below p(p+q).(1-eps) its J-empty row is returned
@@ -231,9 +235,9 @@ def separate(
     safe_coef = p - a + np.maximum(q - b, 0)
     best = None
     best_violation = eps
-    for start in range(0, len(cuts), SCORE_BLOCK):
-        block = cuts[start : start + SCORE_BLOCK]
-        cross = _crossing_matrix(inst.graph, block)
+    for start in range(0, len(cuts), CUT_BLOCK):
+        block = cuts[start : start + CUT_BLOCK]
+        cross = crossing_matrix(inst.graph, [r.side_mask for r in block])
         cross_s, cross_u = cross[:, safe_order], cross[:, unsafe_order]
         tail_s, count_s = _tail_sums(cross_s, xf[safe_order], p)
         tail_u, count_u = _tail_sums(cross_u, xf[unsafe_order], p + q)
@@ -251,20 +255,6 @@ def separate(
             if v > best_violation:
                 best, best_violation = row, v
     return best
-
-
-def _crossing_matrix(g: Multigraph, cuts: Sequence[Cut]) -> np.ndarray:
-    """Boolean cuts x edges matrix; entry (i, e) is whether e crosses cuts[i].
-
-    Side masks are unpacked from their bytes, so any vertex count works
-    (shifting an int64 mask past bit 62 would give wrong crossings).
-    """
-    width = (g.n + 7) // 8
-    raw = b"".join(r.side_mask.to_bytes(width, "little") for r in cuts)
-    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(cuts), width)
-    side = np.unpackbits(bits, axis=1, bitorder="little")
-    u, v = np.array(g.edges, dtype=np.intp).T
-    return side[:, u] != side[:, v]
 
 
 def _tail_sums(cross: np.ndarray, xs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +288,10 @@ def lp_solve(
 
     Deterministic.  Rows hold only to within HiGHS's default primal
     feasibility tolerance, 1e-7; x is clipped to the box afterwards and
-    nothing here re-checks the rows.  The row system
+    nothing here re-checks the rows.  HiGHS sees the objective divided by
+    its largest coefficient: its absolute tolerances would otherwise
+    swamp costs near 1e-6 and return values above the optimum.  The
+    returned value uses the unscaled objective.  The row system
     is always satisfiable (x = 1 satisfies every covering row), so failures
     are numerical and reported with the row set attached.
     """
@@ -310,7 +303,9 @@ def lp_solve(
     if not rows or all(row.trivial for row in rows):
         return (0.0,) * m, 0.0
     a_ub, b_ub = _lp_matrix(rows, m)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * m, method="highs")
+    top = c.max()
+    scaled = c / top if top > 0 else c
+    res = linprog(scaled, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * m, method="highs")
     if not res.success:
         raise LpSolveError(f"LP subsolver failed: {res.message}", rows)
     x = np.clip(res.x, 0.0, 1.0) + 0.0  # also turns -0.0 into 0.0

@@ -39,6 +39,8 @@ class RoundingConfig:
             raise ValueError("cost_cap_multiplier must be finite and at least 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        if self.seed < 0:  # numpy would refuse it only after the LP
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,15 @@ def test_solve_rejects_non_finite_rounding_constants(inst_file, capsys, flag, va
     assert "finite" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_negative_seed_before_the_lp(inst_file, capsys, monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP ran")
+
+    monkeypatch.setattr("flexconn.cli.solve_relaxation", no_lp)
+    assert run(["solve", inst_file, "--seed", "-1"]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_pretty_output_is_aligned_not_json(inst_file, capsys):
     assert run(["check", inst_file, "--pretty"]) == 0
     out = capsys.readouterr().out
@@ -249,6 +258,7 @@ def test_bench_deterministic(tmp_path, capsys):
         ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "cost_range": 9}, "suite item 1"),
         ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "max_attempts": 2.0}, "max_attempts"),
         ([6, 12, 2, 1, 3], "list indices"),
+        ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "solve_seed": -3}, "seed must be nonnegative"),
     ],
 )
 def test_bench_rejects_malformed_items(tmp_path, capsys, item, message):

@@ -1,5 +1,6 @@
 """Graph core: cuts, exact minimum cut, threshold enumeration."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from flexconn import (
     min_cut,
 )
 from flexconn.exact import all_cut_capacities
-from flexconn.graph import CUT_REL_TOL, canonical_masks
+from flexconn.graph import CUT_REL_TOL, canonical_masks, crossing_matrix
 
 from instances import cycle_graph
 
@@ -102,6 +103,21 @@ def test_cut_edges_rejects_mismatched_graph():
     g = cycle_graph(4)
     with pytest.raises(ValueError):
         cut_edges(g, Cut.from_vertices(5, {1}))
+
+
+def test_crossing_matrix_matches_cut_edges_past_64_vertices():
+    # masks wider than an int64 must not wrap
+    rng = random.Random(53)
+    n = 70
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(80)]
+    g = Multigraph(n, tuple(edges))
+    masks = [rng.randrange(1, 1 << (n - 1)) << 1 for _ in range(200)]
+    masks += [1 << (n - 1), ((1 << n) - 1) ^ 1, 1 << 63, 1 << 64]
+    cross = crossing_matrix(g, masks)
+    assert cross.shape == (len(masks), g.m)
+    for mask, row in zip(masks, cross):
+        assert set(row.nonzero()[0].tolist()) == cut_edges(g, Cut(n, mask))
 
 
 def test_min_cut_triangle_unit():
@@ -214,6 +230,37 @@ def test_enumerate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         # threshold 10x the minimum cut exceeds the default alpha cap
         enumerate_cuts_below(g, [1] * 4, 20, mode="contraction")
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "contraction"])
+@pytest.mark.parametrize("threshold", [math.inf, math.nan])
+def test_enumerate_rejects_non_finite_threshold(mode, threshold):
+    # inf - 1e-9 * inf is NaN, which no capacity is below
+    with pytest.raises(ValueError, match="threshold"):
+        enumerate_cuts_below(cycle_graph(5), [1] * 5, threshold, mode)
+
+
+def test_enumerate_sums_float_capacities_in_edge_order():
+    # 1e16 + 1.0 rounds back to 1e16, so the cut is 1e16 summed left to
+    # right but 1.0000000000000014e16 summed pairwise
+    g = Multigraph(2, ((0, 1),) * 16)
+    caps = [1e16] + [1.0] * 15
+    assert all_cut_capacities(g, caps) == [(0b10, 1e16)]
+    assert [(c.side_mask, c.capacity) for c in enumerate_cuts_below(g, caps, 2e16)] == [
+        (0b10, 1e16)
+    ]
+
+
+def test_contraction_keeps_fraction_capacities():
+    rng = random.Random(61)
+    g = random_connected(rng, 6, 11)
+    caps = [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in range(g.m)]
+    _, lam = min_cut(g, caps)
+    threshold = lam * Fraction(8, 5)
+    expected = sorted((cap, mask) for mask, cap in all_cut_capacities(g, caps) if cap < threshold)
+    cuts = enumerate_cuts_below(g, caps, threshold, "contraction", rel_tol=0)
+    assert [(c.capacity, c.side_mask) for c in cuts] == expected
+    assert all(type(c.capacity) is Fraction for c in cuts)
 
 
 def test_contraction_agrees_with_exhaustive():

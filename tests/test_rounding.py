@@ -24,6 +24,8 @@ def test_config_validation():
         RoundingConfig(cost_cap_multiplier=0.5)
     with pytest.raises(ValueError):
         RoundingConfig(max_attempts=0)
+    with pytest.raises(ValueError, match="seed"):
+        RoundingConfig(seed=-1)
 
 
 @pytest.mark.parametrize("field", ["scale_constant", "cost_cap_multiplier"])
