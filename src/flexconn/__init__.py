@@ -38,6 +38,7 @@ from .instance_io import (
 from .model import (
     FeasibilityVerdict,
     FgcInstance,
+    capacities,
     is_feasible,
     is_feasible_direct,
     validate_instance,
@@ -46,7 +47,6 @@ from .relaxation import (
     ConstraintRow,
     RelaxationResult,
     candidate_j_sets,
-    capacities,
     constraint_row,
     lp_solve,
     lp_solve_exact,

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,8 +21,8 @@ from .errors import GraphStructureError, TooLargeError
 # Largest vertex count for which exhaustive bipartition scans are allowed.
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 
-# Relative slop applied at enumeration thresholds so that capacities within
-# floating-point noise of the threshold count as *at* it (strict inequality).
+# Relative slop at enumeration thresholds for float capacities, so that ones
+# within floating-point noise of the threshold count as *at* it (strict).
 CUT_REL_TOL = 1e-9
 
 # Contraction mode refuses thresholds further above the minimum cut than this.
@@ -160,23 +162,29 @@ def crossing_matrix(g: Multigraph, masks: Sequence[int]) -> np.ndarray:
     return side[:, u] != side[:, v]
 
 
+def _are_floats(caps: Sequence) -> bool:
+    """Float capacities sum in float64 and meet thresholds with CUT_REL_TOL
+    slop; int, Fraction and mixed ones sum and compare exactly."""
+    return all(type(c) is float for c in caps)
+
+
 def _cut_capacities(g: Multigraph, caps: Sequence, masks: Sequence[int]) -> list:
     """Capacity of each side mask in the capacities' own type.
 
     Each cut's crossing capacities are added left to right in edge order
-    (cumsum, not the pairwise sum), with a 0 in place of every edge that
-    does not cross; x + 0 is exact for x >= 0, so every value equals a
-    plain running total over the cut's edges.  Float capacities sum in
-    float64, anything else (int, Fraction, mixed) as Python objects.
+    from 0, as a plain running total would: floats by a float64 cumsum
+    with a 0 (exact for x >= 0) for every edge that does not cross, the
+    rest by reduce (sum() compensates floats on Python 3.12+).
     """
-    if not masks:
-        return []
-    dtype = float if all(type(c) is float for c in caps) else object
-    values = np.array(caps, dtype=dtype)
+    floats = _are_floats(caps)
+    values = np.array(caps, dtype=float if floats else object)
     out = []
     for start in range(0, len(masks), CUT_BLOCK):
         cross = crossing_matrix(g, masks[start : start + CUT_BLOCK])
-        out += np.cumsum(np.where(cross, values, 0), axis=1)[:, -1].tolist()
+        if floats:
+            out += np.cumsum(np.where(cross, values, 0), axis=1)[:, -1].tolist()
+        else:
+            out += [reduce(add, values[row].tolist(), 0) for row in cross]
     return out
 
 
@@ -271,7 +279,6 @@ def enumerate_cuts_below(
     *,
     delta: float = 1e-6,
     seed: int = 0,
-    rel_tol: float = CUT_REL_TOL,
 ) -> list[Cut]:
     """All canonical nontrivial cuts with capacity strictly below ``threshold``.
 
@@ -289,15 +296,16 @@ def enumerate_cuts_below(
     1 - delta the result contains every qualifying cut; it never contains a
     non-qualifying one.
 
-    Capacities within ``rel_tol`` (relative) of the threshold count as at
-    the threshold and are excluded; pass ``rel_tol=0`` for exact arithmetic.
+    Float capacities within CUT_REL_TOL (relative) of the threshold count
+    as at the threshold and are excluded.  int, Fraction and mixed
+    capacities are compared with the threshold exactly.
 
     Results are sorted by (capacity, side_mask) and duplicate-free.
     """
     check_capacities(caps, g.m)
     if not 0 < threshold < math.inf:  # also rejects NaN
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    cutoff = threshold - rel_tol * threshold if rel_tol else threshold
+    cutoff = threshold - CUT_REL_TOL * threshold if _are_floats(caps) else threshold
 
     if mode == "exhaustive":
         if g.n > DEFAULT_EXHAUSTIVE_LIMIT:

@@ -42,14 +42,25 @@ def _parse_int(token: str, what: str, line: int) -> int:
 
 def _parse_cost(token: str, line: int) -> float:
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         raise ParseError(f"cost must be a number, got {token!r}", line) from None
-    if not math.isfinite(value):
-        raise FieldRangeError(f"cost must be finite, got {token!r}", line)
-    if value < 0:
-        raise FieldRangeError(f"cost must be nonnegative, got {token!r}", line)
-    return value
+
+
+def _checked_instance(n, edges, safety, costs, p, q) -> FgcInstance:
+    """Both parsers' last step: range-check n, endpoints and costs, then
+    build and validate.  ``edges`` holds (u, v, text line or None)."""
+    if n < 2:
+        raise FieldRangeError(f"nodes must be at least 2, got {n}")
+    for (u, v, line), c in zip(edges, costs):
+        if not (0 <= u < n and 0 <= v < n):
+            raise FieldRangeError(f"endpoint out of range 0..{n - 1}", line)
+        if not 0 <= c < math.inf:  # also rejects NaN
+            raise FieldRangeError(f"cost must be finite and nonnegative, got {c}", line)
+    graph = Multigraph(n, tuple((u, v) for u, v, _ in edges))
+    inst = FgcInstance(graph, tuple(safety), tuple(costs), p, q)
+    validate_instance(inst)
+    return inst
 
 
 def parse_instance(text: str) -> FgcInstance:
@@ -104,17 +115,7 @@ def parse_instance(text: str) -> FgcInstance:
     for key in ("p", "q", "nodes"):
         if key not in params:
             raise ParseError(f"missing '{key}' line")
-    n = params["nodes"]
-    if n < 2:
-        raise FieldRangeError(f"nodes must be at least 2, got {n}")
-    for u, v, line_no in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise FieldRangeError(f"endpoint out of range 0..{n - 1}", line_no)
-
-    graph = Multigraph(n, tuple((u, v) for u, v, _ in edges))
-    inst = FgcInstance(graph, tuple(safety), tuple(costs), params["p"], params["q"])
-    validate_instance(inst)
-    return inst
+    return _checked_instance(params["nodes"], edges, safety, costs, params["p"], params["q"])
 
 
 def _format_cost(c: float) -> str:
@@ -165,30 +166,19 @@ def instance_from_json(obj: dict) -> FgcInstance:
         if obj.get("format") != HEADER or obj.get("version") != VERSION:
             raise ParseError("not a fgc/1 JSON object")
         n = json_int(obj["nodes"], "nodes")
-        raw_edges = obj["edges"]
-        endpoints = []
+        edges = []
         safety = []
         costs = []
-        for u, v, flag, cost in raw_edges:
+        for u, v, flag, cost in obj["edges"]:
             if flag not in ("S", "U"):
                 raise ParseError(f"safety flag must be S or U, got {flag!r}")
-            endpoints.append((json_int(u, "endpoint"), json_int(v, "endpoint")))
+            edges.append((json_int(u, "endpoint"), json_int(v, "endpoint"), None))
             safety.append(flag == "S")
             costs.append(json_number(cost, "cost"))
         p, q = json_int(obj["p"], "p"), json_int(obj["q"], "q")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed JSON instance: {exc}") from None
-    if n < 2:
-        raise FieldRangeError(f"nodes must be at least 2, got {n}")
-    for u, v in endpoints:
-        if not (0 <= u < n and 0 <= v < n):
-            raise FieldRangeError(f"endpoint out of range 0..{n - 1}")
-    for c in costs:
-        if not math.isfinite(c) or c < 0:
-            raise FieldRangeError(f"cost must be finite and nonnegative, got {c}")
-    inst = FgcInstance(Multigraph(n, tuple(endpoints)), tuple(safety), tuple(costs), p, q)
-    validate_instance(inst)
-    return inst
+    return _checked_instance(n, edges, safety, costs, p, q)
 
 
 def load_instance(path: str | Path) -> FgcInstance:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InvalidInstanceError, TooLargeError
 from .graph import (
@@ -84,6 +84,14 @@ class FeasibilityVerdict:
         return self.feasible
 
 
+def capacities(inst: FgcInstance, x: Sequence) -> list:
+    """Per-edge capacities u_x(e) = (p + q.[e safe]) . x_e."""
+    if len(x) != inst.m:
+        raise ValueError(f"expected {inst.m} coordinates, got {len(x)}")
+    p, q = inst.p, inst.q
+    return [(p + q if inst.safe[e] else p) * x[e] for e in range(inst.m)]
+
+
 def check_selection(inst: FgcInstance, f: Iterable[int]) -> frozenset[int]:
     """Validate an edge selection: ids in range, returned as a frozenset."""
     out = frozenset(int(e) for e in f)
@@ -130,11 +138,13 @@ def is_feasible_direct(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdic
 def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
     """Capacitated feasibility check without full bipartition iteration.
 
-    Safe selected edges get capacity p+q, unsafe ones p, everything else 0.
-    A selection is feasible only if the minimum cut reaches p(p+q); when it
-    does, any still-violating cut has capacity at most p(p+q-1) + q(p-1)
-    (from safe count <= p-1 and total count <= p+q-1), so only cuts up to
-    that bound need testing against the characterization.  Above
+    Capacities are those of F's 0/1 indicator: safe selected edges get p+q,
+    unsafe ones p, everything else 0.  A selection is feasible only if the
+    minimum cut reaches p(p+q); when it does, any still-violating cut has
+    capacity at most p(p+q-1) + q(p-1) (from safe count <= p-1 and total
+    count <= p+q-1), so only cuts up to that bound need testing against
+    the characterization, and none exist when the minimum cut exceeds it
+    (always so when q <= 1 or p = 1).  Above
     DEFAULT_EXHAUSTIVE_LIMIT vertices the enumeration runs in contraction
     mode and a "feasible" verdict is Monte Carlo with one-sided error
     at most 1e-9.
@@ -142,7 +152,7 @@ def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
     f = check_selection(inst, f)
     p, q = inst.p, inst.q
     need = p * (p + q)
-    caps = [(p + q if inst.safe[e] else p) if e in f else 0 for e in range(inst.m)]
+    caps = capacities(inst, [1 if e in f else 0 for e in range(inst.m)])
     mode = "exhaustive" if inst.n <= DEFAULT_EXHAUSTIVE_LIMIT else "contraction"
 
     witness, lam = min_cut(inst.graph, caps)
@@ -151,6 +161,8 @@ def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
         return FeasibilityVerdict(False, witness, mode)
 
     bound = p * (p + q - 1) + q * (p - 1)
+    if lam > bound:
+        return FeasibilityVerdict(True, None, mode)
     # integer capacities: cap <= bound is cap < bound + 0.5
     cuts = enumerate_cuts_below(inst.graph, caps, bound + 0.5, mode, delta=1e-9)
     for r in cuts:

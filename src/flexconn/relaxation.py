@@ -24,16 +24,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import IterationLimitError, LpSolveError
-from .graph import (
-    CUT_BLOCK,
-    CUT_REL_TOL,
-    Cut,
-    crossing_matrix,
-    cut_edges,
-    enumerate_cuts_below,
-    min_cut,
-)
-from .model import FgcInstance
+from .graph import CUT_BLOCK, Cut, crossing_matrix, cut_edges, enumerate_cuts_below, min_cut
+from .model import FgcInstance, capacities
 
 # Absolute tolerance on row violations; rhs values are small integers.
 DEFAULT_EPS = 1e-7
@@ -41,13 +33,8 @@ DEFAULT_EPS = 1e-7
 # x vectors may carry solver noise this far outside the box before we reject.
 BOX_SLACK = 1e-6
 
-
-def capacities(inst: FgcInstance, x: Sequence) -> list:
-    """Per-edge capacities u_x(e) = (p + q.[e safe]) . x_e."""
-    if len(x) != inst.m:
-        raise ValueError(f"expected {inst.m} coordinates, got {len(x)}")
-    p, q = inst.p, inst.q
-    return [(p + q if inst.safe[e] else p) * x[e] for e in range(inst.m)]
+# Cutting-plane iterations allowed per edge and vertex: the cap is 10.m.n.
+ITERATIONS_PER_EDGE_VERTEX = 10
 
 
 @dataclass(frozen=True)
@@ -168,20 +155,20 @@ def separate(
     *,
     j_family: str = "full",
     seed: int = 0,
-    rel_tol: float = CUT_REL_TOL,
 ) -> ConstraintRow | None:
     """Most violated covering row at x, or None if all hold within eps.
 
     Exhaustive mode scans every cut of u_x capacity below 2p(p+q) (no other
     cut can carry a violation) and returns the global maximizer, so the
-    violation matches a brute-force scan.  The J_{a,b} candidates of
-    CUT_BLOCK cuts at a time are scored in closed form in one numpy pass
-    over the block's crossing_matrix; only the candidates within a float
-    error slack of the best score are built as rows and re-checked with
-    violation().  Contraction mode first checks the capacitated minimum
-    cut: if it falls below p(p+q).(1-eps) its J-empty row is returned
-    immediately, which keeps the near-minimum-cut enumeration ratio bounded
-    in the remaining case.
+    violation matches a brute-force scan (float x meets that threshold
+    with enumerate_cuts_below's float slop, Fraction x exactly).  The
+    J_{a,b} candidates of CUT_BLOCK cuts at a time are scored in closed
+    form in one numpy pass over the block's crossing_matrix; only the
+    candidates within a float error slack of the best score are built as
+    rows and re-checked with violation().  Contraction mode first checks
+    the capacitated minimum cut: if it falls below p(p+q).(1-eps) its
+    J-empty row is returned immediately, which keeps the near-minimum-cut
+    enumeration ratio bounded in the remaining case.
 
     With j_family="basic" only J-empty rows are considered; among those the
     minimum cut's row is always the most violated (they share rhs p(p+q)
@@ -206,7 +193,7 @@ def separate(
         if lam < need * (1 - eps):
             return constraint_row(inst, wcut, frozenset())
 
-    cuts = enumerate_cuts_below(inst.graph, ux, 2 * need, mode, seed=seed, rel_tol=rel_tol)
+    cuts = enumerate_cuts_below(inst.graph, ux, 2 * need, mode, seed=seed)
     # Scores: J_{a,b} of cut r violates by rhs - [(p-a+(q-b)+).(XS-PS[a]) +
     # (p-a).(XU-PU[b])], rhs = (p-a).(p+q-a-b)+, where PS and PU are prefix
     # sums of x over delta(r)'s safe and unsafe edges in candidate_j_sets'
@@ -450,7 +437,6 @@ def solve_relaxation(
     mode: str = "exhaustive",
     j_family: str = "full",
     numeric: str = "float",
-    max_iterations: int | None = None,
     on_iterate: Callable[[int, tuple, float], None] | None = None,
 ) -> RelaxationResult:
     """Cutting-plane solve of the covering LP.
@@ -465,8 +451,7 @@ def solve_relaxation(
     if numeric not in ("float", "exact"):
         raise ValueError(f"unknown numeric mode {numeric!r}")
     solver = lp_solve if numeric == "float" else lp_solve_exact
-    rel_tol = CUT_REL_TOL if numeric == "float" else 0.0
-    cap = max_iterations if max_iterations is not None else 10 * inst.m * inst.n
+    cap = ITERATIONS_PER_EDGE_VERTEX * inst.m * inst.n
 
     rows: list[ConstraintRow] = []
     seen = set()
@@ -486,7 +471,7 @@ def solve_relaxation(
         x, value = solver(rows, inst.cost, inst.m)
         if on_iterate is not None:
             on_iterate(iterations, x, value)
-        row = separate(inst, x, eps, mode, j_family=j_family, rel_tol=rel_tol)
+        row = separate(inst, x, eps, mode, j_family=j_family)
         if row is None:
             return RelaxationResult(
                 x=x,

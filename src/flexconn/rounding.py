@@ -37,6 +37,10 @@ class RoundingConfig:
             raise ValueError("scale_constant must be positive and finite")
         if not 1 <= self.cost_cap_multiplier < math.inf:
             raise ValueError("cost_cap_multiplier must be finite and at least 1")
+        for name in ("max_attempts", "seed"):  # True is an int but must not read as 1
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if self.seed < 0:  # numpy would refuse it only after the LP

@@ -205,12 +205,15 @@ def test_enumerate_sorted_and_capacity_cached():
 
 
 def test_enumerate_threshold_is_strict_with_relative_slop():
+    # the slop applies to float capacities only; the rest compare exactly
     g = Multigraph(2, ((0, 1),))
     assert enumerate_cuts_below(g, [2.0], 2.0) == []
     assert enumerate_cuts_below(g, [2.0 * (1 - 1e-12)], 2.0) == []  # within slop
     assert len(enumerate_cuts_below(g, [2.0], 2.0 + 1e-6)) == 1
-    # exact callers can disable the slop
-    assert len(enumerate_cuts_below(g, [Fraction(199, 100)], 2, rel_tol=0)) == 1
+    assert len(enumerate_cuts_below(g, [Fraction(2.0 * (1 - 1e-12))], 2.0)) == 1
+    assert len(enumerate_cuts_below(g, [Fraction(199, 100)], 2)) == 1
+    assert enumerate_cuts_below(g, [2], 2) == []
+    assert len(enumerate_cuts_below(g, [1], 2)) == 1
 
 
 def test_enumerate_exhaustive_refuses_large_graphs():
@@ -258,7 +261,7 @@ def test_contraction_keeps_fraction_capacities():
     _, lam = min_cut(g, caps)
     threshold = lam * Fraction(8, 5)
     expected = sorted((cap, mask) for mask, cap in all_cut_capacities(g, caps) if cap < threshold)
-    cuts = enumerate_cuts_below(g, caps, threshold, "contraction", rel_tol=0)
+    cuts = enumerate_cuts_below(g, caps, threshold, "contraction")
     assert [(c.capacity, c.side_mask) for c in cuts] == expected
     assert all(type(c.capacity) is Fraction for c in cuts)
 
@@ -296,7 +299,7 @@ def test_enumerate_exact_beyond_float_range():
     table = all_cut_capacities(g, caps)
     threshold = sorted(cap for _, cap in table)[10]
     expected = sorted((cap, mask) for mask, cap in table if cap < threshold)
-    cuts = enumerate_cuts_below(g, caps, threshold, rel_tol=0)
+    cuts = enumerate_cuts_below(g, caps, threshold)
     assert [(c.capacity, c.side_mask) for c in cuts] == expected
 
 
@@ -321,17 +324,16 @@ def test_enumerate_matches_reference_scan_across_blocks(n, kind):
     existing = sorted({cap for _, cap in table})
     mid = existing[len(existing) // 2]
     near = mid + mid / 10**10  # within CUT_REL_TOL above an existing capacity
+    rel_tol = CUT_REL_TOL if kind == "float" else 0  # exact types get no slop
     cases = [
-        (existing[-1] + 1, CUT_REL_TOL),  # every mask qualifies, so a lost mask shows
-        (mid, CUT_REL_TOL),  # equal to an existing capacity: strictly below only
-        (near, CUT_REL_TOL),
-        (mid, 0),
-        (near, 0),
+        existing[-1] + 1,  # every mask qualifies, so a lost mask shows
+        mid,  # equal to an existing capacity: strictly below only
+        near,
     ]
-    for threshold, rel_tol in cases:
+    for threshold in cases:
         cutoff = threshold - rel_tol * threshold
         expected = sorted((cap, mask) for mask, cap in table if cap < cutoff)
-        cuts = enumerate_cuts_below(g, caps, threshold, rel_tol=rel_tol)
+        cuts = enumerate_cuts_below(g, caps, threshold)
         assert [(c.side_mask, c.capacity) for c in cuts] == [
             (mask, cap) for cap, mask in expected
         ]

@@ -1,6 +1,7 @@
 """Text and JSON instance formats plus the random generator."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +162,23 @@ def _json_with(path, value):
         target = target[key]
     target[path[-1]] = value
     return obj
+
+
+@pytest.mark.parametrize(
+    "edge, bad",
+    [
+        ("edge 0 2 U 1", [0, 2, "U", 1.0]),
+        ("edge 0 1 U -1", [0, 1, "U", -1.0]),
+        ("edge 0 1 U nan", [0, 1, "U", math.nan]),
+    ],
+)
+def test_field_range_errors_carry_the_line_in_text_only(edge, bad):
+    with pytest.raises(FieldRangeError) as exc:
+        parse_instance(f"fgc 1\np 1\nq 1\nnodes 2\nedge 0 1 S 1\n{edge}\n")
+    assert exc.value.line == 6
+    with pytest.raises(FieldRangeError) as exc:
+        instance_from_json(_json_with(("edges", 1), bad))
+    assert exc.value.line is None
 
 
 def test_json_base_object_loads():

@@ -15,6 +15,7 @@ from flexconn import (
     is_feasible_direct,
     validate_instance,
 )
+from flexconn import model
 from flexconn.model import cut_tallies
 
 from instances import gadget_f1, named_corpus, random_instance, two_vertex
@@ -80,6 +81,37 @@ def test_capacitated_f1_style_selection_infeasible():
     assert not verdict.feasible
     s, t = cut_tallies(inst, {0, 1, 2, 3}, verdict.witness.side_mask)
     assert s < 2 and t < 6
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 0), (3, 1)])
+def test_capacitated_verdicts_need_no_cut_scan_when_q_le_1_or_p_is_1(monkeypatch, p, q):
+    # a minimum cut of at least p(p+q) is then above the violating-cut bound
+    # p(p+q-1) + q(p-1), so the min cut alone decides every verdict
+    def no_scan(*args, **kwargs):
+        raise AssertionError("is_feasible scanned cuts")
+
+    monkeypatch.setattr(model, "enumerate_cuts_below", no_scan)
+    rng = random.Random(10 * p + q)
+    inst = random_instance(10 * p + q, n=6, m=14, p=p, q=q)
+    verdicts = []
+    for _ in range(30):
+        f = {e for e in range(inst.m) if rng.random() < 0.8}
+        verdicts.append(is_feasible(inst, f).feasible)
+        assert verdicts[-1] == is_feasible_direct(inst, f).feasible
+    assert is_feasible(inst, inst.all_edges).feasible
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_capacitated_scans_when_min_cut_equals_the_bound():
+    # p = q = 2: 1 safe and 2 unsafe selected edges give min cut 4 + 2 + 2 = 8,
+    # both p(p+q) and the violating-cut bound p(p+q-1) + q(p-1); only the cut
+    # scan sees that 1 safe < 2 and 3 total < 4
+    g = Multigraph(2, ((0, 1),) * 6)
+    inst = FgcInstance(g, (True, True, False, False, False, False), (1.0,) * 6, 2, 2)
+    verdict = is_feasible(inst, {0, 2, 3})
+    assert not verdict.feasible
+    assert verdict.witness.side_mask == 0b10
+    assert is_feasible(inst, {0, 1}).feasible
 
 
 def test_full_edge_set_feasible_on_corpus():

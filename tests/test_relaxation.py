@@ -21,8 +21,9 @@ from flexconn import (
 )
 from flexconn import relaxation
 from flexconn.exact import separate_bruteforce
+from flexconn import model
 from flexconn.model import FgcInstance
-from flexconn.graph import CUT_BLOCK, CUT_REL_TOL, Multigraph, enumerate_cuts_below
+from flexconn.graph import CUT_BLOCK, Multigraph, enumerate_cuts_below
 from flexconn.instance_io import gen_random
 from flexconn.relaxation import DEFAULT_EPS
 
@@ -41,6 +42,7 @@ def test_capacities_formula():
     assert capacities(inst, (0.5, 0.5, 0.25)) == [1.0, 0.5, 0.25]
     g6 = gadget_f1()  # p=2 q=4
     assert capacities(g6, (1, 1, 1, 1)) == [6, 2, 2, 2]
+    assert relaxation.capacities is model.capacities
 
 
 def test_constraint_row_f1_and_f2():
@@ -143,7 +145,7 @@ def test_separate_returns_a_row_with_a_safe_edge_in_j():
     g = Multigraph(2, ((0, 1),) * 4)
     inst = FgcInstance(g, (True, False, False, False), (1.0,) * 4, 2, 2)
     x = (Fraction(1),) + (Fraction(1, 2),) * 3
-    row = separate(inst, x, 0, rel_tol=0.0)
+    row = separate(inst, x, 0)
     assert (row.a, row.b, row.j_edges) == (1, 0, frozenset({0}))
     assert violation(row, x) == Fraction(3, 2)
 
@@ -201,12 +203,12 @@ def test_separate_agrees_with_bruteforce_on_violation_size():
             assert abs(violation(row, x) - violation(hits[0], x)) <= 1e-9
 
 
-def _separate_by_building_every_row(inst, x, eps, rel_tol, cuts=None):
+def _separate_by_building_every_row(inst, x, eps, cuts=None):
     """separate's exhaustive loop before closed-form scoring: build the row
     of every candidate and keep the first strict maximum."""
     if cuts is None:
         need = inst.p * (inst.p + inst.q)
-        cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need, rel_tol=rel_tol)
+        cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need)
     best = None
     best_violation = eps
     for r in cuts:
@@ -235,14 +237,14 @@ def built_rows(monkeypatch):
     return built
 
 
-def _assert_same_row_as_building_every_row(inst, x, eps, rel_tol, built, tol=1e-9):
+def _assert_same_row_as_building_every_row(inst, x, eps, built, tol=1e-9):
     # Same row key (so the same tie-break) as the build-every-row loop; and
     # every row separate builds is a new, nontrivial one that could still
     # beat the running best, so the closed-form score neither drops a winner
     # nor lets losers through.
     built.clear()
-    row = separate(inst, x, eps, rel_tol=rel_tol)
-    want = _separate_by_building_every_row(inst, x, eps, rel_tol)
+    row = separate(inst, x, eps)
+    want = _separate_by_building_every_row(inst, x, eps)
     assert (row is None) == (want is None)
     if row is not None:
         assert row.key() == want.key()
@@ -268,17 +270,17 @@ def test_separate_keeps_the_row_of_building_every_candidate(built_rows):
         kind = trial % 4
         if kind == 0:
             x = tuple(rng.choice((0.0, 0.25, 0.5, 1.0)) for _ in range(inst.m))
-            eps, rel_tol = 1e-7, CUT_REL_TOL
+            eps = 1e-7
         elif kind == 1:
             x = tuple(rng.random() for _ in range(inst.m))
-            eps, rel_tol = 1e-7, CUT_REL_TOL
+            eps = 1e-7
         else:
             # at x = 1 nothing is violated and some candidates are trivial rows
             # with lhs 0, which only the rhs test keeps from being built
             quarters = (0, 1, 2, 4) if kind == 2 else (4,)
             x = tuple(Fraction(rng.choice(quarters), 4) for _ in range(inst.m))
-            eps, rel_tol = 0, 0.0
-        _assert_same_row_as_building_every_row(inst, x, eps, rel_tol, built_rows)
+            eps = 0
+        _assert_same_row_as_building_every_row(inst, x, eps, built_rows)
 
 
 def test_separate_keeps_the_row_on_hundreds_of_parallel_edges(built_rows):
@@ -301,11 +303,11 @@ def test_separate_keeps_the_row_on_hundreds_of_parallel_edges(built_rows):
         units = [1000 if e in heavy else rng.choice((0, 1, 2, 3)) for e in range(m)]
         if trial % 2:
             x = tuple(Fraction(t, 1000) for t in units)
-            eps, rel_tol = 0, 0.0
+            eps = 0
         else:
             x = tuple(t / 1000 for t in units)
-            eps, rel_tol = 1e-7, CUT_REL_TOL
-        _assert_same_row_as_building_every_row(inst, x, eps, rel_tol, built_rows, tol=1e-6)
+            eps = 1e-7
+        _assert_same_row_as_building_every_row(inst, x, eps, built_rows, tol=1e-6)
 
 
 def test_separate_scores_cuts_in_every_block(monkeypatch):
@@ -318,7 +320,7 @@ def test_separate_scores_cuts_in_every_block(monkeypatch):
     need = inst.p * (inst.p + inst.q)
     cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need)
     assert len(cuts) == 2**13 - 1 > CUT_BLOCK
-    want = _separate_by_building_every_row(inst, x, DEFAULT_EPS, CUT_REL_TOL, cuts)
+    want = _separate_by_building_every_row(inst, x, DEFAULT_EPS, cuts)
     assert separate(inst, x).key() == want.key()
     win = cuts.index(want.cut)
     for place in (0, CUT_BLOCK - 1, CUT_BLOCK, len(cuts) - 1):
@@ -329,7 +331,7 @@ def test_separate_scores_cuts_in_every_block(monkeypatch):
         row = separate(inst, x)
         assert row.key() == want.key(), place
         assert row.key() == _separate_by_building_every_row(
-            inst, x, DEFAULT_EPS, CUT_REL_TOL, rotated
+            inst, x, DEFAULT_EPS, rotated
         ).key(), place
 
 
@@ -444,9 +446,10 @@ def test_solve_relaxation_value_below_exact_optimum():
         assert relax.value <= best.best_cost + 1e-6, name
 
 
-def test_solve_relaxation_iteration_cap():
+def test_solve_relaxation_iteration_cap(monkeypatch):
+    monkeypatch.setattr(relaxation, "ITERATIONS_PER_EDGE_VERTEX", 0)
     with pytest.raises(IterationLimitError):
-        solve_relaxation(two_vertex(), max_iterations=0)
+        solve_relaxation(two_vertex())
 
 
 def test_solve_relaxation_exact_numeric_mode():

@@ -28,6 +28,14 @@ def test_config_validation():
         RoundingConfig(seed=-1)
 
 
+@pytest.mark.parametrize("field", ["max_attempts", "seed"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "3"])
+def test_config_rejects_non_integer_counts(field, bad):
+    # 1.5 would otherwise fail only after the LP, and True would read as 1
+    with pytest.raises(ValueError, match=field):
+        RoundingConfig(**{field: bad})
+
+
 @pytest.mark.parametrize("field", ["scale_constant", "cost_cap_multiplier"])
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_config_rejects_non_finite(field, bad):
