@@ -178,10 +178,11 @@ def _bench_item(index: int, item: dict) -> dict:
         lo, hi = (json_number(c, "cost_range") for c in item.get("cost_range", (1.0, 10.0)))
         safe_fraction = json_number(item.get("safe_fraction", 0.5), "safe_fraction")
         scale_constant = json_number(item.get("scale_constant", 100.0), "scale_constant")
-        max_attempts = json_int(item.get("max_attempts", 64), "max_attempts")
         solve_seed = json_int(item.get("solve_seed", 0), "solve_seed")
-        cfg = RoundingConfig(
-            scale_constant=scale_constant, max_attempts=max_attempts, seed=solve_seed
+        cfg = RoundingConfig(  # checks max_attempts itself
+            scale_constant=scale_constant,
+            max_attempts=item.get("max_attempts", 64),
+            seed=solve_seed,
         )
     except KeyError as exc:
         raise ParseError(f"suite item {index}: missing field {exc}") from None

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import _highspy  # HiGHS bindings; scipy.optimize loads _core
 
 from .errors import IterationLimitError, LpSolveError
 from .graph import CUT_BLOCK, Cut, crossing_matrix, cut_edges, enumerate_cuts_below, min_cut
@@ -174,44 +174,118 @@ def separate(
     minimum cut's row is always the most violated (they share rhs p(p+q)
     and their lhs is u_x of the cut), so no enumeration is needed.
     """
-    if not 0 <= eps < math.inf:  # also rejects NaN
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    x = _check_box(x)
-    ux = capacities(inst, x)
-    p, q = inst.p, inst.q
-    need = p * (p + q)
-    if j_family not in ("full", "basic"):
-        raise ValueError(f"unknown j_family {j_family!r}")
-
-    if j_family == "basic":
-        wcut, _ = min_cut(inst.graph, ux)
-        row = constraint_row(inst, wcut, frozenset())
-        return row if violation(row, x) > eps else None
-
-    if mode == "contraction":
-        wcut, lam = min_cut(inst.graph, ux)
-        if lam < need * (1 - eps):
-            return constraint_row(inst, wcut, frozenset())
-
-    cuts = enumerate_cuts_below(inst.graph, ux, 2 * need, mode, seed=seed)
-    # Scores: J_{a,b} of cut r violates by rhs - [(p-a+(q-b)+).(XS-PS[a]) +
-    # (p-a).(XU-PU[b])], rhs = (p-a).(p+q-a-b)+, where PS and PU are prefix
-    # sums of x over delta(r)'s safe and unsafe edges in candidate_j_sets'
-    # order and XS, XU their totals.  With x in [0, 1], coefficients <= p+q
-    # and at most m terms per sum, a score (numpy sums in any order, plus one
-    # rounding per term when a Fraction x goes to float) is within
-    # 5u.(p+q).(m+p)^2 of the exact violation, u = 2^-53, and violation()'s
-    # sequential float sum is within 3u.(p+q).(m+p)^2.  So they differ by
-    # under 8u.(p+q).(m+p)^2; the slack, about 90u.(p+q).(m+p)^2, is over
-    # ten times that.
-    #
+    x, row, cuts = _separation_cuts(inst, x, eps, mode, j_family, seed)
+    if cuts is None:
+        return row
     # Let V be the largest violation() in a block and M its largest score.
     # Every candidate reaching V scores above V - slack > M - 2.slack, and
     # above best - slack when V beats the running best, so it is built.
     # Rows are built in (cut, a, b) order and only a strict gain replaces
     # the best, which returns the first row of largest violation, as
     # building every candidate row does.
-    slack = 1e-14 * (p + q) * (inst.m + p) ** 2
+    slack = _score_slack(inst)
+    best = None
+    best_violation = eps
+    for score, build in _scored_blocks(inst, x, cuts):
+        top = score.max()
+        if top <= best_violation - slack:
+            continue
+        keep = (score > best_violation - slack) & (score >= top - 2 * slack)
+        for i, ai, bi in zip(*np.nonzero(keep)):
+            row = build(i, ai, bi)
+            v = violation(row, x)
+            if v > best_violation:
+                best, best_violation = row, v
+    return best
+
+
+def _separate_per_cut(
+    inst: FgcInstance,
+    x: Sequence,
+    eps: float = DEFAULT_EPS,
+    mode: str = "exhaustive",
+    j_family: str = "full",
+) -> list[ConstraintRow]:
+    """The most violated row of every cut that carries a violation beyond
+    eps, in cut order; separate's arguments (at seed 0) and early exits.
+
+    The same slack argument as separate's, applied to each cut's own best
+    score, builds every row that reaches the cut's largest violation().  So
+    the list is empty exactly when separate returns None, and its largest
+    violation is separate's.
+    """
+    x, row, cuts = _separation_cuts(inst, x, eps, mode, j_family, seed=0)
+    if cuts is None:
+        return [] if row is None else [row]
+    slack = _score_slack(inst)
+    out = []
+    for score, build in _scored_blocks(inst, x, cuts):
+        top = score.max(axis=(1, 2), keepdims=True)
+        keep = (score > eps - slack) & (score >= top - 2 * slack)
+        best = {}  # cut -> (violation, row), cuts in ascending order
+        for i, ai, bi in zip(*np.nonzero(keep)):
+            row = build(i, ai, bi)
+            v = violation(row, x)
+            if v > best.get(i, (eps,))[0]:
+                best[i] = (v, row)
+        out.extend(row for _, row in best.values())
+    return out
+
+
+def _separation_cuts(inst, x, eps, mode, j_family, seed):
+    """Checks separation's arguments and takes its exits that need no scan.
+
+    Returns (x, row, cuts) with x clipped to the box: cuts is None when
+    the answer is already ``row`` (the basic family's min-cut row or None,
+    or contraction's min-cut exit), else the cuts whose candidates must be
+    scored.
+    """
+    if not 0 <= eps < math.inf:  # also rejects NaN
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    x = _check_box(x)
+    ux = capacities(inst, x)
+    need = inst.p * (inst.p + inst.q)
+    if j_family not in ("full", "basic"):
+        raise ValueError(f"unknown j_family {j_family!r}")
+
+    if j_family == "basic":
+        wcut, _ = min_cut(inst.graph, ux)
+        row = constraint_row(inst, wcut, frozenset())
+        return x, (row if violation(row, x) > eps else None), None
+
+    if mode == "contraction":
+        wcut, lam = min_cut(inst.graph, ux)
+        if lam < need * (1 - eps):
+            return x, constraint_row(inst, wcut, frozenset()), None
+
+    return x, None, enumerate_cuts_below(inst.graph, ux, 2 * need, mode, seed=seed)
+
+
+def _score_slack(inst: FgcInstance) -> float:
+    """Bound on how far a closed-form score may sit from violation().
+
+    With x in [0, 1], coefficients <= p+q and at most m terms per sum, a
+    score (numpy sums in any order, plus one rounding per term when a
+    Fraction x goes to float) is within 5u.(p+q).(m+p)^2 of the exact
+    violation, u = 2^-53, and violation()'s sequential float sum is within
+    3u.(p+q).(m+p)^2.  So they differ by under 8u.(p+q).(m+p)^2; the
+    slack, about 90u.(p+q).(m+p)^2, is over ten times that.
+    """
+    return 1e-14 * (inst.p + inst.q) * (inst.m + inst.p) ** 2
+
+
+def _scored_blocks(inst: FgcInstance, x: tuple, cuts: Sequence[Cut]):
+    """Closed-form scores of every J_{a,b} candidate, CUT_BLOCK cuts at a time.
+
+    Yields (score, build) per block: score[i, a, b] is within _score_slack
+    of violation() of J_{a,b} on the block's cut i, -inf where that
+    candidate does not exist or its row is trivial, and build(i, a, b)
+    returns the candidate's row.  J_{a,b} violates by rhs - [(p-a+(q-b)+).
+    (XS-PS[a]) + (p-a).(XU-PU[b])], rhs = (p-a).(p+q-a-b)+, where PS and PU
+    are prefix sums of x over the cut's safe and unsafe edges in
+    candidate_j_sets' order and XS, XU their totals.
+    """
+    p, q = inst.p, inst.q
     order = sorted(range(inst.m), key=lambda e: (-x[e], e))
     safe_order = np.array([e for e in order if inst.safe[e]], dtype=np.intp)
     unsafe_order = np.array([e for e in order if not inst.safe[e]], dtype=np.intp)
@@ -220,8 +294,6 @@ def separate(
     b = np.arange(p + q)
     rhs = (p - a) * np.maximum(p + q - a - b, 0)
     safe_coef = p - a + np.maximum(q - b, 0)
-    best = None
-    best_violation = eps
     for start in range(0, len(cuts), CUT_BLOCK):
         block = cuts[start : start + CUT_BLOCK]
         cross = crossing_matrix(inst.graph, [r.side_mask for r in block])
@@ -230,18 +302,12 @@ def separate(
         tail_u, count_u = _tail_sums(cross_u, xf[unsafe_order], p + q)
         score = rhs - (safe_coef * tail_s[:, :, None] + (p - a) * tail_u[:, None, :])
         valid = (rhs > 0) & (a <= count_s[:, None, None]) & (b <= count_u[:, None, None])
-        score = np.where(valid, score, -np.inf)
-        top = score.max()
-        if top <= best_violation - slack:
-            continue
-        keep = (score > best_violation - slack) & (score >= top - 2 * slack)
-        for i, ai, bi in zip(*np.nonzero(keep)):
+
+        def build(i, ai, bi, block=block, cross_s=cross_s, cross_u=cross_u):
             j = safe_order[cross_s[i]][:ai].tolist() + unsafe_order[cross_u[i]][:bi].tolist()
-            row = constraint_row(inst, block[i], j)
-            v = violation(row, x)
-            if v > best_violation:
-                best, best_violation = row, v
-    return best
+            return constraint_row(inst, block[i], j)
+
+        yield np.where(valid, score, -np.inf), build
 
 
 def _tail_sums(cross: np.ndarray, xs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,17 +321,75 @@ def _tail_sums(cross: np.ndarray, xs: np.ndarray, k: int) -> tuple[np.ndarray, n
     return total[:, None] - np.cumsum(head, axis=1), cross.sum(axis=1)
 
 
-def _lp_matrix(rows: Sequence[ConstraintRow], m: int):
-    active = [row for row in rows if not row.trivial]
-    a = np.zeros((len(active), m))
-    b = np.zeros(len(active))
-    for i, row in enumerate(active):
-        for e in row.k_safe:
-            a[i, e] = -(row.alpha1 + row.alpha2)
-        for e in row.k_unsafe:
-            a[i, e] = -row.alpha1
-        b[i] = -row.rhs
-    return a, b
+class _HighsLp:
+    """min objective . x over the box [0,1]^m as one HiGHS model.
+
+    Covering rows are added sparsely, each with its K edges only, and every
+    solve after the first warm-starts dual simplex from the last basis.
+    Rows hold only to within HiGHS's default primal feasibility tolerance,
+    1e-7; x is clipped to the box afterwards and nothing here re-checks
+    the rows.  HiGHS sees the objective divided by its largest coefficient:
+    its absolute tolerances would otherwise swamp costs near 1e-6 and
+    return values above the optimum.  Returned values use the unscaled
+    objective.
+    """
+
+    def __init__(self, objective: Sequence[float], m: int):
+        c = np.asarray(objective, dtype=float)
+        if c.shape != (m,):
+            raise ValueError(f"expected {m} objective coefficients")
+        if any(c < 0):
+            raise ValueError("objective coefficients must be nonnegative")
+        self.cost = c
+        self.rows: list[ConstraintRow] = []
+        top = c.max(initial=0.0)
+        self.highs = _highspy._core._Highs()
+        self.highs.setOptionValue("output_flag", False)
+        none = np.zeros(0, dtype=np.int32)
+        self.highs.addCols(
+            m, c / top if top > 0 else c, np.zeros(m), np.ones(m), 0, none, none, np.zeros(0)
+        )
+
+    def add(self, rows: Iterable[ConstraintRow]) -> None:
+        new = [row for row in rows if not row.trivial]
+        if not new:
+            return
+        starts, index, value = [], [], []
+        for row in new:
+            starts.append(len(index))
+            index.extend(row.k_safe)
+            value.extend([row.alpha1 + row.alpha2] * len(row.k_safe))
+            index.extend(row.k_unsafe)
+            value.extend([row.alpha1] * len(row.k_unsafe))
+        status = self.highs.addRows(
+            len(new),
+            np.array([row.rhs for row in new], dtype=float),
+            np.full(len(new), _highspy._core.kHighsInf),
+            len(index),
+            np.array(starts, dtype=np.int32),
+            np.array(index, dtype=np.int32),
+            np.array(value, dtype=float),
+        )
+        self.rows.extend(new)
+        if status == _highspy._core.HighsStatus.kError:
+            raise LpSolveError("LP subsolver rejected the rows", self.rows)
+
+    def solve(self) -> tuple[tuple[float, ...], float]:
+        """Optimal x and its cost; zeros while every row added was trivial.
+
+        The row system is always satisfiable (x = 1 satisfies every covering
+        row), so failures are numerical and reported with the rows attached.
+        """
+        if not self.rows:
+            return (0.0,) * len(self.cost), 0.0
+        self.highs.run()
+        status = self.highs.getModelStatus()
+        if status != _highspy._core.HighsModelStatus.kOptimal:
+            message = self.highs.modelStatusToString(status)
+            raise LpSolveError(f"LP subsolver failed: {message}", self.rows)
+        # + 0.0 also turns -0.0 into 0.0
+        x = np.clip(self.highs.getSolution().col_value, 0.0, 1.0) + 0.0
+        return tuple(float(v) for v in x), float(self.cost @ x)
 
 
 def lp_solve(
@@ -273,30 +397,12 @@ def lp_solve(
 ) -> tuple[tuple[float, ...], float]:
     """Minimize objective . x over the box [0,1]^m subject to the rows.
 
-    Deterministic.  Rows hold only to within HiGHS's default primal
-    feasibility tolerance, 1e-7; x is clipped to the box afterwards and
-    nothing here re-checks the rows.  HiGHS sees the objective divided by
-    its largest coefficient: its absolute tolerances would otherwise
-    swamp costs near 1e-6 and return values above the optimum.  The
-    returned value uses the unscaled objective.  The row system
-    is always satisfiable (x = 1 satisfies every covering row), so failures
-    are numerical and reported with the row set attached.
+    Deterministic; one fresh model of the kind solve_relaxation keeps for
+    its whole loop, so the same tolerances and objective scaling apply.
     """
-    c = np.asarray(objective, dtype=float)
-    if c.shape != (m,):
-        raise ValueError(f"expected {m} objective coefficients")
-    if any(c < 0):
-        raise ValueError("objective coefficients must be nonnegative")
-    if not rows or all(row.trivial for row in rows):
-        return (0.0,) * m, 0.0
-    a_ub, b_ub = _lp_matrix(rows, m)
-    top = c.max()
-    scaled = c / top if top > 0 else c
-    res = linprog(scaled, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * m, method="highs")
-    if not res.success:
-        raise LpSolveError(f"LP subsolver failed: {res.message}", rows)
-    x = np.clip(res.x, 0.0, 1.0) + 0.0  # also turns -0.0 into 0.0
-    return tuple(float(v) for v in x), float(c @ x)
+    lp = _HighsLp(objective, m)
+    lp.add(rows)
+    return lp.solve()
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +548,17 @@ def solve_relaxation(
     """Cutting-plane solve of the covering LP.
 
     Seeds the pool with the J-empty rows of all singleton cuts, then
-    alternates LP solves with separation, adding the most violated row,
-    until separation certifies no violation beyond eps.  The value is a
-    lower bound on the optimal integral cost.  numeric="exact" runs the
-    rational subsolver (small instances only); pass eps=0 with it for the
-    exact LP optimum.
+    alternates LP solves with separation, adding the most violated row of
+    every violated cut, until separation certifies no violation beyond
+    eps.  The float route keeps one HiGHS model for the whole loop and adds
+    only the new rows to it, so each solve warm-starts from the last basis.
+    The value is a lower bound on the optimal integral cost.
+    numeric="exact" runs the rational subsolver over the pool (small
+    instances only); pass eps=0 with it for the exact LP optimum.
     """
     if numeric not in ("float", "exact"):
         raise ValueError(f"unknown numeric mode {numeric!r}")
-    solver = lp_solve if numeric == "float" else lp_solve_exact
+    lp = _HighsLp(inst.cost, inst.m) if numeric == "float" else None
     cap = ITERATIONS_PER_EDGE_VERTEX * inst.m * inst.n
 
     rows: list[ConstraintRow] = []
@@ -461,6 +569,7 @@ def solve_relaxation(
             seen.add(row.key())
             rows.append(row)
 
+    new = rows
     iterations = 0
     while True:
         if iterations >= cap:
@@ -468,11 +577,15 @@ def solve_relaxation(
                 f"cutting-plane loop exceeded {cap} iterations", iterations, None
             )
         iterations += 1
-        x, value = solver(rows, inst.cost, inst.m)
+        if lp is None:
+            x, value = lp_solve_exact(rows, inst.cost, inst.m)
+        else:
+            lp.add(new)
+            x, value = lp.solve()
         if on_iterate is not None:
             on_iterate(iterations, x, value)
-        row = separate(inst, x, eps, mode, j_family=j_family)
-        if row is None:
+        new = _separate_per_cut(inst, x, eps, mode, j_family)
+        if not new:
             return RelaxationResult(
                 x=x,
                 value=value,
@@ -480,12 +593,13 @@ def solve_relaxation(
                 iterations=iterations,
                 separation_mode=mode,
             )
-        if row.key() in seen:
-            raise IterationLimitError(
-                "separation returned a row already in the pool; "
-                "LP and separation tolerances are inconsistent",
-                iterations,
-                float(value),
-            )
-        seen.add(row.key())
-        rows.append(row)
+        for row in new:
+            if row.key() in seen:
+                raise IterationLimitError(
+                    "separation returned a row already in the pool; "
+                    "LP and separation tolerances are inconsistent",
+                    iterations,
+                    float(value),
+                )
+            seen.add(row.key())
+        rows.extend(new)

@@ -259,6 +259,11 @@ def test_bench_deterministic(tmp_path, capsys):
         ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "max_attempts": 2.0}, "max_attempts"),
         ([6, 12, 2, 1, 3], "list indices"),
         ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "solve_seed": -3}, "seed must be nonnegative"),
+        (
+            {"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "max_attempts": "3"},
+            "max_attempts must be an integer",
+        ),
+        ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "max_attempts": 0}, "max_attempts"),
     ],
 )
 def test_bench_rejects_malformed_items(tmp_path, capsys, item, message):

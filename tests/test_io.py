@@ -226,6 +226,67 @@ def test_json_round_trip_property(data):
     assert instance_from_json(json.loads(json.dumps(instance_to_json(inst)))) == inst
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_text_round_trip_property(data):
+    n = data.draw(st.integers(2, 6), label="n")
+    m = data.draw(st.integers(n - 1, 2 * n), label="m")
+    p = data.draw(st.integers(1, 3), label="p")
+    q = data.draw(st.integers(0, 3), label="q")
+    base = gen_random(n, m, 0.5, (1, 10), p, q, seed=data.draw(st.integers(0, 2**16)))
+    cost = st.floats(0, 1e12, allow_nan=False) | st.integers(0, 10**6)
+    costs = data.draw(st.lists(cost, min_size=base.m, max_size=base.m), label="costs")
+    inst = FgcInstance(base.graph, base.safe, tuple(costs), p, q)
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
+_TEXT_TOKENS = (
+    st.sampled_from(["S", "U", "#", "nan", "inf", "1e400", "-0", "0.5"])
+    | st.integers(-3, 12).map(str)
+    | st.integers().map(str)
+    | st.text(max_size=6)
+)
+_TEXT_LINE = (
+    st.tuples(
+        st.sampled_from(["fgc", "p", "q", "nodes", "edge"]), st.lists(_TEXT_TOKENS, max_size=5)
+    ).map(lambda t: " ".join([t[0], *t[1]]))
+    | st.text(max_size=20)
+)
+
+
+@st.composite
+def _edited_instance_texts(draw):
+    """A valid instance's text with a few lines inserted, replaced, deleted
+    or swapped, so that most texts get past the header and parameters."""
+    lines = draw(st.sampled_from([SAMPLE, serialize_instance(named_corpus()[6][1])])).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "swap"]))
+        if edit == "insert":
+            lines.insert(i, draw(_TEXT_LINE))
+        elif i < len(lines):
+            if edit == "replace":
+                lines[i] = draw(_TEXT_LINE)
+            elif edit == "delete":
+                del lines[i]
+            else:
+                j = draw(st.integers(0, len(lines) - 1))
+                lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_edited_instance_texts() | st.text())
+def test_parse_instance_returns_an_instance_or_a_typed_error(text):
+    # the error types parse_instance documents; anything else is a bug
+    try:
+        inst = parse_instance(text)
+    except (ParseError, GraphStructureError, InvalidInstanceError):
+        return
+    assert isinstance(inst, FgcInstance)
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
 def test_load_reports_json_syntax_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

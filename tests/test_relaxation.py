@@ -345,9 +345,56 @@ def test_separate_none_when_capacitated_min_cut_is_large():
     assert separate(inst, x) is None
 
 
+def _separation_points():
+    """(name, inst, x): every LP iterate of the corpus solves, plus seeded
+    random and Fraction points."""
+    rng = random.Random(43)
+    for name, inst in named_corpus():
+        iterates = []
+        solve_relaxation(inst, on_iterate=lambda i, x, v: iterates.append(x))
+        for x in iterates:
+            yield name, inst, x
+        for _ in range(3):
+            yield name, inst, tuple(rng.random() for _ in range(inst.m))
+        yield name, inst, tuple(Fraction(rng.randint(0, 4), 4) for _ in range(inst.m))
+
+
+@pytest.mark.parametrize(
+    "j_family, block", [("full", CUT_BLOCK), ("full", 2), ("basic", CUT_BLOCK)]
+)
+def test_per_cut_separation_agrees_with_separate(monkeypatch, j_family, block):
+    monkeypatch.setattr(relaxation, "CUT_BLOCK", block)  # 2: cuts span many blocks
+    for name, inst, x in _separation_points():
+        rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS, j_family=j_family)
+        best = separate(inst, x, DEFAULT_EPS, j_family=j_family)
+        assert all(violation(row, x) > DEFAULT_EPS for row in rows), name
+        assert len({row.cut for row in rows}) == len(rows), name
+        assert (best is None) == (not rows), name
+        if rows:
+            assert max(violation(row, x) for row in rows) == violation(best, x), name
+
+
+def test_per_cut_separation_keeps_each_cuts_row_of_building_every_candidate():
+    # per cut, the first row of largest violation among all its candidates
+    for name, inst, x in _separation_points():
+        need = inst.p * (inst.p + inst.q)
+        cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need)
+        want = [_separate_by_building_every_row(inst, x, DEFAULT_EPS, [r]) for r in cuts]
+        rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS)
+        assert [row.key() for row in rows] == [row.key() for row in want if row], name
+
+
 def test_lp_solve_no_rows_gives_zero():
     x, value = lp_solve([], (1.0, 2.0), 2)
     assert x == (0.0, 0.0) and value == 0.0
+
+
+def test_lp_solve_all_trivial_rows_gives_zero():
+    inst = two_vertex()
+    row = constraint_row(inst, Cut.from_vertices(2, {1}), {0})  # 1 safe >= p=1
+    assert row.trivial
+    x, value = lp_solve([row, row], inst.cost, inst.m)
+    assert x == (0.0, 0.0, 0.0) and value == 0.0
 
 
 def _all_unsafe_pair() -> FgcInstance:
@@ -399,12 +446,16 @@ def test_lp_solve_rejects_negative_objective():
 
 
 def test_exact_lp_matches_float_lp_on_corpus():
+    # the warm-started model's final value against a fresh HiGHS model and
+    # the rational simplex over the same pool
     for name, inst in named_corpus():
         if inst.m > 16:
             continue
         relax = solve_relaxation(inst)
+        _, fresh = lp_solve(relax.active_rows, inst.cost, inst.m)
         xe, ve = lp_solve_exact(relax.active_rows, inst.cost, inst.m)
-        assert abs(float(ve) - relax.value) <= 1e-7 * max(1.0, relax.value), name
+        assert abs(relax.value - fresh) <= 1e-9 * fresh, name
+        assert abs(relax.value - float(ve)) <= 1e-9 * float(ve), name
         for row in relax.active_rows:
             if not row.trivial:
                 assert row.lhs(xe) >= row.rhs  # exact feasibility
