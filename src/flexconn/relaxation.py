@@ -158,45 +158,16 @@ def separate(
 ) -> ConstraintRow | None:
     """Most violated covering row at x, or None if all hold within eps.
 
-    Exhaustive mode scans every cut of u_x capacity below 2p(p+q) (no other
-    cut can carry a violation) and returns the global maximizer, so the
-    violation matches a brute-force scan (float x meets that threshold
-    with enumerate_cuts_below's float slop, Fraction x exactly).  The
-    J_{a,b} candidates of CUT_BLOCK cuts at a time are scored in closed
-    form in one numpy pass over the block's crossing_matrix; only the
-    candidates within a float error slack of the best score are built as
-    rows and re-checked with violation().  Contraction mode first checks
-    the capacitated minimum cut: if it falls below p(p+q).(1-eps) its
-    J-empty row is returned immediately, which keeps the near-minimum-cut
-    enumeration ratio bounded in the remaining case.
-
-    With j_family="basic" only J-empty rows are considered; among those the
-    minimum cut's row is always the most violated (they share rhs p(p+q)
-    and their lhs is u_x of the cut), so no enumeration is needed.
+    The first row of largest violation among _separate_per_cut's rows (one
+    per violated cut, in cut order): since each of those is its cut's first
+    row of largest violation in (a, b) order, this is the first row of
+    largest violation in (cut, a, b) order, as building every candidate row
+    gives.  In exhaustive mode every cut that can carry a violation is
+    scanned, so the violation matches a brute-force scan.
     """
-    x, row, cuts = _separation_cuts(inst, x, eps, mode, j_family, seed)
-    if cuts is None:
-        return row
-    # Let V be the largest violation() in a block and M its largest score.
-    # Every candidate reaching V scores above V - slack > M - 2.slack, and
-    # above best - slack when V beats the running best, so it is built.
-    # Rows are built in (cut, a, b) order and only a strict gain replaces
-    # the best, which returns the first row of largest violation, as
-    # building every candidate row does.
-    slack = _score_slack(inst)
-    best = None
-    best_violation = eps
-    for score, build in _scored_blocks(inst, x, cuts):
-        top = score.max()
-        if top <= best_violation - slack:
-            continue
-        keep = (score > best_violation - slack) & (score >= top - 2 * slack)
-        for i, ai, bi in zip(*np.nonzero(keep)):
-            row = build(i, ai, bi)
-            v = violation(row, x)
-            if v > best_violation:
-                best, best_violation = row, v
-    return best
+    rows = _separate_per_cut(inst, x, eps, mode, j_family, seed)
+    x = _check_box(x)  # already checked; violations are measured at the clipped x
+    return max(rows, key=lambda row: violation(row, x), default=None)
 
 
 def _separate_per_cut(
@@ -205,87 +176,61 @@ def _separate_per_cut(
     eps: float = DEFAULT_EPS,
     mode: str = "exhaustive",
     j_family: str = "full",
+    seed: int = 0,
 ) -> list[ConstraintRow]:
     """The most violated row of every cut that carries a violation beyond
-    eps, in cut order; separate's arguments (at seed 0) and early exits.
+    eps, in cut order; each is its cut's first row of largest violation in
+    (a, b) order.
 
-    The same slack argument as separate's, applied to each cut's own best
-    score, builds every row that reaches the cut's largest violation().  So
-    the list is empty exactly when separate returns None, and its largest
-    violation is separate's.
-    """
-    x, row, cuts = _separation_cuts(inst, x, eps, mode, j_family, seed=0)
-    if cuts is None:
-        return [] if row is None else [row]
-    slack = _score_slack(inst)
-    out = []
-    for score, build in _scored_blocks(inst, x, cuts):
-        top = score.max(axis=(1, 2), keepdims=True)
-        keep = (score > eps - slack) & (score >= top - 2 * slack)
-        best = {}  # cut -> (violation, row), cuts in ascending order
-        for i, ai, bi in zip(*np.nonzero(keep)):
-            row = build(i, ai, bi)
-            v = violation(row, x)
-            if v > best.get(i, (eps,))[0]:
-                best[i] = (v, row)
-        out.extend(row for _, row in best.values())
-    return out
+    Exhaustive mode scans every cut of u_x capacity below 2p(p+q), since no
+    other cut can carry a violation (float x meets that threshold with
+    enumerate_cuts_below's float slop, Fraction x exactly).  The J_{a,b}
+    candidates of CUT_BLOCK cuts at a time are scored in closed form in one
+    numpy pass over the block's crossing_matrix, and only the candidates
+    within a float error slack of their cut's best score are built as rows
+    and re-checked with violation().  Contraction mode first checks the
+    capacitated minimum cut: if it falls below p(p+q).(1-eps) its J-empty
+    row alone is returned, which keeps the near-minimum-cut enumeration
+    ratio bounded in the remaining case.
 
-
-def _separation_cuts(inst, x, eps, mode, j_family, seed):
-    """Checks separation's arguments and takes its exits that need no scan.
-
-    Returns (x, row, cuts) with x clipped to the box: cuts is None when
-    the answer is already ``row`` (the basic family's min-cut row or None,
-    or contraction's min-cut exit), else the cuts whose candidates must be
-    scored.
+    With j_family="basic" only J-empty rows are considered; among those the
+    minimum cut's row is always the most violated (they share rhs p(p+q)
+    and their lhs is u_x of the cut), so it alone is returned, if violated.
     """
     if not 0 <= eps < math.inf:  # also rejects NaN
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     x = _check_box(x)
     ux = capacities(inst, x)
-    need = inst.p * (inst.p + inst.q)
+    p, q = inst.p, inst.q
+    need = p * (p + q)
     if j_family not in ("full", "basic"):
         raise ValueError(f"unknown j_family {j_family!r}")
 
     if j_family == "basic":
         wcut, _ = min_cut(inst.graph, ux)
         row = constraint_row(inst, wcut, frozenset())
-        return x, (row if violation(row, x) > eps else None), None
+        return [row] if violation(row, x) > eps else []
 
     if mode == "contraction":
         wcut, lam = min_cut(inst.graph, ux)
         if lam < need * (1 - eps):
-            return x, constraint_row(inst, wcut, frozenset()), None
+            return [constraint_row(inst, wcut, frozenset())]
 
-    return x, None, enumerate_cuts_below(inst.graph, ux, 2 * need, mode, seed=seed)
-
-
-def _score_slack(inst: FgcInstance) -> float:
-    """Bound on how far a closed-form score may sit from violation().
-
-    With x in [0, 1], coefficients <= p+q and at most m terms per sum, a
-    score (numpy sums in any order, plus one rounding per term when a
-    Fraction x goes to float) is within 5u.(p+q).(m+p)^2 of the exact
-    violation, u = 2^-53, and violation()'s sequential float sum is within
-    3u.(p+q).(m+p)^2.  So they differ by under 8u.(p+q).(m+p)^2; the
-    slack, about 90u.(p+q).(m+p)^2, is over ten times that.
-    """
-    return 1e-14 * (inst.p + inst.q) * (inst.m + inst.p) ** 2
-
-
-def _scored_blocks(inst: FgcInstance, x: tuple, cuts: Sequence[Cut]):
-    """Closed-form scores of every J_{a,b} candidate, CUT_BLOCK cuts at a time.
-
-    Yields (score, build) per block: score[i, a, b] is within _score_slack
-    of violation() of J_{a,b} on the block's cut i, -inf where that
-    candidate does not exist or its row is trivial, and build(i, a, b)
-    returns the candidate's row.  J_{a,b} violates by rhs - [(p-a+(q-b)+).
-    (XS-PS[a]) + (p-a).(XU-PU[b])], rhs = (p-a).(p+q-a-b)+, where PS and PU
-    are prefix sums of x over the cut's safe and unsafe edges in
-    candidate_j_sets' order and XS, XU their totals.
-    """
-    p, q = inst.p, inst.q
+    cuts = enumerate_cuts_below(inst.graph, ux, 2 * need, mode, seed=seed)
+    # J_{a,b} violates by rhs - [(p-a+(q-b)+).(XS-PS[a]) + (p-a).(XU-PU[b])],
+    # rhs = (p-a).(p+q-a-b)+, where PS and PU are prefix sums of x over the
+    # cut's safe and unsafe edges in candidate_j_sets' order and XS, XU
+    # their totals.
+    #
+    # With x in [0, 1], coefficients <= p+q and at most m terms per sum, a
+    # score (numpy sums in any order, plus one rounding per term when a
+    # Fraction x goes to float) is within 5u.(p+q).(m+p)^2 of the exact
+    # violation, u = 2^-53, and violation()'s sequential float sum is within
+    # 3u.(p+q).(m+p)^2.  So they differ by under 8u.(p+q).(m+p)^2; the
+    # slack, about 90u.(p+q).(m+p)^2, is over ten times that.  Let V be a
+    # cut's largest violation() and M its largest score: every candidate
+    # reaching V scores above V - slack > M - 2.slack, so it is built.
+    slack = 1e-14 * (p + q) * (inst.m + p) ** 2
     order = sorted(range(inst.m), key=lambda e: (-x[e], e))
     safe_order = np.array([e for e in order if inst.safe[e]], dtype=np.intp)
     unsafe_order = np.array([e for e in order if not inst.safe[e]], dtype=np.intp)
@@ -294,6 +239,7 @@ def _scored_blocks(inst: FgcInstance, x: tuple, cuts: Sequence[Cut]):
     b = np.arange(p + q)
     rhs = (p - a) * np.maximum(p + q - a - b, 0)
     safe_coef = p - a + np.maximum(q - b, 0)
+    out = []
     for start in range(0, len(cuts), CUT_BLOCK):
         block = cuts[start : start + CUT_BLOCK]
         cross = crossing_matrix(inst.graph, [r.side_mask for r in block])
@@ -302,12 +248,18 @@ def _scored_blocks(inst: FgcInstance, x: tuple, cuts: Sequence[Cut]):
         tail_u, count_u = _tail_sums(cross_u, xf[unsafe_order], p + q)
         score = rhs - (safe_coef * tail_s[:, :, None] + (p - a) * tail_u[:, None, :])
         valid = (rhs > 0) & (a <= count_s[:, None, None]) & (b <= count_u[:, None, None])
-
-        def build(i, ai, bi, block=block, cross_s=cross_s, cross_u=cross_u):
+        score = np.where(valid, score, -np.inf)
+        top = score.max(axis=(1, 2), keepdims=True)
+        keep = (score > eps - slack) & (score >= top - 2 * slack)
+        best = {}  # cut -> (violation, row), cuts in ascending order
+        for i, ai, bi in zip(*np.nonzero(keep)):
             j = safe_order[cross_s[i]][:ai].tolist() + unsafe_order[cross_u[i]][:bi].tolist()
-            return constraint_row(inst, block[i], j)
-
-        yield np.where(valid, score, -np.inf), build
+            row = constraint_row(inst, block[i], j)
+            v = violation(row, x)
+            if v > best.get(i, (eps,))[0]:
+                best[i] = (v, row)
+        out.extend(row for _, row in best.values())
+    return out
 
 
 def _tail_sums(cross: np.ndarray, xs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -584,8 +536,8 @@ def solve_relaxation(
             x, value = lp.solve()
         if on_iterate is not None:
             on_iterate(iterations, x, value)
-        new = _separate_per_cut(inst, x, eps, mode, j_family)
-        if not new:
+        violated = _separate_per_cut(inst, x, eps, mode, j_family)
+        if not violated:
             return RelaxationResult(
                 x=x,
                 value=value,
@@ -593,13 +545,15 @@ def solve_relaxation(
                 iterations=iterations,
                 separation_mode=mode,
             )
-        for row in new:
-            if row.key() in seen:
-                raise IterationLimitError(
-                    "separation returned a row already in the pool; "
-                    "LP and separation tolerances are inconsistent",
-                    iterations,
-                    float(value),
-                )
-            seen.add(row.key())
+        # A pool row can read as violated by just over eps: the LP holds rows
+        # only to its feasibility tolerance and x is clipped afterwards.
+        new = [row for row in violated if row.key() not in seen]
+        if not new:
+            raise IterationLimitError(
+                "separation returned only rows already in the pool; "
+                "LP and separation tolerances are inconsistent",
+                iterations,
+                float(value),
+            )
+        seen.update(row.key() for row in new)
         rows.extend(new)

@@ -239,9 +239,9 @@ def built_rows(monkeypatch):
 
 def _assert_same_row_as_building_every_row(inst, x, eps, built, tol=1e-9):
     # Same row key (so the same tie-break) as the build-every-row loop; and
-    # every row separate builds is a new, nontrivial one that could still
-    # beat the running best, so the closed-form score neither drops a winner
-    # nor lets losers through.
+    # every row separate builds is a new, nontrivial one above eps that could
+    # still be its cut's most violated, so the closed-form score neither
+    # drops a winner nor lets losers through.
     built.clear()
     row = separate(inst, x, eps)
     want = _separate_by_building_every_row(inst, x, eps)
@@ -249,12 +249,12 @@ def _assert_same_row_as_building_every_row(inst, x, eps, built, tol=1e-9):
     if row is not None:
         assert row.key() == want.key()
     assert len({b.key() for b in built}) == len(built)
-    running = eps
+    top = {}
+    for b in built:
+        top[b.cut] = max(top.get(b.cut, eps), violation(b, x))
     for b in built:
         assert not b.trivial
-        v = violation(b, x)
-        assert v > running - tol
-        running = max(running, v)
+        assert violation(b, x) > top[b.cut] - tol
 
 
 def test_separate_keeps_the_row_of_building_every_candidate(built_rows):
@@ -501,6 +501,32 @@ def test_solve_relaxation_iteration_cap(monkeypatch):
     monkeypatch.setattr(relaxation, "ITERATIONS_PER_EDGE_VERTEX", 0)
     with pytest.raises(IterationLimitError):
         solve_relaxation(two_vertex())
+
+
+def test_solve_relaxation_skips_pool_rows_separation_reports(monkeypatch):
+    # A pool row read as violated (as LP tolerance and clipping allow) is
+    # dropped while other cuts still bring new rows.
+    inst = strengthening_gadget()
+    want = solve_relaxation(inst)
+    pool_row = constraint_row(inst, Cut.from_vertices(inst.n, {0}), frozenset())
+    per_cut = relaxation._separate_per_cut
+
+    def with_pool_row(*args):
+        rows = per_cut(*args)
+        return [pool_row] + rows if rows else rows
+
+    monkeypatch.setattr(relaxation, "_separate_per_cut", with_pool_row)
+    relax = solve_relaxation(inst)
+    assert relax.value == want.value
+    assert len({row.key() for row in relax.active_rows}) == len(relax.active_rows)
+
+
+def test_solve_relaxation_stalls_when_separation_repeats_the_pool(monkeypatch):
+    inst = two_vertex()
+    pool_row = constraint_row(inst, Cut.from_vertices(inst.n, {0}), frozenset())
+    monkeypatch.setattr(relaxation, "_separate_per_cut", lambda *args: [pool_row])
+    with pytest.raises(IterationLimitError, match="already in the pool"):
+        solve_relaxation(inst)
 
 
 def test_solve_relaxation_exact_numeric_mode():
