@@ -20,6 +20,10 @@ from .relaxation import ConstraintRow, candidate_j_sets, constraint_row, violati
 
 DEFAULT_EDGE_LIMIT = 22
 DEFAULT_VERTEX_LIMIT = 12
+# relative room for float error when a running cost sum of at most 22
+# edges is compared with an incumbent's selection_cost; it only ever keeps
+# a branch alive, so it can cost nodes but never the optimum
+_COST_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,92 +39,100 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
     """Exact minimum-cost feasible selection by branch and bound.
 
     Edges are branched in ascending (cost, id) order, inclusion first.
-    A branch dies when its committed cost exceeds the incumbent or when
-    some cut cannot reach p safe or p+q total edges even with every
-    undecided edge added.  Cost ties break toward the lexicographically
-    smallest sorted edge-id tuple.  Accepted candidates are re-verified
-    with is_feasible_direct, keeping the search honest against the
-    counter bookkeeping.
+    The search state is one fused (2K,) int16 pair over the K canonical
+    cuts, safe half then total half: ``deficit`` (p or p+q minus the
+    chosen edges crossing the cut) and ``slack`` (every chosen or
+    undecided crossing edge minus that same need).  A branch step is one
+    in-place add or subtract of the edge's fused crossing row.  The
+    selection is feasible once every cut has a nonpositive deficit on one
+    half.  A branch dies when some cut has negative slack on both halves,
+    or when the worst cut still misses k edges and even the k cheapest
+    undecided edges would lift the committed cost above the incumbent
+    (only by more than float error, so cost ties still reach the
+    tie-break).  Cost is ``selection_cost``; ties break toward the
+    lexicographically smallest sorted edge-id tuple.  Accepted candidates
+    are re-verified with is_feasible_direct, keeping the search honest
+    against the counter bookkeeping.
     """
+    if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
+        raise TooLargeError(
+            f"instance too large for exact search (n={inst.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
+        )
     if inst.m > DEFAULT_EDGE_LIMIT:
         raise TooLargeError(
             f"instance too large for exact search (m={inst.m} > {DEFAULT_EDGE_LIMIT})"
         )
-    p, q = inst.p, inst.q
-    need_total = p + q
+    p, q, m = inst.p, inst.q, inst.m
+    k_cuts = (1 << (inst.n - 1)) - 1
 
-    # per-edge 0/1 rows over all canonical cuts
-    masks = np.arange(1, 1 << (inst.n - 1), dtype=np.int64) << 1
-    u, v = np.array(inst.graph.edges, dtype=np.int64).T[:, :, None]
-    cross_total = (((masks >> u) ^ (masks >> v)) & 1).astype(np.int16)
-    cross_safe = cross_total * np.array(inst.safe, dtype=np.int16)[:, None]
+    # per-edge 0/1 rows over all canonical cuts: safe half, then total half
+    masks = np.arange(1, k_cuts + 1, dtype=np.int64) << 1
+    cross = np.empty((m, 2 * k_cuts), dtype=np.int16)
+    for e, (u, v) in enumerate(inst.graph.edges):
+        cross[e, k_cuts:] = ((masks >> u) ^ (masks >> v)) & 1
+        cross[e, :k_cuts] = cross[e, k_cuts:] if inst.safe[e] else 0
+    # no cut holds more than m edges, so a need above m + 1 changes nothing
+    need = np.repeat(np.array([min(p, m + 1), min(p + q, m + 1)], dtype=np.int16), k_cuts)
+    deficit = need.copy()
+    # the potential starts as all of E
+    slack = cross.sum(axis=0, dtype=np.int16) - need
+    deficit_safe, deficit_total = deficit[:k_cuts], deficit[k_cuts:]
+    slack_safe, slack_total = slack[:k_cuts], slack[k_cuts:]
+    worst = np.empty(k_cuts, dtype=np.int16)
 
-    order = sorted(range(inst.m), key=lambda e: (inst.cost[e], e))
-    chosen_safe = np.zeros_like(cross_total[0])
-    chosen_total = np.zeros_like(cross_total[0])
-    # potential = chosen plus every undecided edge; starts as all of E
-    pot_safe = cross_safe.sum(axis=0, dtype=np.int16)
-    pot_total = cross_total.sum(axis=0, dtype=np.int16)
+    order = sorted(range(m), key=lambda e: (inst.cost[e], e))
+    cost = [inst.cost[e] for e in order]
+    # cheapest[pos][k]: least cost of k more edges once order[:pos] is decided
+    cheapest = [[math.fsum(cost[pos : pos + k]) for k in range(m - pos + 1)] for pos in range(m + 1)]
 
     best_cost = None
     best_ids = None
-    best_set = None
+    # committed costs are running sums, so compare them with relative slack
+    cutoff = math.inf
     nodes = 0
     chosen: list[int] = []
-    partial_cost = 0.0
-
-    def satisfied() -> bool:
-        return bool(np.all((chosen_safe >= p) | (chosen_total >= need_total)))
-
-    def repairable() -> bool:
-        return not np.any((pot_safe < p) & (pot_total < need_total))
 
     def consider_candidate():
-        nonlocal best_cost, best_ids, best_set
+        nonlocal best_cost, best_ids, cutoff
+        total = inst.selection_cost(chosen)
         ids = tuple(sorted(chosen))
-        if best_cost is not None and (
-            partial_cost > best_cost or (partial_cost == best_cost and ids >= best_ids)
-        ):
+        if best_cost is not None and (total, ids) >= (best_cost, best_ids):
             return
         if not is_feasible_direct(inst, chosen):
             raise AssertionError("counter bookkeeping accepted an infeasible selection")
-        best_cost = partial_cost
-        best_ids = ids
-        best_set = frozenset(chosen)
+        best_cost, best_ids = total, ids
+        cutoff = total * (1 + _COST_SLACK)
 
-    def search(pos: int):
-        nonlocal nodes, partial_cost, chosen_safe, chosen_total, pot_safe, pot_total
+    def search(pos: int, partial: float):
+        nonlocal nodes
         nodes += 1
-        if best_cost is not None and partial_cost > best_cost:
-            return
-        if satisfied():
+        # edges still missing on the worst cut
+        missing = int(np.minimum(deficit_safe, deficit_total, out=worst).max())
+        if missing <= 0:
             # supersets only add cost or lengthen the id tuple
             consider_candidate()
             return
-        if pos == inst.m or not repairable():
+        if missing > m - pos or partial + cheapest[pos][missing] > cutoff:
+            return
+        if np.maximum(slack_safe, slack_total, out=worst).min() < 0:
             return
         e = order[pos]
+        row = cross[e]
         # include e
         chosen.append(e)
-        partial_cost += inst.cost[e]
-        chosen_safe += cross_safe[e]
-        chosen_total += cross_total[e]
-        search(pos + 1)
-        chosen_safe -= cross_safe[e]
-        chosen_total -= cross_total[e]
-        partial_cost -= inst.cost[e]
+        np.subtract(deficit, row, out=deficit)
+        search(pos + 1, partial + cost[pos])
+        np.add(deficit, row, out=deficit)
         chosen.pop()
         # exclude e
-        pot_safe -= cross_safe[e]
-        pot_total -= cross_total[e]
-        search(pos + 1)
-        pot_safe += cross_safe[e]
-        pot_total += cross_total[e]
+        np.subtract(slack, row, out=slack)
+        search(pos + 1, partial)
+        np.add(slack, row, out=slack)
 
-    search(0)
-    if best_set is None:
+    search(0, 0.0)
+    if best_ids is None:
         raise AssertionError("no feasible selection found; the instance invariant is broken")
-    return ExactResult(best_selection=best_set, best_cost=best_cost, nodes_explored=nodes)
+    return ExactResult(best_selection=frozenset(best_ids), best_cost=best_cost, nodes_explored=nodes)
 
 
 def separate_bruteforce(inst: FgcInstance, x: Sequence, eps: float = 0.0) -> list[ConstraintRow]:

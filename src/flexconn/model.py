@@ -61,7 +61,8 @@ class FgcInstance:
         return frozenset(range(self.m))
 
     def selection_cost(self, f: Iterable[int]) -> float:
-        return sum(self.cost[e] for e in f)
+        """Correctly rounded sum of the costs of f, whatever its order."""
+        return math.fsum(self.cost[e] for e in f)
 
 
 @dataclass(frozen=True)

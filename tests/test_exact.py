@@ -56,6 +56,13 @@ def test_exact_opt_lexicographic_tie_break():
     inst = FgcInstance(g, (False, False), (1.0, 1.0), p=1, q=0)
     res = exact_opt(inst)
     assert res.best_selection == {0}
+    # {1, 2} is found first; {0} ties it later, with the smaller ids, so a
+    # branch whose bound equals the incumbent must not be pruned
+    g = Multigraph(2, ((0, 1),) * 3)
+    inst = FgcInstance(g, (True, False, False), (2.0, 1.0, 1.0), p=1, q=1)
+    res = exact_opt(inst)
+    assert res.best_selection == {0}
+    assert res.best_cost == 2.0
 
 
 def test_exact_opt_refuses_large_inputs():
@@ -65,28 +72,107 @@ def test_exact_opt_refuses_large_inputs():
         exact_opt(inst)
 
 
+def test_exact_opt_refuses_many_vertices_before_building_its_table():
+    # m = 20 passes the edge limit; its crossing table would take hundreds
+    # of MB before is_feasible_direct refused the first candidate
+    g = Multigraph(21, tuple((v, v + 1) for v in range(20)))
+    inst = FgcInstance(g, (True,) * 20, (1.0,) * 20, p=1, q=0)
+    with pytest.raises(TooLargeError, match=r"exact search \(n=21 > 20\)"):
+        exact_opt(inst)
+
+
+def test_exact_opt_reports_the_selection_cost_of_non_dyadic_costs():
+    # Branching includes edge 0 (0.1) and edge 1 (0.2) first, then backs
+    # out; a cost kept by += and -= along that path ends 2.8e-17 off, so
+    # {1} would be reported at 0.20000000000000004.  Edges 1 and 4 tie.
+    g = Multigraph(2, ((0, 1),) * 5)
+    inst = FgcInstance(g, (False, True, False, False, True), (0.1, 0.2, 0.3, 0.3, 0.2), 1, 1)
+    res = exact_opt(inst)
+    assert res.best_selection == {1}
+    assert res.best_cost == inst.selection_cost(res.best_selection) == 0.2
+
+
+def test_exact_opt_accepts_a_total_target_beyond_its_counters():
+    # p + q = 40001 cannot be met, so only safe edges count; the int16
+    # search state must still hold the target
+    g = Multigraph(3, ((0, 1), (1, 2), (0, 2), (0, 1)))
+    inst = FgcInstance(g, (True, True, False, False), (1.0, 2.0, 0.5, 0.1), 1, 40000)
+    res = exact_opt(inst)
+    assert res.best_selection == {0, 1}
+    assert res.best_cost == 3.0
+
+
+def _search_without_count_bound(inst):
+    """exact_opt's branching without the edge-count bound: prune only on
+    committed cost and on cuts that all undecided edges cannot repair.
+    Returns (cost, sorted ids, nodes explored)."""
+    p, q = inst.p, inst.q
+    cuts = [
+        [e for e, (u, v) in enumerate(inst.graph.edges) if ((mask >> u) ^ (mask >> v)) & 1]
+        for mask in range(2, 1 << inst.n, 2)
+    ]
+    order = sorted(range(inst.m), key=lambda e: (inst.cost[e], e))
+
+    def covers(sel):
+        return all(
+            sum(inst.safe[e] for e in c if e in sel) >= p or sum(e in sel for e in c) >= p + q
+            for c in cuts
+        )
+
+    best = None
+    nodes = 0
+
+    def search(pos, chosen):
+        nonlocal best, nodes
+        nodes += 1
+        cost = inst.selection_cost(chosen)
+        if best is not None and cost > best[0]:
+            return
+        if covers(chosen):
+            found = (cost, tuple(sorted(chosen)))
+            best = found if best is None else min(best, found)
+            return
+        if pos == inst.m or not covers(chosen | set(order[pos:])):
+            return
+        search(pos + 1, chosen | {order[pos]})
+        search(pos + 1, chosen)
+
+    search(0, set())
+    return best + (nodes,)
+
+
 def test_exact_opt_matches_full_subset_enumeration():
     rng = random.Random(2024)
-    checked = 0
-    for seed in range(40):
+    checked = nodes = unbounded_nodes = 0
+    for seed in range(60):
         n = rng.randint(2, 6)
-        p, q = rng.choice([(1, 0), (1, 1), (2, 1), (1, 2)])
-        base = gen_random(n, rng.randint(n, 9), 0.5, (1.0, 9.0), p, q, seed)
-        if base.m > 10:
+        p, q = rng.choice([(1, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+        base = gen_random(n, rng.randint(n, 12), 0.5, (1.0, 9.0), p, q, seed)
+        if base.m > 12:
             continue
-        # small integer costs make ties exact, so the id tie-break is checked too
-        costs = tuple(float(rng.randint(1, 3)) for _ in range(base.m))
-        inst = FgcInstance(base.graph, base.safe, costs, p, q)
+        # small integers make ties exact, so the id tie-break is checked;
+        # non-dyadic decimals tie too but drift when summed in another order
+        draw = rng.choice(
+            (lambda: float(rng.randint(1, 3)), lambda: rng.choice((0.1, 0.2, 0.3, 0.7)), lambda: rng.uniform(0.5, 5.0))
+        )
+        inst = FgcInstance(base.graph, base.safe, tuple(draw() for _ in range(base.m)), p, q)
         subsets = sorted(
             (inst.selection_cost(ids), ids)
             for size in range(inst.m + 1)
             for ids in itertools.combinations(range(inst.m), size)
         )
-        cost, ids = next(c for c in subsets if is_feasible_direct(inst, c[1]).feasible)
+        want = next(c for c in subsets if is_feasible_direct(inst, c[1]).feasible)
         res = exact_opt(inst)
-        assert (res.best_cost, tuple(sorted(res.best_selection))) == (cost, ids), seed
+        assert (res.best_cost, tuple(sorted(res.best_selection))) == want, seed
+        cost, ids, unbounded = _search_without_count_bound(inst)
+        assert (cost, ids) == want, seed
+        # the bound only ever cuts subtrees the unbounded search explores
+        assert res.nodes_explored <= unbounded, seed
+        nodes += res.nodes_explored
+        unbounded_nodes += unbounded
         checked += 1
-    assert checked >= 20
+    assert checked >= 30
+    assert nodes < unbounded_nodes
 
 
 def test_exact_opt_optimum_is_feasible_and_sandwiched():
