@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import and_, or_
 from typing import Sequence
 
 import numpy as np
@@ -39,20 +42,24 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
     """Exact minimum-cost feasible selection by branch and bound.
 
     Edges are branched in ascending (cost, id) order, inclusion first.
-    The search state is one fused (2K,) int16 pair over the K canonical
-    cuts, safe half then total half: ``deficit`` (p or p+q minus the
-    chosen edges crossing the cut) and ``slack`` (every chosen or
-    undecided crossing edge minus that same need).  A branch step is one
-    in-place add or subtract of the edge's fused crossing row.  The
-    selection is feasible once every cut has a nonpositive deficit on one
-    half.  A branch dies when some cut has negative slack on both halves,
-    or when the worst cut still misses k edges and even the k cheapest
-    undecided edges would lift the committed cost above the incumbent
-    (only by more than float error, so cost ties still reach the
-    tie-break).  Cost is ``selection_cost``; ties break toward the
-    lexicographically smallest sorted edge-id tuple.  Accepted candidates
-    are re-verified with is_feasible_direct, keeping the search honest
-    against the counter bookkeeping.
+    The search state is a pair of saturating count planes, Python-int
+    bitsets over the K canonical cuts (bit i is the cut of mask
+    (i+1) << 1): ``cs[j]`` holds the cuts crossed by at least j chosen
+    safe edges (j = 0..Ts, Ts = min(p, m+1)) and ``ct[j]`` those crossed
+    by at least j chosen edges (j = 0..Tt, Tt = min(p+q, m+1)).
+    Including edge e passes down ``cs[j] | (cs[j-1] & cross_s[e])`` and
+    its total twin; excluding it passes the parent's planes unchanged.
+    The selection is feasible once ``cs[Ts] | ct[Tt]`` holds every cut.
+    A cut still misses k edges when it is in neither ``cs[Ts-k+1]`` nor
+    ``ct[Tt-k+1]``.  A branch dies when some cut cannot be repaired even
+    by every undecided edge (the chosen planes against suffix planes of
+    the undecided edges), or when the worst cut still misses k edges and
+    even the k cheapest undecided edges would lift the committed cost
+    above the incumbent (only by more than float error, so cost ties
+    still reach the tie-break).  Cost is ``selection_cost``; ties break
+    toward the lexicographically smallest sorted edge-id tuple.  Accepted
+    candidates are re-verified with is_feasible_direct, keeping the
+    search honest against the plane bookkeeping.
     """
     if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
         raise TooLargeError(
@@ -64,26 +71,37 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
         )
     p, q, m = inst.p, inst.q, inst.m
     k_cuts = (1 << (inst.n - 1)) - 1
+    every_cut = (1 << k_cuts) - 1
 
-    # per-edge 0/1 rows over all canonical cuts: safe half, then total half
+    # per-edge crossing bitsets over all canonical cuts
     masks = np.arange(1, k_cuts + 1, dtype=np.int64) << 1
-    cross = np.empty((m, 2 * k_cuts), dtype=np.int16)
-    for e, (u, v) in enumerate(inst.graph.edges):
-        cross[e, k_cuts:] = ((masks >> u) ^ (masks >> v)) & 1
-        cross[e, :k_cuts] = cross[e, k_cuts:] if inst.safe[e] else 0
+    cross_t = []
+    for u, v in inst.graph.edges:
+        row = (((masks >> u) ^ (masks >> v)) & 1).astype(np.uint8)
+        cross_t.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
+    cross_s = [row if safe else 0 for row, safe in zip(cross_t, inst.safe)]
     # no cut holds more than m edges, so a need above m + 1 changes nothing
-    need = np.repeat(np.array([min(p, m + 1), min(p + q, m + 1)], dtype=np.int16), k_cuts)
-    deficit = need.copy()
-    # the potential starts as all of E
-    slack = cross.sum(axis=0, dtype=np.int16) - need
-    deficit_safe, deficit_total = deficit[:k_cuts], deficit[k_cuts:]
-    slack_safe, slack_total = slack[:k_cuts], slack[k_cuts:]
-    worst = np.empty(k_cuts, dtype=np.int16)
+    need_s, need_t = min(p, m + 1), min(p + q, m + 1)
+
+    def add(planes, row):
+        # plane j gains the cuts of plane j - 1 that the new edge crosses
+        return (every_cut, *map(or_, planes[1:], map(and_, planes, repeat(row))))
 
     order = sorted(range(m), key=lambda e: (inst.cost[e], e))
     cost = [inst.cost[e] for e in order]
     # cheapest[pos][k]: least cost of k more edges once order[:pos] is decided
     cheapest = [[math.fsum(cost[pos : pos + k]) for k in range(m - pos + 1)] for pos in range(m + 1)]
+    none_s = (every_cut,) + (0,) * need_s
+    none_t = (every_cut,) + (0,) * need_t
+    # count planes of the undecided edges order[pos:], highest plane first,
+    # so zip(cs, undecided_s[pos]) pairs j chosen with need_s - j undecided
+    undecided_s = [none_s]
+    undecided_t = [none_t]
+    for e in reversed(order):
+        undecided_s.append(add(undecided_s[-1], cross_s[e]))
+        undecided_t.append(add(undecided_t[-1], cross_t[e]))
+    undecided_s = [planes[::-1] for planes in reversed(undecided_s)]
+    undecided_t = [planes[::-1] for planes in reversed(undecided_t)]
 
     best_cost = None
     best_ids = None
@@ -99,37 +117,39 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
         if best_cost is not None and (total, ids) >= (best_cost, best_ids):
             return
         if not is_feasible_direct(inst, chosen):
-            raise AssertionError("counter bookkeeping accepted an infeasible selection")
+            raise AssertionError("plane bookkeeping accepted an infeasible selection")
         best_cost, best_ids = total, ids
         cutoff = total * (1 + _COST_SLACK)
 
-    def search(pos: int, partial: float):
+    def search(pos: int, partial: float, cs: tuple, ct: tuple):
         nonlocal nodes
         nodes += 1
         # edges still missing on the worst cut
-        missing = int(np.minimum(deficit_safe, deficit_total, out=worst).max())
-        if missing <= 0:
+        missing = 0
+        while missing < need_s and cs[need_s - missing] | ct[need_t - missing] != every_cut:
+            missing += 1
+        if missing == 0:
             # supersets only add cost or lengthen the id tuple
             consider_candidate()
             return
         if missing > m - pos or partial + cheapest[pos][missing] > cutoff:
             return
-        if np.maximum(slack_safe, slack_total, out=worst).min() < 0:
+        # cuts that reach their need on one side if every undecided edge is added
+        reach = reduce(or_, map(and_, cs, undecided_s[pos])) | reduce(
+            or_, map(and_, ct, undecided_t[pos])
+        )
+        if reach != every_cut:
             return
         e = order[pos]
-        row = cross[e]
         # include e
         chosen.append(e)
-        np.subtract(deficit, row, out=deficit)
-        search(pos + 1, partial + cost[pos])
-        np.add(deficit, row, out=deficit)
+        row = cross_s[e]
+        search(pos + 1, partial + cost[pos], add(cs, row) if row else cs, add(ct, cross_t[e]))
         chosen.pop()
         # exclude e
-        np.subtract(slack, row, out=slack)
-        search(pos + 1, partial)
-        np.add(slack, row, out=slack)
+        search(pos + 1, partial, cs, ct)
 
-    search(0, 0.0)
+    search(0, 0.0, none_s, none_t)
     if best_ids is None:
         raise AssertionError("no feasible selection found; the instance invariant is broken")
     return ExactResult(best_selection=frozenset(best_ids), best_cost=best_cost, nodes_explored=nodes)

@@ -356,52 +356,50 @@ def _enumerate_by_contraction(g, caps, cutoff, threshold, delta, seed):
     target = max(2, math.ceil(2 * alpha))
     rng = random.Random(seed)
     weights = [float(c) for c in caps]
+    live = [e for e, w in enumerate(weights) if w > 0.0]
+    ends = [g.edges[e] for e in live]
+    rates = [weights[e] for e in live]
+    quotients = {_contraction_run(g.n, ends, rates, target, rng) for _ in range(runs)}
     masks = set()
-    for _ in range(runs):
-        masks.update(_contraction_run(g, weights, target, rng))
+    for parts in quotients:
+        # every bipartition of the quotient, as the side without vertex 0
+        sides = [0]
+        for part in parts:
+            if not part & 1:
+                sides += [side | part for side in sides]
+        masks.update(sides[1:])
     masks = sorted(masks)
     return {
         mask: cap for mask, cap in zip(masks, _cut_capacities(g, caps, masks)) if cap < cutoff
     }
 
 
-def _contraction_run(g, weights, target, rng):
-    """One capacity-weighted contraction down to ``target`` supervertices;
-    returns the side mask of every bipartition of the quotient."""
-    n = g.n
+def _contraction_run(n, ends, rates, target, rng):
+    """One capacity-weighted contraction of an n-vertex graph down to
+    ``target`` supervertices; returns the vertex masks of the quotient's
+    supervertices.
+
+    Contracting a random crossing edge, drawn in proportion to its weight,
+    until ``target`` supervertices remain is the same as union-find over
+    the edges in ascending order of exponential keys with rate w_e
+    (Karger & Stein, J. ACM 1996), so a run is one sort.  ``ends`` and
+    ``rates`` hold the endpoints and weights of the positive-weight edges.
+    """
+    rand = rng.random
+    # rng.expovariate(w), inlined; nothing to contract when n <= target
+    keys = [-math.log(1.0 - rand()) / w for w in rates] if n > target else []
     label = list(range(n))
     comp_mask = [1 << v for v in range(n)]
     alive = n
-    while alive > target:
-        crossing = []
-        total = 0.0
-        for eid, (u, v) in enumerate(g.edges):
-            if label[u] != label[v] and weights[eid] > 0.0:
-                crossing.append(eid)
-                total += weights[eid]
-        # every quotient cut weighs at least the (positive) min cut
-        pick = rng.random() * total
-        acc = 0.0
-        chosen = crossing[-1]
-        for eid in crossing:
-            acc += weights[eid]
-            if pick < acc:
-                chosen = eid
-                break
-        lu, lv = label[g.edges[chosen][0]], label[g.edges[chosen][1]]
-        for v in range(n):
-            if label[v] == lv:
-                label[v] = lu
-        comp_mask[lu] |= comp_mask[lv]
-        alive -= 1
-
-    root0 = label[0]
-    others = sorted({lab for lab in label if lab != root0})
-    masks = []
-    for bits in range(1, 1 << len(others)):
-        mask = 0
-        for i, lab in enumerate(others):
-            if (bits >> i) & 1:
-                mask |= comp_mask[lab]
-        masks.append(mask)
-    return masks
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        if alive <= target:
+            break
+        u, v = ends[i]
+        lu, lv = label[u], label[v]
+        if lu != lv:
+            for x in range(n):
+                if label[x] == lv:
+                    label[x] = lu
+            comp_mask[lu] |= comp_mask[lv]
+            alive -= 1
+    return frozenset(comp_mask[lab] for lab in label)

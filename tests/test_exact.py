@@ -73,8 +73,8 @@ def test_exact_opt_refuses_large_inputs():
 
 
 def test_exact_opt_refuses_many_vertices_before_building_its_table():
-    # m = 20 passes the edge limit; its crossing table would take hundreds
-    # of MB before is_feasible_direct refused the first candidate
+    # m = 20 passes the edge limit, so only the vertex limit keeps the
+    # search from building its crossing table over 2^20 - 1 cuts
     g = Multigraph(21, tuple((v, v + 1) for v in range(20)))
     inst = FgcInstance(g, (True,) * 20, (1.0,) * 20, p=1, q=0)
     with pytest.raises(TooLargeError, match=r"exact search \(n=21 > 20\)"):
@@ -93,8 +93,8 @@ def test_exact_opt_reports_the_selection_cost_of_non_dyadic_costs():
 
 
 def test_exact_opt_accepts_a_total_target_beyond_its_counters():
-    # p + q = 40001 cannot be met, so only safe edges count; the int16
-    # search state must still hold the target
+    # p + q = 40001 cannot be met, so only safe edges count; the total
+    # count planes must stop at m + 1 rather than at the target
     g = Multigraph(3, ((0, 1), (1, 2), (0, 2), (0, 1)))
     inst = FgcInstance(g, (True, True, False, False), (1.0, 2.0, 0.5, 0.1), 1, 40000)
     res = exact_opt(inst)
@@ -173,6 +173,26 @@ def test_exact_opt_matches_full_subset_enumeration():
         checked += 1
     assert checked >= 30
     assert nodes < unbounded_nodes
+
+
+# (n, m asked, p, q, seed) -> (m after repair, nodes explored, best cost,
+# best selection); K = 2^(n-1) - 1 is 511 to 32,767 cuts, so every cut
+# bitset spans many machine words
+SEARCH_TREES = [
+    ((10, 16, 2, 1, 0), (19, 195, 84.65108271426212, (0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18))),
+    ((10, 16, 2, 1, 2), (19, 449, 97.06346809541255, (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 15, 16, 17, 18))),
+    ((12, 18, 1, 2, 0), (21, 1043, 85.45389462698104, (0, 1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 15, 17, 18, 19, 20))),
+    ((16, 20, 1, 1, 0), (22, 447, 92.99662608599827, (1, 3, 4, 5, 6, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20, 21))),
+    ((16, 20, 1, 1, 1), (20, 525, 97.9848880975545, (0, 2, 3, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15, 17, 18, 19))),
+]
+
+
+@pytest.mark.parametrize("args, want", SEARCH_TREES)
+def test_exact_opt_search_tree_is_pinned_on_wide_bitsets(args, want):
+    n, m, p, q, seed = args
+    inst = gen_random(n, m, 0.5, (1.0, 10.0), p, q, seed)
+    res = exact_opt(inst)
+    assert (inst.m, res.nodes_explored, res.best_cost, tuple(sorted(res.best_selection))) == want
 
 
 def test_exact_opt_optimum_is_feasible_and_sandwiched():
