@@ -41,7 +41,9 @@ class ExactResult:
 def exact_opt(inst: FgcInstance) -> ExactResult:
     """Exact minimum-cost feasible selection by branch and bound.
 
-    Edges are branched in ascending (cost, id) order, inclusion first.
+    Edges are branched in ascending (cost, id) order, inclusion first,
+    from a reverse-delete incumbent: every edge, then each edge in
+    descending (cost, id) order dropped if the rest stays feasible.
     The search state is a pair of saturating count planes, Python-int
     bitsets over the K canonical cuts (bit i is the cut of mask
     (i+1) << 1): ``cs[j]`` holds the cuts crossed by at least j chosen
@@ -58,8 +60,9 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
     above the incumbent (only by more than float error, so cost ties
     still reach the tie-break).  Cost is ``selection_cost``; ties break
     toward the lexicographically smallest sorted edge-id tuple.  Accepted
-    candidates are re-verified with is_feasible_direct, keeping the
-    search honest against the plane bookkeeping.
+    candidates, the incumbent included, are re-verified with
+    is_feasible_direct, keeping the search honest against the plane
+    bookkeeping.
     """
     if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
         raise TooLargeError(
@@ -102,6 +105,12 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
         undecided_t.append(add(undecided_t[-1], cross_t[e]))
     undecided_s = [planes[::-1] for planes in reversed(undecided_s)]
     undecided_t = [planes[::-1] for planes in reversed(undecided_t)]
+
+    def satisfied(edges) -> bool:
+        cs, ct = none_s, none_t
+        for e in edges:
+            cs, ct = add(cs, cross_s[e]), add(ct, cross_t[e])
+        return cs[need_s] | ct[need_t] == every_cut
 
     best_cost = None
     best_ids = None
@@ -149,6 +158,16 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
         # exclude e
         search(pos + 1, partial, cs, ct)
 
+    if satisfied(order):
+        # reverse delete, most expensive edge first, gives the search a
+        # feasible incumbent and so a finite cutoff from the root
+        chosen.extend(order)
+        for e in reversed(order):
+            rest = [f for f in chosen if f != e]
+            if satisfied(rest):
+                chosen[:] = rest
+        consider_candidate()
+        chosen.clear()
     search(0, 0.0, none_s, none_t)
     if best_ids is None:
         raise AssertionError("no feasible selection found; the instance invariant is broken")

@@ -15,17 +15,58 @@ to certify all J.  A cutting-plane loop drives the LP to optimality.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from types import ModuleType
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import _highspy  # HiGHS bindings; scipy.optimize loads _core
+import scipy
 
 from .errors import IterationLimitError, LpSolveError
 from .graph import CUT_BLOCK, Cut, crossing_matrix, cut_edges, enumerate_cuts_below, min_cut
 from .model import FgcInstance, capacities
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core(roots: Iterable[str]) -> ModuleType:
+    """scipy's HiGHS bindings, loaded from the extension file under a scipy
+    package directory in ``roots``.
+
+    Importing them by name runs scipy.optimize's __init__, which pulls in
+    scipy.linalg, scipy.sparse, scipy.special and linprog: about 0.5 s and
+    44 MB per process that the solver never uses.  The module is registered
+    under its own name, so a later ``import scipy.optimize`` shares it, and
+    one already imported is reused.  The file's place is private to scipy;
+    the pinned scipy>=1.17,<1.18 has it there.
+    """
+    module = sys.modules.get(_HIGHS_CORE)
+    if module is not None:
+        return module
+    stems = [os.path.join(root, "optimize", "_highspy", "_core") for root in roots]
+    for stem in stems:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            if os.path.isfile(stem + suffix):
+                spec = importlib.util.spec_from_file_location(_HIGHS_CORE, stem + suffix)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[_HIGHS_CORE] = module
+                return module
+    suffixes = ", ".join(importlib.machinery.EXTENSION_SUFFIXES)
+    raise ImportError(
+        f"scipy's HiGHS bindings are not at {' or '.join(stems)} (suffixes {suffixes}); "
+        "flexconn needs scipy>=1.17,<1.18",
+        name=_HIGHS_CORE,
+    )
+
+
+_highs = _load_highs_core(scipy.__path__)
 
 # Absolute tolerance on row violations; rhs values are small integers.
 DEFAULT_EPS = 1e-7
@@ -295,7 +336,7 @@ class _HighsLp:
         self.cost = c
         self.rows: list[ConstraintRow] = []
         top = c.max(initial=0.0)
-        self.highs = _highspy._core._Highs()
+        self.highs = _highs._Highs()
         self.highs.setOptionValue("output_flag", False)
         none = np.zeros(0, dtype=np.int32)
         self.highs.addCols(
@@ -316,14 +357,14 @@ class _HighsLp:
         status = self.highs.addRows(
             len(new),
             np.array([row.rhs for row in new], dtype=float),
-            np.full(len(new), _highspy._core.kHighsInf),
+            np.full(len(new), _highs.kHighsInf),
             len(index),
             np.array(starts, dtype=np.int32),
             np.array(index, dtype=np.int32),
             np.array(value, dtype=float),
         )
         self.rows.extend(new)
-        if status == _highspy._core.HighsStatus.kError:
+        if status == _highs.HighsStatus.kError:
             raise LpSolveError("LP subsolver rejected the rows", self.rows)
 
     def solve(self) -> tuple[tuple[float, ...], float]:
@@ -336,7 +377,7 @@ class _HighsLp:
             return (0.0,) * len(self.cost), 0.0
         self.highs.run()
         status = self.highs.getModelStatus()
-        if status != _highspy._core.HighsModelStatus.kOptimal:
+        if status != _highs.HighsModelStatus.kOptimal:
             message = self.highs.modelStatusToString(status)
             raise LpSolveError(f"LP subsolver failed: {message}", self.rows)
         # + 0.0 also turns -0.0 into 0.0

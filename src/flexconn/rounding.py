@@ -10,6 +10,7 @@ desk scale and the first attempt succeeds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,12 @@ import numpy as np
 from .errors import RoundingFailedError
 from .model import FgcInstance, is_feasible
 from .relaxation import RelaxationResult, solve_relaxation
+
+# Relative room on the cost cap for float error, so the cap scales with the
+# costs.  The cap is a log and three products, each within one ulp, and the
+# cost is correctly rounded, so the computed values sit within 3 ulps of the
+# exact ones; 4 ulps covers that and lets nothing measurably above the cap in.
+_CAP_SLACK = 4 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,7 @@ def solve(
         f = round_once(inst, relax.x, cfg, attempt)
         cost = inst.selection_cost(f)
         verdict = is_feasible(inst, f)
-        within_cap = cost <= cap + 1e-9
+        within_cap = cost <= cap * (1 + _CAP_SLACK)
         if verdict and within_cap:
             return RoundingOutcome(
                 selection=f,

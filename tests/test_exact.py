@@ -179,11 +179,11 @@ def test_exact_opt_matches_full_subset_enumeration():
 # best selection); K = 2^(n-1) - 1 is 511 to 32,767 cuts, so every cut
 # bitset spans many machine words
 SEARCH_TREES = [
-    ((10, 16, 2, 1, 0), (19, 195, 84.65108271426212, (0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18))),
-    ((10, 16, 2, 1, 2), (19, 449, 97.06346809541255, (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 15, 16, 17, 18))),
-    ((12, 18, 1, 2, 0), (21, 1043, 85.45389462698104, (0, 1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 15, 17, 18, 19, 20))),
-    ((16, 20, 1, 1, 0), (22, 447, 92.99662608599827, (1, 3, 4, 5, 6, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20, 21))),
-    ((16, 20, 1, 1, 1), (20, 525, 97.9848880975545, (0, 2, 3, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15, 17, 18, 19))),
+    ((10, 16, 2, 1, 0), (19, 171, 84.65108271426212, (0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18))),
+    ((10, 16, 2, 1, 2), (19, 405, 97.06346809541255, (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 15, 16, 17, 18))),
+    ((12, 18, 1, 2, 0), (21, 1019, 85.45389462698104, (0, 1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 15, 17, 18, 19, 20))),
+    ((16, 20, 1, 1, 0), (22, 407, 92.99662608599827, (1, 3, 4, 5, 6, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20, 21))),
+    ((16, 20, 1, 1, 1), (20, 523, 97.9848880975545, (0, 2, 3, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15, 17, 18, 19))),
 ]
 
 

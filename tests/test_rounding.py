@@ -5,8 +5,10 @@ import math
 import pytest
 
 from flexconn import (
+    FgcInstance,
     RoundingConfig,
     RoundingFailedError,
+    gen_random,
     inclusion_probabilities,
     is_feasible_direct,
     round_once,
@@ -127,6 +129,21 @@ def test_solve_cost_bound_holds_on_corpus():
         bound = 2 * 100 * math.log(inst.n) * out.lp_value
         assert out.cost <= bound + 1e-9, name
         assert is_feasible_direct(inst, out.selection).feasible, name
+
+
+def test_solve_cost_cap_is_scale_free():
+    # at costs near 1e-11 an absolute slack of 1e-9 would accept the first
+    # draw at 1.066 times the cap; the second draw is the first within it
+    base = gen_random(6, 10, 0.5, (1, 10), 1, 1, 14)
+    inst = FgcInstance(base.graph, base.safe, tuple(c * 1e-12 for c in base.cost), base.p, base.q)
+    cfg = RoundingConfig(scale_constant=1.0, cost_cap_multiplier=1.0, max_attempts=200, seed=14)
+    out = solve(inst, cfg)
+    cap = math.log(inst.n) * out.lp_value
+    first = round_once(inst, out.relaxation.x, cfg, 0)
+    assert is_feasible_direct(inst, first).feasible
+    assert inst.selection_cost(first) > 1.05 * cap
+    assert out.attempts_used == 2
+    assert out.cost <= cap
 
 
 def test_solve_saturation_gives_first_attempt_success():
