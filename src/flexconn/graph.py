@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -168,33 +168,13 @@ def _are_floats(caps: Sequence) -> bool:
     return all(type(c) is float for c in caps)
 
 
-def _cut_capacities(g: Multigraph, caps: Sequence, masks: Sequence[int]) -> list:
-    """Capacity of each side mask in the capacities' own type.
-
-    Each cut's crossing capacities are added left to right in edge order
-    from 0, as a plain running total would: floats by a float64 cumsum
-    with a 0 (exact for x >= 0) for every edge that does not cross, the
-    rest by reduce (sum() compensates floats on Python 3.12+).
-    """
-    floats = _are_floats(caps)
-    values = np.array(caps, dtype=float if floats else object)
-    out = []
-    for start in range(0, len(masks), CUT_BLOCK):
-        cross = crossing_matrix(g, masks[start : start + CUT_BLOCK])
-        if floats:
-            out += np.cumsum(np.where(cross, values, 0), axis=1)[:, -1].tolist()
-        else:
-            out += [reduce(add, values[row].tolist(), 0) for row in cross]
-    return out
-
-
-def canonical_masks(n: int) -> Iterable[int]:
+def canonical_masks(n: int) -> range:
     """All canonical cut side masks in iteration order (increasing integer).
 
-    Vertex 0 is fixed on the excluded side, giving 2^(n-1) - 1 masks.
+    Vertex 0 is fixed on the excluded side, giving 2^(n-1) - 1 masks: the
+    even numbers from 2 to 2^n - 2.
     """
-    for s in range(1, 1 << (n - 1)):
-        yield s << 1
+    return range(2, 1 << n, 2)
 
 
 def _cut_capacity_table(g: Multigraph, weights: np.ndarray) -> np.ndarray:
@@ -282,19 +262,16 @@ def enumerate_cuts_below(
 ) -> list[Cut]:
     """All canonical nontrivial cuts with capacity strictly below ``threshold``.
 
-    Exhaustive mode scans every bipartition and is exact: a float table of
-    every cut's capacity shortlists masks within a rounding margin of the
-    cutoff, and each is re-summed exactly in the capacities' own type, over
-    its row of ``crossing_matrix`` in blocks of CUT_BLOCK masks. It
-    refuses graphs with more than DEFAULT_EXHAUSTIVE_LIMIT vertices rather than
-    silently degrading. Contraction mode runs
+    Exhaustive mode scans every bipartition and is exact; it refuses graphs
+    with more than DEFAULT_EXHAUSTIVE_LIMIT vertices rather than silently
+    degrading. Contraction mode runs
     ``ceil(K * n^(2a) * ln(n/delta))`` independent capacity-weighted
     contraction runs (a = threshold / min cut, at most DEFAULT_ALPHA_MAX;
     K = DEFAULT_REPETITION_CONSTANT); each run contracts down to
-    max(2, ceil(2a)) supervertices and scores every bipartition of the
-    quotient against the original capacities. With probability at least
-    1 - delta the result contains every qualifying cut; it never contains a
-    non-qualifying one.
+    max(2, ceil(2a)) supervertices and every bipartition of the quotient
+    is a candidate. With probability at least 1 - delta the result contains
+    every qualifying cut; it never contains a non-qualifying one. Both
+    modes re-sum their candidates exactly (see _cut_blocks).
 
     Float capacities within CUT_REL_TOL (relative) of the threshold count
     as at the threshold and are excluded.  int, Fraction and mixed
@@ -302,28 +279,83 @@ def enumerate_cuts_below(
 
     Results are sorted by (capacity, side_mask) and duplicate-free.
     """
+    cuts = [
+        Cut(g.n, mask, capacity=cap)
+        for masks, values, _ in _cut_blocks(g, caps, threshold, mode, delta=delta, seed=seed)
+        for mask, cap in zip(masks, values)
+    ]
+    cuts.sort(key=lambda c: (c.capacity, c.side_mask))
+    return cuts
+
+
+def _cut_blocks(
+    g: Multigraph,
+    caps: Sequence,
+    threshold,
+    mode: str = "exhaustive",
+    *,
+    delta: float = 1e-6,
+    seed: int = 0,
+) -> Iterator[tuple[list[int], list, np.ndarray]]:
+    """The cuts below ``threshold``, as enumerate_cuts_below defines them, in
+    blocks ``(side masks, capacities, crossing_matrix rows)`` in ascending
+    mask order; each block comes from at most CUT_BLOCK candidate masks.
+
+    Exhaustive candidates are every canonical mask while they fit in one
+    block (n <= 13 at CUT_BLOCK = 4096), and otherwise the masks that a
+    float table of every cut's capacity puts within a rounding margin of
+    the cutoff; the table's fixed cost per vertex outweighs one block's
+    crossing matrix at small n.  Each candidate is re-summed exactly in
+    the capacities' own type over its crossing row, adding in edge order
+    from 0 as a plain running total would: floats by a float64 cumsum with
+    a 0 (exact for x >= 0) for every edge that does not cross, ints by an
+    int64 cumsum while their total is below 2^53 (so the sums, and their
+    comparison with a float cutoff, are exact), the rest by reduce (sum()
+    compensates floats on Python 3.12+).
+    """
     check_capacities(caps, g.m)
     if not 0 < threshold < math.inf:  # also rejects NaN
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    cutoff = threshold - CUT_REL_TOL * threshold if _are_floats(caps) else threshold
+    floats = _are_floats(caps)
+    cutoff = threshold - CUT_REL_TOL * threshold if floats else threshold
 
     if mode == "exhaustive":
         if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
             raise TooLargeError(
                 f"instance too large for exhaustive mode (n={g.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
             )
-        found = _enumerate_exhaustive(g, caps, cutoff)
+        if (1 << (g.n - 1)) - 1 <= CUT_BLOCK:
+            masks = canonical_masks(g.n)
+        else:
+            masks = _table_shortlist(g, caps, cutoff)
     elif mode == "contraction":
-        found = _enumerate_by_contraction(g, caps, cutoff, threshold, delta, seed)
+        masks = _contraction_shortlist(g, caps, cutoff, threshold, delta, seed)
     else:
         raise ValueError(f"unknown enumeration mode {mode!r}")
 
-    cuts = [Cut(g.n, mask, capacity=cap) for mask, cap in found.items()]
-    cuts.sort(key=lambda c: (c.capacity, c.side_mask))
-    return cuts
+    if floats:
+        values = np.array(caps, dtype=float)
+    elif all(type(c) is int for c in caps) and sum(caps) < 2**53:
+        values = np.array(caps, dtype=np.int64)
+    else:
+        values = np.array(caps, dtype=object)
+    for start in range(0, len(masks), CUT_BLOCK):
+        block = masks[start : start + CUT_BLOCK]
+        cross = crossing_matrix(g, block)
+        if values.dtype == object:
+            sums = np.fromiter(
+                (reduce(add, values[row].tolist(), 0) for row in cross), object, len(cross)
+            )
+        else:
+            sums = np.cumsum(np.where(cross, values, 0), axis=1)[:, -1]
+        keep = np.flatnonzero(sums < cutoff)
+        if len(keep):
+            yield [block[i] for i in keep], sums[keep].tolist(), cross[keep]
 
 
-def _enumerate_exhaustive(g, caps, cutoff):
+def _table_shortlist(g, caps, cutoff) -> list[int]:
+    """Canonical masks whose float table capacity is within a rounding
+    margin of ``cutoff``: a superset of those strictly below it."""
     try:
         weights = np.array([float(c) for c in caps])
         # Covers float rounding of the capacities, the cutoff and the table.
@@ -335,18 +367,15 @@ def _enumerate_exhaustive(g, caps, cutoff):
     except OverflowError:  # int or Fraction values beyond float range: shortlist all
         weights, bound = np.zeros(g.m), 1.0
     shortlist = np.flatnonzero(_cut_capacity_table(g, weights) < bound) + 1
-    masks = (shortlist << 1).tolist()
-    return {
-        mask: cap for mask, cap in zip(masks, _cut_capacities(g, caps, masks)) if cap < cutoff
-    }
+    return (shortlist << 1).tolist()
 
 
-def _enumerate_by_contraction(g, caps, cutoff, threshold, delta, seed):
+def _contraction_shortlist(g, caps, cutoff, threshold, delta, seed) -> list[int]:
     _, lam = min_cut(g, caps)
     if lam <= 0:
         raise ValueError("contraction mode requires a positive minimum cut")
     if lam >= cutoff:
-        return {}
+        return []
     alpha = float(threshold) / float(lam)
     if alpha > DEFAULT_ALPHA_MAX:
         raise ValueError(
@@ -368,10 +397,7 @@ def _enumerate_by_contraction(g, caps, cutoff, threshold, delta, seed):
             if not part & 1:
                 sides += [side | part for side in sides]
         masks.update(sides[1:])
-    masks = sorted(masks)
-    return {
-        mask: cap for mask, cap in zip(masks, _cut_capacities(g, caps, masks)) if cap < cutoff
-    }
+    return sorted(masks)
 
 
 def _contraction_run(n, ends, rates, target, rng):

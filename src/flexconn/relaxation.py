@@ -23,13 +23,17 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import ModuleType
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy
 
 from .errors import IterationLimitError, LpSolveError
-from .graph import CUT_BLOCK, Cut, crossing_matrix, cut_edges, enumerate_cuts_below, min_cut
+from .graph import Cut, _cut_blocks, cut_edges, min_cut
+
+# Kept only for perfbench/tracing.py, which wraps this binding by name; its
+# span reads 0 now that separation enumerates through _cut_blocks.
+from .graph import enumerate_cuts_below  # noqa: F401
 from .model import FgcInstance, capacities
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -130,6 +134,14 @@ def constraint_row(inst: FgcInstance, r: Cut, j_edges: Iterable[int]) -> Constra
     j = frozenset(int(e) for e in j_edges)
     if not j <= delta:
         raise ValueError("j_edges must lie inside the cut's edge set")
+    return _row(inst, r, delta, j)
+
+
+def _row(inst: FgcInstance, r: Cut, delta: frozenset[int], j: frozenset[int]) -> ConstraintRow:
+    """The covering row of cut ``r`` with edge set ``delta`` for J = j, a
+    subset of delta.  delta is built in ascending edge order, as cut_edges
+    builds it, so K's sets iterate alike and HiGHS gets each row's
+    entries in the same order whichever caller built it."""
     a = sum(1 for e in j if inst.safe[e])
     b = len(j) - a
     p, q = inst.p, inst.q
@@ -204,11 +216,13 @@ def separate(
     row of largest violation in (a, b) order, this is the first row of
     largest violation in (cut, a, b) order, as building every candidate row
     gives.  In exhaustive mode every cut that can carry a violation is
-    scanned, so the violation matches a brute-force scan.
+    scanned, so the violation matches a brute-force scan.  Only the best
+    row so far and one block's rows are held at a time.
     """
-    rows = _separate_per_cut(inst, x, eps, mode, j_family, seed)
-    x = _check_box(x)  # already checked; violations are measured at the clipped x
-    return max(rows, key=lambda row: violation(row, x), default=None)
+    blocks = _violated_blocks(inst, _check_box(x), eps, mode, j_family, seed)
+    hits = (hit for block in blocks for hit in block)
+    best = min(hits, key=lambda hit: (-hit[1], hit[0]), default=None)
+    return None if best is None else best[2]
 
 
 def _separate_per_cut(
@@ -220,16 +234,27 @@ def _separate_per_cut(
     seed: int = 0,
 ) -> list[ConstraintRow]:
     """The most violated row of every cut that carries a violation beyond
-    eps, in cut order; each is its cut's first row of largest violation in
-    (a, b) order.
+    eps, in cut order (capacity, then side mask); each is its cut's first
+    row of largest violation in (a, b) order.  x must lie in the box."""
+    hits = [hit for block in _violated_blocks(inst, x, eps, mode, j_family, seed) for hit in block]
+    hits.sort(key=lambda hit: hit[0])
+    return [row for _, _, row in hits]
+
+
+def _violated_blocks(
+    inst: FgcInstance, x: Sequence, eps, mode: str, j_family: str, seed: int
+) -> Iterator[list[tuple[tuple, float, ConstraintRow]]]:
+    """Per block of cuts, ``((capacity, side mask), violation, row)`` for
+    each cut whose most violated row beats eps; the row is the cut's first
+    row of largest violation in (a, b) order.
 
     Exhaustive mode scans every cut of u_x capacity below 2p(p+q), since no
     other cut can carry a violation (float x meets that threshold with
-    enumerate_cuts_below's float slop, Fraction x exactly).  The J_{a,b}
-    candidates of CUT_BLOCK cuts at a time are scored in closed form in one
-    numpy pass over the block's crossing_matrix, and only the candidates
-    within a float error slack of their cut's best score are built as rows
-    and re-checked with violation().  Contraction mode first checks the
+    graph's float slop, Fraction x exactly).  The J_{a,b} candidates of
+    each block of graph._cut_blocks are scored in closed form in one numpy
+    pass over the block's crossing rows, and only the candidates within a
+    float error slack of their cut's best score are built as rows and
+    re-checked with violation().  Contraction mode first checks the
     capacitated minimum cut: if it falls below p(p+q).(1-eps) its J-empty
     row alone is returned, which keeps the near-minimum-cut enumeration
     ratio bounded in the remaining case.
@@ -240,7 +265,6 @@ def _separate_per_cut(
     """
     if not 0 <= eps < math.inf:  # also rejects NaN
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    x = _check_box(x)
     ux = capacities(inst, x)
     p, q = inst.p, inst.q
     need = p * (p + q)
@@ -248,16 +272,20 @@ def _separate_per_cut(
         raise ValueError(f"unknown j_family {j_family!r}")
 
     if j_family == "basic":
-        wcut, _ = min_cut(inst.graph, ux)
+        wcut, lam = min_cut(inst.graph, ux)
         row = constraint_row(inst, wcut, frozenset())
-        return [row] if violation(row, x) > eps else []
+        v = violation(row, x)
+        if v > eps:
+            yield [((lam, wcut.side_mask), v, row)]
+        return
 
     if mode == "contraction":
         wcut, lam = min_cut(inst.graph, ux)
         if lam < need * (1 - eps):
-            return [constraint_row(inst, wcut, frozenset())]
+            row = constraint_row(inst, wcut, frozenset())
+            yield [((lam, wcut.side_mask), violation(row, x), row)]
+            return
 
-    cuts = enumerate_cuts_below(inst.graph, ux, 2 * need, mode, seed=seed)
     # J_{a,b} violates by rhs - [(p-a+(q-b)+).(XS-PS[a]) + (p-a).(XU-PU[b])],
     # rhs = (p-a).(p+q-a-b)+, where PS and PU are prefix sums of x over the
     # cut's safe and unsafe edges in candidate_j_sets' order and XS, XU
@@ -280,10 +308,7 @@ def _separate_per_cut(
     b = np.arange(p + q)
     rhs = (p - a) * np.maximum(p + q - a - b, 0)
     safe_coef = p - a + np.maximum(q - b, 0)
-    out = []
-    for start in range(0, len(cuts), CUT_BLOCK):
-        block = cuts[start : start + CUT_BLOCK]
-        cross = crossing_matrix(inst.graph, [r.side_mask for r in block])
+    for masks, cut_caps, cross in _cut_blocks(inst.graph, ux, 2 * need, mode, seed=seed):
         cross_s, cross_u = cross[:, safe_order], cross[:, unsafe_order]
         tail_s, count_s = _tail_sums(cross_s, xf[safe_order], p)
         tail_u, count_u = _tail_sums(cross_u, xf[unsafe_order], p + q)
@@ -292,15 +317,15 @@ def _separate_per_cut(
         score = np.where(valid, score, -np.inf)
         top = score.max(axis=(1, 2), keepdims=True)
         keep = (score > eps - slack) & (score >= top - 2 * slack)
-        best = {}  # cut -> (violation, row), cuts in ascending order
+        best = {}  # block index -> (violation, row), in ascending index order
         for i, ai, bi in zip(*np.nonzero(keep)):
             j = safe_order[cross_s[i]][:ai].tolist() + unsafe_order[cross_u[i]][:bi].tolist()
-            row = constraint_row(inst, block[i], j)
+            r = Cut(inst.n, masks[i], capacity=cut_caps[i])
+            row = _row(inst, r, frozenset(np.flatnonzero(cross[i]).tolist()), frozenset(j))
             v = violation(row, x)
             if v > best.get(i, (eps,))[0]:
                 best[i] = (v, row)
-        out.extend(row for _, row in best.values())
-    return out
+        yield [((cut_caps[i], masks[i]), v, row) for i, (v, row) in best.items()]
 
 
 def _tail_sums(cross: np.ndarray, xs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

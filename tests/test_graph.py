@@ -17,6 +17,7 @@ from flexconn import (
     enumerate_cuts_below,
     min_cut,
 )
+from flexconn import graph
 from flexconn.exact import all_cut_capacities
 from flexconn.graph import CUT_REL_TOL, canonical_masks, crossing_matrix
 
@@ -293,25 +294,41 @@ def test_canonical_masks_cover_all_bipartitions():
 
 
 def test_enumerate_exact_beyond_float_range():
+    # Fractions and ints past float range, and ints whose cut sums pass 2^53,
+    # where float64 (or an int64 sum compared with a float) would round
     rng = random.Random(5)
     g = random_connected(rng, 6, 10)
-    caps = [Fraction(rng.randint(1, 9) * 10**400, 7) for _ in range(g.m)]
-    table = all_cut_capacities(g, caps)
-    threshold = sorted(cap for _, cap in table)[10]
-    expected = sorted((cap, mask) for mask, cap in table if cap < threshold)
-    cuts = enumerate_cuts_below(g, caps, threshold)
-    assert [(c.capacity, c.side_mask) for c in cuts] == expected
+    for draw, as_float in (
+        (lambda: Fraction(rng.randint(1, 9) * 10**400, 7), False),
+        (lambda: rng.randint(1, 9) * 10**400, False),
+        (lambda: 2**52 + rng.randint(0, 3), True),
+    ):
+        caps = [draw() for _ in range(g.m)]
+        table = all_cut_capacities(g, caps)
+        threshold = sorted(cap for _, cap in table)[10]
+        for limit in (threshold, float(threshold)) if as_float else (threshold,):
+            expected = sorted((cap, mask) for mask, cap in table if cap < limit)
+            cuts = enumerate_cuts_below(g, caps, limit)
+            assert [(c.capacity, c.side_mask) for c in cuts] == expected
 
 
-# The exhaustive cut table doubles once per vertex: n = 2 and 3 give the
-# smallest tables, and n = 13..15 give 2^12 - 1 to 2^14 - 1 masks, so a mask
-# lost or repeated in a late doubling step shows against the reference scan.
+# Exhaustive enumeration re-sums every canonical mask while all 2^(n-1) - 1
+# fit in one CUT_BLOCK (n <= 13) and shortlists them with the float cut table
+# above that.  n = 2, 3 and 13 are the smallest and largest without the
+# table; at n = 14 and 15 the table's last doubling steps give 2^13 - 1 and
+# 2^14 - 1 masks, so a mask lost or repeated there shows against the
+# reference scan.
 BLOCK_SIZES = [2, 3, 13, 14, 15]
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 @pytest.mark.parametrize("kind", ["int", "float", "fraction"])
-def test_enumerate_matches_reference_scan_across_blocks(n, kind):
+def test_enumerate_matches_reference_scan_across_blocks(monkeypatch, n, kind):
+    tables = []
+    build_table = graph._cut_capacity_table
+    monkeypatch.setattr(
+        graph, "_cut_capacity_table", lambda *a: tables.append(1) or build_table(*a)
+    )
     rng = random.Random(100 + n)
     g = random_connected(rng, n, 2 * n)
     draw = {
@@ -337,3 +354,4 @@ def test_enumerate_matches_reference_scan_across_blocks(n, kind):
         assert [(c.side_mask, c.capacity) for c in cuts] == [
             (mask, cap) for cap, mask in expected
         ]
+    assert len(tables) == (len(cases) if n >= 14 else 0)

@@ -19,7 +19,7 @@ from flexconn import (
     solve_relaxation,
     violation,
 )
-from flexconn import relaxation
+from flexconn import graph, relaxation
 from flexconn.exact import separate_bruteforce
 from flexconn import model
 from flexconn.model import FgcInstance
@@ -227,13 +227,14 @@ def _separate_by_building_every_row(inst, x, eps, cuts=None):
 def built_rows(monkeypatch):
     """Every row separate builds, in order."""
     built = []
+    build = relaxation._row
 
-    def recording_row(inst, r, j):
-        row = constraint_row(inst, r, j)
+    def recording_row(*args):
+        row = build(*args)
         built.append(row)
         return row
 
-    monkeypatch.setattr(relaxation, "constraint_row", recording_row)
+    monkeypatch.setattr(relaxation, "_row", recording_row)
     return built
 
 
@@ -242,9 +243,9 @@ def _assert_same_row_as_building_every_row(inst, x, eps, built, tol=1e-9):
     # every row separate builds is a new, nontrivial one above eps that could
     # still be its cut's most violated, so the closed-form score neither
     # drops a winner nor lets losers through.
+    want = _separate_by_building_every_row(inst, x, eps)
     built.clear()
     row = separate(inst, x, eps)
-    want = _separate_by_building_every_row(inst, x, eps)
     assert (row is None) == (want is None)
     if row is not None:
         assert row.key() == want.key()
@@ -311,28 +312,47 @@ def test_separate_keeps_the_row_on_hundreds_of_parallel_edges(built_rows):
 
 
 def test_separate_scores_cuts_in_every_block(monkeypatch):
-    # At small x all 8191 cuts of n = 14 fall below 2p(p+q), so they are
-    # scored in two blocks.  Rotating the cut list puts the winning cut first,
-    # last, and on either side of the block boundary.
-    inst = random_instance(811, n=14, m=30, p=1, q=1)
-    rng = random.Random(47)
-    x = tuple(rng.random() / 100 for _ in range(inst.m))
+    # x is ten times smaller on the edges at one vertex, so the winning cut
+    # is first (vertex 1), in the middle (6) or last (0) of the 511 cuts of
+    # n = 10, all of which fall below 2p(p+q).  Block sizes put it first
+    # and last in its block, on either side of a block boundary, and in
+    # the first and in the last block.
+    inst = random_instance(811, n=10, m=24, p=1, q=1)
     need = inst.p * (inst.p + inst.q)
-    cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need)
-    assert len(cuts) == 2**13 - 1 > CUT_BLOCK
-    want = _separate_by_building_every_row(inst, x, DEFAULT_EPS, cuts)
-    assert separate(inst, x).key() == want.key()
-    win = cuts.index(want.cut)
-    for place in (0, CUT_BLOCK - 1, CUT_BLOCK, len(cuts) - 1):
-        shift = (win - place) % len(cuts)
-        rotated = cuts[shift:] + cuts[:shift]
-        assert rotated[place] == want.cut
-        monkeypatch.setattr(relaxation, "enumerate_cuts_below", lambda *a, **k: rotated)
-        row = separate(inst, x)
-        assert row.key() == want.key(), place
-        assert row.key() == _separate_by_building_every_row(
-            inst, x, DEFAULT_EPS, rotated
-        ).key(), place
+    for vertex, want_place in [(1, 0), (6, 31), (0, 510)]:
+        rng = random.Random(47)
+        x = tuple(
+            rng.random() / (1000 if vertex in inst.graph.edges[e] else 100)
+            for e in range(inst.m)
+        )
+        cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need)
+        assert len(cuts) == 2**9 - 1
+        want = _separate_by_building_every_row(inst, x, DEFAULT_EPS, cuts)
+        place = want.cut.side_mask // 2 - 1  # its index in ascending mask order
+        assert place == want_place
+        for block in sorted({2, place, place + 1, CUT_BLOCK} - {0, 1}):
+            monkeypatch.setattr(graph, "CUT_BLOCK", block)
+            assert separate(inst, x).key() == want.key(), (vertex, block)
+            assert len(relaxation._separate_per_cut(inst, x)) == len(cuts), (vertex, block)
+        monkeypatch.undo()
+
+
+def test_x_is_checked_once_at_the_public_entry(monkeypatch):
+    inst = random_instance(812, n=5, m=9, p=2, q=1)
+    for bad in (1.1, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            separate(inst, (bad,) + (0.5,) * (inst.m - 1))
+    # solver noise within BOX_SLACK is clipped before violations are measured
+    x = (1 + 1e-7, -1e-7) + (0.25,) * (inst.m - 2)
+    assert separate(inst, x).key() == separate(inst, (1.0, 0.0) + x[2:]).key()
+    checks = []
+    check = relaxation._check_box
+    monkeypatch.setattr(relaxation, "_check_box", lambda x: checks.append(1) or check(x))
+    separate(inst, x)
+    assert len(checks) == 1
+    checks.clear()
+    solve_relaxation(inst)  # its x comes clipped from the LP
+    assert checks == []
 
 
 def test_separate_none_when_capacitated_min_cut_is_large():
@@ -363,7 +383,7 @@ def _separation_points():
     "j_family, block", [("full", CUT_BLOCK), ("full", 2), ("basic", CUT_BLOCK)]
 )
 def test_per_cut_separation_agrees_with_separate(monkeypatch, j_family, block):
-    monkeypatch.setattr(relaxation, "CUT_BLOCK", block)  # 2: cuts span many blocks
+    monkeypatch.setattr(graph, "CUT_BLOCK", block)  # 2: cuts span many blocks
     for name, inst, x in _separation_points():
         rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS, j_family=j_family)
         best = separate(inst, x, DEFAULT_EPS, j_family=j_family)
@@ -382,6 +402,28 @@ def test_per_cut_separation_keeps_each_cuts_row_of_building_every_candidate():
         want = [_separate_by_building_every_row(inst, x, DEFAULT_EPS, [r]) for r in cuts]
         rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS)
         assert [row.key() for row in rows] == [row.key() for row in want if row], name
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_per_cut_separation_on_both_sides_of_the_table_size(monkeypatch, n):
+    # n = 13 scans all 4,095 cuts in one block; n = 14 shortlists its 8,191
+    # cuts with the capacity table
+    tables = []
+    build_table = graph._cut_capacity_table
+    monkeypatch.setattr(
+        graph, "_cut_capacity_table", lambda *a: tables.append(1) or build_table(*a)
+    )
+    rng = random.Random(n)
+    for p, q, scale in [(2, 1, 0.5), (2, 2, 0.4)]:
+        inst = random_instance(900 + n, n=n, m=2 * n + 4, p=p, q=q)
+        x = tuple(rng.random() * scale for _ in range(inst.m))
+        cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * p * (p + q))
+        want = [_separate_by_building_every_row(inst, x, DEFAULT_EPS, [r]) for r in cuts]
+        tables.clear()
+        rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS)
+        assert len(tables) == (1 if n == 14 else 0)
+        assert [row.key() for row in rows] == [row.key() for row in want if row]
+        assert any(row.j_edges for row in rows)
 
 
 def test_lp_solve_no_rows_gives_zero():
