@@ -66,13 +66,12 @@ def cmd_check(args) -> int:
 
 def cmd_lp(args) -> int:
     inst = load_instance(args.file)
-    relax = solve_relaxation(inst, args.eps, mode=args.mode)
+    relax = solve_relaxation(inst, args.eps)
     report = {
         "command": "lp",
         "lp_value": relax.value,
         "iterations": relax.iterations,
         "active_rows": len(relax.active_rows),
-        "separation_mode": relax.separation_mode,
         "x": list(relax.x),
     }
     _emit(report, args.pretty)
@@ -88,7 +87,7 @@ def cmd_solve(args) -> int:
         seed=args.seed,
     )
     t0 = time.perf_counter()
-    relax = solve_relaxation(inst, args.eps, mode=args.mode)
+    relax = solve_relaxation(inst, args.eps)
     t1 = time.perf_counter()
     outcome = rounding_solve(inst, cfg, relaxation=relax)
     t2 = time.perf_counter()
@@ -102,7 +101,6 @@ def cmd_solve(args) -> int:
         "seed": args.seed,
         "scale_constant": cfg.scale_constant,
         "separation_iterations": relax.iterations,
-        "separation_mode": relax.separation_mode,
         "lp_seconds": round(t1 - t0, 6),
         "rounding_seconds": round(t2 - t1, 6),
     }
@@ -237,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lp", help="solve the fractional relaxation")
     sp.add_argument("file")
     sp.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    sp.add_argument("--mode", choices=("exhaustive", "contraction"), default="exhaustive")
     common(sp)
     sp.set_defaults(func=cmd_lp)
 
@@ -248,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cost-cap", type=float, default=2.0)
     sp.add_argument("--max-attempts", type=int, default=64)
     sp.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    sp.add_argument("--mode", choices=("exhaustive", "contraction"), default="exhaustive")
     sp.add_argument("--with-exact", action="store_true", help="also run the exact baseline")
     common(sp)
     sp.set_defaults(func=cmd_solve)

@@ -157,7 +157,10 @@ def json_int(value, what: str) -> int:
 def json_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{what} is out of float range") from None
 
 
 def instance_from_json(obj: dict) -> FgcInstance:
@@ -176,7 +179,7 @@ def instance_from_json(obj: dict) -> FgcInstance:
             safety.append(flag == "S")
             costs.append(json_number(cost, "cost"))
         p, q = json_int(obj["p"], "p"), json_int(obj["q"], "q")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed JSON instance: {exc}") from None
     return _checked_instance(n, edges, safety, costs, p, q)
 

@@ -139,9 +139,7 @@ def constraint_row(inst: FgcInstance, r: Cut, j_edges: Iterable[int]) -> Constra
 
 def _row(inst: FgcInstance, r: Cut, delta: frozenset[int], j: frozenset[int]) -> ConstraintRow:
     """The covering row of cut ``r`` with edge set ``delta`` for J = j, a
-    subset of delta.  delta is built in ascending edge order, as cut_edges
-    builds it, so K's sets iterate alike and HiGHS gets each row's
-    entries in the same order whichever caller built it."""
+    subset of delta."""
     a = sum(1 for e in j if inst.safe[e])
     b = len(j) - a
     p, q = inst.p, inst.q
@@ -204,10 +202,8 @@ def separate(
     inst: FgcInstance,
     x: Sequence,
     eps: float = DEFAULT_EPS,
-    mode: str = "exhaustive",
     *,
     j_family: str = "full",
-    seed: int = 0,
 ) -> ConstraintRow | None:
     """Most violated covering row at x, or None if all hold within eps.
 
@@ -215,11 +211,11 @@ def separate(
     per violated cut, in cut order): since each of those is its cut's first
     row of largest violation in (a, b) order, this is the first row of
     largest violation in (cut, a, b) order, as building every candidate row
-    gives.  In exhaustive mode every cut that can carry a violation is
-    scanned, so the violation matches a brute-force scan.  Only the best
-    row so far and one block's rows are held at a time.
+    gives.  Every cut that can carry a violation is scanned, so the
+    violation matches a brute-force scan.  Only the best row so far and one
+    block's rows are held at a time.
     """
-    blocks = _violated_blocks(inst, _check_box(x), eps, mode, j_family, seed)
+    blocks = _violated_blocks(inst, _check_box(x), eps, j_family)
     hits = (hit for block in blocks for hit in block)
     best = min(hits, key=lambda hit: (-hit[1], hit[0]), default=None)
     return None if best is None else best[2]
@@ -229,35 +225,30 @@ def _separate_per_cut(
     inst: FgcInstance,
     x: Sequence,
     eps: float = DEFAULT_EPS,
-    mode: str = "exhaustive",
     j_family: str = "full",
-    seed: int = 0,
 ) -> list[ConstraintRow]:
     """The most violated row of every cut that carries a violation beyond
     eps, in cut order (capacity, then side mask); each is its cut's first
     row of largest violation in (a, b) order.  x must lie in the box."""
-    hits = [hit for block in _violated_blocks(inst, x, eps, mode, j_family, seed) for hit in block]
+    hits = [hit for block in _violated_blocks(inst, x, eps, j_family) for hit in block]
     hits.sort(key=lambda hit: hit[0])
     return [row for _, _, row in hits]
 
 
 def _violated_blocks(
-    inst: FgcInstance, x: Sequence, eps, mode: str, j_family: str, seed: int
+    inst: FgcInstance, x: Sequence, eps, j_family: str
 ) -> Iterator[list[tuple[tuple, float, ConstraintRow]]]:
     """Per block of cuts, ``((capacity, side mask), violation, row)`` for
     each cut whose most violated row beats eps; the row is the cut's first
     row of largest violation in (a, b) order.
 
-    Exhaustive mode scans every cut of u_x capacity below 2p(p+q), since no
-    other cut can carry a violation (float x meets that threshold with
+    Every cut of u_x capacity below 2p(p+q) is scanned, since no other
+    cut can carry a violation (float x meets that threshold with
     graph's float slop, Fraction x exactly).  The J_{a,b} candidates of
     each block of graph._cut_blocks are scored in closed form in one numpy
     pass over the block's crossing rows, and only the candidates within a
     float error slack of their cut's best score are built as rows and
-    re-checked with violation().  Contraction mode first checks the
-    capacitated minimum cut: if it falls below p(p+q).(1-eps) its J-empty
-    row alone is returned, which keeps the near-minimum-cut enumeration
-    ratio bounded in the remaining case.
+    re-checked with violation().
 
     With j_family="basic" only J-empty rows are considered; among those the
     minimum cut's row is always the most violated (they share rhs p(p+q)
@@ -278,13 +269,6 @@ def _violated_blocks(
         if v > eps:
             yield [((lam, wcut.side_mask), v, row)]
         return
-
-    if mode == "contraction":
-        wcut, lam = min_cut(inst.graph, ux)
-        if lam < need * (1 - eps):
-            row = constraint_row(inst, wcut, frozenset())
-            yield [((lam, wcut.side_mask), violation(row, x), row)]
-            return
 
     # J_{a,b} violates by rhs - [(p-a+(q-b)+).(XS-PS[a]) + (p-a).(XU-PU[b])],
     # rhs = (p-a).(p+q-a-b)+, where PS and PU are prefix sums of x over the
@@ -308,7 +292,7 @@ def _violated_blocks(
     b = np.arange(p + q)
     rhs = (p - a) * np.maximum(p + q - a - b, 0)
     safe_coef = p - a + np.maximum(q - b, 0)
-    for masks, cut_caps, cross in _cut_blocks(inst.graph, ux, 2 * need, mode, seed=seed):
+    for masks, cut_caps, cross in _cut_blocks(inst.graph, ux, 2 * need):
         cross_s, cross_u = cross[:, safe_order], cross[:, unsafe_order]
         tail_s, count_s = _tail_sums(cross_s, xf[safe_order], p)
         tail_u, count_u = _tail_sums(cross_u, xf[unsafe_order], p + q)
@@ -374,11 +358,11 @@ class _HighsLp:
             return
         starts, index, value = [], [], []
         for row in new:
+            # by edge id: a frozenset's iteration order depends on how it was built
+            k = sorted(row.k_safe | row.k_unsafe)
             starts.append(len(index))
-            index.extend(row.k_safe)
-            value.extend([row.alpha1 + row.alpha2] * len(row.k_safe))
-            index.extend(row.k_unsafe)
-            value.extend([row.alpha1] * len(row.k_unsafe))
+            index.extend(k)
+            value.extend(row.coefficient(e) for e in k)
         status = self.highs.addRows(
             len(new),
             np.array([row.rhs for row in new], dtype=float),
@@ -551,14 +535,12 @@ class RelaxationResult:
     value: float
     active_rows: tuple[ConstraintRow, ...]
     iterations: int
-    separation_mode: str
 
 
 def solve_relaxation(
     inst: FgcInstance,
     eps: float = DEFAULT_EPS,
     *,
-    mode: str = "exhaustive",
     j_family: str = "full",
     numeric: str = "float",
     on_iterate: Callable[[int, tuple, float], None] | None = None,
@@ -602,14 +584,10 @@ def solve_relaxation(
             x, value = lp.solve()
         if on_iterate is not None:
             on_iterate(iterations, x, value)
-        violated = _separate_per_cut(inst, x, eps, mode, j_family)
+        violated = _separate_per_cut(inst, x, eps, j_family)
         if not violated:
             return RelaxationResult(
-                x=x,
-                value=value,
-                active_rows=tuple(rows),
-                iterations=iterations,
-                separation_mode=mode,
+                x=x, value=value, active_rows=tuple(rows), iterations=iterations
             )
         # A pool row can read as violated by just over eps: the LP holds rows
         # only to its feasibility tolerance and x is clipped afterwards.

@@ -53,7 +53,14 @@ def test_lp_report(inst_file, capsys):
     assert report["lp_value"] == pytest.approx(2.0)
     assert report["x"] == [0.0, 1.0, 1.0]
     assert report["iterations"] >= 1
-    assert report["separation_mode"] == "exhaustive"
+    assert sorted(report) == ["active_rows", "command", "iterations", "lp_value", "x"]
+
+
+@pytest.mark.parametrize("command", ["lp", "solve"])
+def test_lp_and_solve_have_no_mode_option(inst_file, capsys, command):
+    with pytest.raises(SystemExit):
+        run([command, inst_file, "--mode", "exhaustive"])
+    assert "--mode" in capsys.readouterr().err
 
 
 def test_solve_report(inst_file, capsys):
@@ -264,6 +271,15 @@ def test_bench_deterministic(tmp_path, capsys):
             "max_attempts must be an integer",
         ),
         ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "max_attempts": 0}, "max_attempts"),
+        # integers past float range; they raised OverflowError, exit 1
+        (
+            {"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "scale_constant": 10**400},
+            "scale_constant is out of float range",
+        ),
+        (
+            {"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "cost_range": [1, 10**400]},
+            "cost_range is out of float range",
+        ),
     ],
 )
 def test_bench_rejects_malformed_items(tmp_path, capsys, item, message):

@@ -81,6 +81,24 @@ def test_bindings_are_shared_with_scipy_optimize(tmp_path, scipy_first):
     _python(["-c", f"import sys; sys.path.insert(0, {str(tests)!r})\n" + code], tmp_path)
 
 
+def test_later_scipy_optimize_import_leaves_no_core_attribute(tmp_path):
+    # The import system sets a package's attribute for a submodule only when
+    # it loads the submodule itself; flexconn registered _core in
+    # sys.modules first, and setting the attribute would need the parent
+    # package, the import flexconn avoids.  Lookups by import still work.
+    code = """
+import sys
+import flexconn
+import scipy.optimize
+from flexconn import relaxation
+package = sys.modules["scipy.optimize._highspy"]
+assert not hasattr(package, "_core")
+from scipy.optimize._highspy import _core
+assert _core is relaxation._highs
+"""
+    _python(["-c", code], tmp_path)
+
+
 def test_missing_bindings_raise_import_error_naming_the_path(tmp_path, monkeypatch):
     monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
     stem = os.path.join(str(tmp_path), "optimize", "_highspy", "_core")

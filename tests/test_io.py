@@ -207,7 +207,7 @@ def test_json_rejects_non_integer_or_non_numeric_field(path, value):
 
 def test_json_rejects_integer_cost_beyond_float_range():
     obj = json.loads(json.dumps(JSON_BASE).replace("2]]", "1" + "0" * 400 + "]]"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="cost is out of float range"):
         instance_from_json(obj)
 
 

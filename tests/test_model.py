@@ -114,6 +114,48 @@ def test_capacitated_scans_when_min_cut_equals_the_bound():
     assert is_feasible(inst, {0, 1}).feasible
 
 
+def _cycle21_two_unsafe_per_position(single_safe_at_0: bool) -> FgcInstance:
+    # positions are the vertex pairs (v, v+1 mod 21); (p, q) = (2, 2)
+    edges, safe = [], []
+    for v in range(21):
+        if v == 0 and single_safe_at_0:
+            edges.append((0, 1))
+            safe.append(True)
+        else:
+            edges += [(v, (v + 1) % 21)] * 2
+            safe += [False, False]
+    return FgcInstance(Multigraph(21, tuple(edges)), tuple(safe), (1.0,) * len(edges), 2, 2)
+
+
+def _record_scans(monkeypatch) -> list:
+    modes, scan = [], model.enumerate_cuts_below
+    monkeypatch.setattr(
+        model, "enumerate_cuts_below", lambda *args, **kw: modes.append(args[3]) or scan(*args, **kw)
+    )
+    return modes
+
+
+def test_capacitated_past_the_exhaustive_limit_enumerates_by_contraction(monkeypatch):
+    # n = 21: every cut crosses two positions, 4 unsafe edges, capacity 8
+    inst = _cycle21_two_unsafe_per_position(single_safe_at_0=False)
+    modes = _record_scans(monkeypatch)
+    verdict = is_feasible(inst, inst.all_edges)
+    assert verdict.feasible
+    assert verdict.mode == "contraction" and modes == ["contraction"]
+
+
+def test_capacitated_contraction_route_finds_a_witness_at_the_min_cut(monkeypatch):
+    # one safe edge at position 0: its cuts hold 1 safe and 3 edges, and
+    # lambda = 4 + 4 = 8 = p(p+q), so the min cut alone does not decide
+    inst = _cycle21_two_unsafe_per_position(single_safe_at_0=True)
+    modes = _record_scans(monkeypatch)
+    verdict = is_feasible(inst, inst.all_edges)
+    assert not verdict.feasible
+    assert verdict.mode == "contraction" and modes == ["contraction"]
+    assert verdict.witness.vertices == frozenset({1})
+    assert cut_tallies(inst, inst.all_edges, verdict.witness.side_mask) == (1, 3)
+
+
 def test_full_edge_set_feasible_on_corpus():
     for name, inst in named_corpus():
         assert is_feasible(inst, inst.all_edges).feasible, name

@@ -1,8 +1,11 @@
 """Constraint rows, separation oracle, LP subsolvers, cutting-plane driver."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from flexconn import (
@@ -25,7 +28,7 @@ from flexconn import model
 from flexconn.model import FgcInstance
 from flexconn.graph import CUT_BLOCK, Multigraph, enumerate_cuts_below
 from flexconn.instance_io import gen_random
-from flexconn.relaxation import DEFAULT_EPS
+from flexconn.relaxation import DEFAULT_EPS, ConstraintRow
 
 from instances import (
     gadget_f1,
@@ -173,19 +176,6 @@ def test_separate_rejects_bad_eps(eps):
 def test_solve_relaxation_rejects_nan_eps():
     with pytest.raises(ValueError, match="eps"):
         solve_relaxation(random_instance(3, n=6, m=12, p=2, q=1), float("nan"))
-
-
-def test_separate_contraction_mode_matches_exhaustive_verdict():
-    rng = random.Random(31)
-    for trial in range(15):
-        inst = random_instance(trial + 300, n=rng.randint(3, 6), m=10, p=1, q=1)
-        x = tuple(rng.random() for _ in range(inst.m))
-        a = separate(inst, x, mode="exhaustive")
-        b = separate(inst, x, mode="contraction", seed=trial)
-        assert (a is None) == (b is None)
-        if a is not None:
-            # contraction may return the min-cut row early; both must be violated
-            assert violation(b, x) > 0
 
 
 def test_separate_agrees_with_bruteforce_on_violation_size():
@@ -482,6 +472,33 @@ def test_lp_value_stays_below_optimum_at_tiny_costs(p, q, seed):
     assert solve_relaxation(inst).value <= exact_opt(inst).best_cost * (1 + 1e-9)
 
 
+def test_highs_gets_row_entries_in_edge_order():
+    # frozenset([8, 0]) and frozenset([0, 8]) iterate in different orders
+    first = ConstraintRow(
+        cut=Cut.from_vertices(2, {1}),
+        j_edges=frozenset(),
+        a=0,
+        b=0,
+        alpha1=2,
+        alpha2=1,
+        rhs=6,
+        k_safe=frozenset([8, 0]),
+        k_unsafe=frozenset([3]),
+    )
+    second = dataclasses.replace(first, k_safe=frozenset([0, 8]))
+    assert first == second and list(first.k_safe) != list(second.k_safe)
+    calls = []
+    for row in (first, second):
+        lp = relaxation._HighsLp((1.0,) * 9, 9)
+        add_rows = lp.highs.addRows  # the model's own attributes are read-only
+        lp.highs = SimpleNamespace(addRows=lambda *args: calls.append(args) or add_rows(*args))
+        lp.add([row])
+    index, value = calls[0][5:]
+    assert index.tolist() == [0, 3, 8] and value.tolist() == [3.0, 2.0, 3.0]
+    for a, b in zip(*calls):
+        assert np.array_equal(a, b)
+
+
 def test_lp_solve_rejects_negative_objective():
     with pytest.raises(ValueError):
         lp_solve([], (-1.0, 0.0), 2)
@@ -515,7 +532,6 @@ def test_solve_relaxation_two_vertex():
     relax = solve_relaxation(two_vertex())
     assert abs(relax.value - 2.0) <= 1e-7
     assert relax.x == (0.0, 1.0, 1.0)
-    assert relax.separation_mode == "exhaustive"
 
 
 def test_solve_relaxation_triangle():
