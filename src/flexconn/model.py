@@ -177,9 +177,10 @@ def validate_instance(inst: FgcInstance) -> None:
     """Raise InvalidInstanceError unless the instance satisfies every invariant.
 
     Checks, with distinct error codes: parameter ranges ("params"),
-    nonnegative finite costs ("costs"), and feasibility of the full edge
-    set ("infeasible-edges").  Graph structure (connectivity, no
-    self-loops) is already enforced by the Multigraph constructor.
+    nonnegative finite costs with a finite total ("costs"), and
+    feasibility of the full edge set ("infeasible-edges").  Graph
+    structure (connectivity, no self-loops) is already enforced by the
+    Multigraph constructor.
     """
     if inst.p < 1:
         raise InvalidInstanceError("params", f"p must be at least 1, got {inst.p}")
@@ -190,6 +191,10 @@ def validate_instance(inst: FgcInstance) -> None:
             raise InvalidInstanceError("costs", f"cost of edge {e} is not finite")
         if c < 0:
             raise InvalidInstanceError("costs", f"cost of edge {e} is negative")
+    try:  # selection_cost's sum, which raises when it leaves float range
+        math.fsum(inst.cost)
+    except OverflowError:
+        raise InvalidInstanceError("costs", "the total cost is beyond float range") from None
     verdict = is_feasible(inst, inst.all_edges)
     if not verdict:
         side = sorted(verdict.witness.vertices)

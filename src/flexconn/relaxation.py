@@ -6,11 +6,12 @@ nontrivial cut R and every J inside delta(R),
     (p-|J&S|)+ . x(K) + (q-|J&U|)+ . x(K&S)  >=  (p-|J&S|)+ . (p+q-|J|)+
 
 with K = delta(R) minus J.  Separation works on the capacitated view
-u_x(e) = (p + q.[e safe]) . x_e: a minimum cut below p(p+q) yields a
-violated J-empty row, and otherwise only cuts of capacity below 2p(p+q)
-can carry a violated row, each checked against the J_{a,b} candidate
+u_x(e) = (p + q.[e safe]) . x_e: only cuts of capacity below 2p(p+q) can
+carry a violated row, and each is checked against the J_{a,b} candidate
 family (top-a safe and top-b unsafe edges by x value), which is enough
-to certify all J.  A cutting-plane loop drives the LP to optimality.
+to certify all J; its J-empty corner, violated exactly when the cut is
+below p(p+q), is the basic LP's row.  A cutting-plane loop drives the LP
+to optimality.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ import numpy as np
 import scipy
 
 from .errors import IterationLimitError, LpSolveError
-from .graph import Cut, _cut_blocks, cut_edges, min_cut
+from .graph import Cut, _cut_blocks, cut_edges
 
-# Kept only for perfbench/tracing.py, which wraps this binding by name; its
-# span reads 0 now that separation enumerates through _cut_blocks.
-from .graph import enumerate_cuts_below  # noqa: F401
+# Kept only for perfbench/tracing.py, which wraps these bindings by name;
+# their spans read 0 now that separation scores every cut through _cut_blocks.
+from .graph import enumerate_cuts_below, min_cut  # noqa: F401
 from .model import FgcInstance, capacities
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -248,11 +249,7 @@ def _violated_blocks(
     each block of graph._cut_blocks are scored in closed form in one numpy
     pass over the block's crossing rows, and only the candidates within a
     float error slack of their cut's best score are built as rows and
-    re-checked with violation().
-
-    With j_family="basic" only J-empty rows are considered; among those the
-    minimum cut's row is always the most violated (they share rhs p(p+q)
-    and their lhs is u_x of the cut), so it alone is returned, if violated.
+    re-checked with violation().  j_family="basic" scores only J empty.
     """
     if not 0 <= eps < math.inf:  # also rejects NaN
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
@@ -262,25 +259,19 @@ def _violated_blocks(
     if j_family not in ("full", "basic"):
         raise ValueError(f"unknown j_family {j_family!r}")
 
-    if j_family == "basic":
-        wcut, lam = min_cut(inst.graph, ux)
-        row = constraint_row(inst, wcut, frozenset())
-        v = violation(row, x)
-        if v > eps:
-            yield [((lam, wcut.side_mask), v, row)]
-        return
-
     # J_{a,b} violates by rhs - [(p-a+(q-b)+).(XS-PS[a]) + (p-a).(XU-PU[b])],
     # rhs = (p-a).(p+q-a-b)+, where PS and PU are prefix sums of x over the
     # cut's safe and unsafe edges in candidate_j_sets' order and XS, XU
-    # their totals.
+    # their totals.  No cut has more than m edges, so a and b stop at m.
+    # They are floats: in int64 the products wrap once p.q passes 2^63.
     #
     # With x in [0, 1], coefficients <= p+q and at most m terms per sum, a
-    # score (numpy sums in any order, plus one rounding per term when a
-    # Fraction x goes to float) is within 5u.(p+q).(m+p)^2 of the exact
-    # violation, u = 2^-53, and violation()'s sequential float sum is within
-    # 3u.(p+q).(m+p)^2.  So they differ by under 8u.(p+q).(m+p)^2; the
-    # slack, about 90u.(p+q).(m+p)^2, is over ten times that.  Let V be a
+    # score (numpy sums in any order, up to four roundings in rhs, none
+    # while p(p+q) < 2^53, plus one rounding per term when a Fraction x
+    # goes to float) is within 9u.(p+q).(m+p)^2 of the exact violation,
+    # u = 2^-53, and violation()'s sequential float sum is within
+    # 3u.(p+q).(m+p)^2.  So they differ by under 12u.(p+q).(m+p)^2; the
+    # slack, about 90u.(p+q).(m+p)^2, is over seven times that.  Let V be a
     # cut's largest violation() and M its largest score: every candidate
     # reaching V scores above V - slack > M - 2.slack, so it is built.
     slack = 1e-14 * (p + q) * (inst.m + p) ** 2
@@ -288,14 +279,15 @@ def _violated_blocks(
     safe_order = np.array([e for e in order if inst.safe[e]], dtype=np.intp)
     unsafe_order = np.array([e for e in order if not inst.safe[e]], dtype=np.intp)
     xf = np.array([float(v) for v in x])
-    a = np.arange(p)[:, None]
-    b = np.arange(p + q)
+    full = j_family == "full"
+    a = np.arange(min(p, inst.m + 1) if full else 1, dtype=float)[:, None]
+    b = np.arange(min(p + q, inst.m + 1) if full else 1, dtype=float)
     rhs = (p - a) * np.maximum(p + q - a - b, 0)
     safe_coef = p - a + np.maximum(q - b, 0)
     for masks, cut_caps, cross in _cut_blocks(inst.graph, ux, 2 * need):
         cross_s, cross_u = cross[:, safe_order], cross[:, unsafe_order]
-        tail_s, count_s = _tail_sums(cross_s, xf[safe_order], p)
-        tail_u, count_u = _tail_sums(cross_u, xf[unsafe_order], p + q)
+        tail_s, count_s = _tail_sums(cross_s, xf[safe_order], len(a))
+        tail_u, count_u = _tail_sums(cross_u, xf[unsafe_order], len(b))
         score = rhs - (safe_coef * tail_s[:, :, None] + (p - a) * tail_u[:, None, :])
         valid = (rhs > 0) & (a <= count_s[:, None, None]) & (b <= count_u[:, None, None])
         score = np.where(valid, score, -np.inf)

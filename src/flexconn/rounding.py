@@ -70,11 +70,12 @@ class RoundingOutcome:
 
 
 def inclusion_probabilities(inst: FgcInstance, x, cfg: RoundingConfig) -> tuple[float, ...]:
-    """y_e = min(1, C ln(n) x_e) per edge."""
+    """y_e = min(1, C ln(n) x_e) per edge, and 0 where x_e = 0 even when
+    C ln(n) overflows to inf (inf . 0 is nan, which min() reads as 1)."""
     if len(x) != inst.m:
         raise ValueError(f"expected {inst.m} coordinates, got {len(x)}")
     factor = cfg.scale_constant * math.log(inst.n)
-    return tuple(min(1.0, factor * float(v)) for v in x)
+    return tuple(min(1.0, factor * float(v)) if v else 0.0 for v in x)
 
 
 def round_once(inst: FgcInstance, x, cfg: RoundingConfig, attempt: int = 0) -> frozenset[int]:

@@ -195,6 +195,18 @@ def test_invalid_instance_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "lp", "solve", "exact"])
+def test_total_cost_beyond_float_range_exit_code(tmp_path, capsys, command):
+    # solve and exact raised OverflowError from fsum, exit 1 with a traceback
+    path = tmp_path / "costly.fgc"
+    path.write_text(
+        "fgc 1\np 1\nq 0\nnodes 3\n"
+        "edge 0 1 S 1e308\nedge 1 2 S 1e308\nedge 0 2 S 1e308\n"
+    )
+    assert run([command, str(path)]) == 1
+    assert "total cost" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, text",
     [

@@ -213,6 +213,11 @@ def test_validate_rejects_bad_costs():
     with pytest.raises(InvalidInstanceError) as exc:
         validate_instance(inst)
     assert exc.value.code == "costs"
+    # finite costs whose total is beyond float range
+    inst = FgcInstance(g, (True, True), (1e308, 1e308), 1, 0)
+    with pytest.raises(InvalidInstanceError) as exc:
+        validate_instance(inst)
+    assert exc.value.code == "costs"
 
 
 def test_validate_rejects_infeasible_edge_set():

@@ -26,6 +26,7 @@ from flexconn import graph, relaxation
 from flexconn.exact import separate_bruteforce
 from flexconn import model
 from flexconn.model import FgcInstance
+from flexconn.errors import LpSolveError
 from flexconn.graph import CUT_BLOCK, Multigraph, enumerate_cuts_below
 from flexconn.instance_io import gen_random
 from flexconn.relaxation import DEFAULT_EPS, ConstraintRow
@@ -392,6 +393,40 @@ def test_per_cut_separation_keeps_each_cuts_row_of_building_every_candidate():
         want = [_separate_by_building_every_row(inst, x, DEFAULT_EPS, [r]) for r in cuts]
         rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS)
         assert [row.key() for row in rows] == [row.key() for row in want if row], name
+
+
+def test_basic_per_cut_separation_returns_every_violated_j_empty_row():
+    # the J-empty row of every cut below 2p(p+q) violated beyond eps, in
+    # (capacity, mask) order, not only the minimum cut's row
+    for name, inst, x in _separation_points():
+        need = inst.p * (inst.p + inst.q)
+        cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need)
+        want = [constraint_row(inst, r, ()) for r in cuts]
+        want = [row for row in want if violation(row, x) > DEFAULT_EPS]
+        rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS, j_family="basic")
+        assert [row.key() for row in rows] == [row.key() for row in want], name
+
+
+def _safe_heavy_path(q):
+    # every cut holds 4 safe edges, so p = 3 is met at any q
+    edges = ((0, 1),) * 4 + ((1, 2),) * 4 + ((0, 1), (1, 2))
+    return FgcInstance(Multigraph(3, edges), (True,) * 8 + (False,) * 2, (1.0,) * 10, 3, q)
+
+
+@pytest.mark.parametrize("q", [10**17, 10**19])
+def test_separate_at_huge_q_matches_bruteforce(q):
+    # the (a, b) grid once had p + q columns: a MemoryError at 10^17 and a
+    # ValueError from np.arange at 10^19
+    inst = _safe_heavy_path(q)
+    for x in [(0.5,) * 10, (1, 1, 0.25, 0.25, 1, 0.5, 0.5, 0.5, 1, 1)]:
+        assert separate(inst, x) == separate_bruteforce(inst, x)[0]
+
+
+def test_solve_relaxation_at_huge_q():
+    assert solve_relaxation(_safe_heavy_path(10**14)).value == 6.0
+    # HiGHS refuses matrix entries of 1e15 and more
+    with pytest.raises(LpSolveError):
+        solve_relaxation(_safe_heavy_path(10**15))
 
 
 @pytest.mark.parametrize("n", [13, 14])

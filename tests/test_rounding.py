@@ -66,6 +66,19 @@ def test_inclusion_probability_saturation_threshold():
     assert factor * 0.0048 < 1
 
 
+def test_zero_x_edges_stay_out_when_the_scale_overflows():
+    # C ln(n) = inf made y_e = min(1, inf . 0) = min(1, nan) = 1, so every
+    # edge of x_e = 0 was selected
+    inst = gen_random(8, 16, 0.5, (1.0, 10.0), 2, 1, 3)
+    cfg = RoundingConfig(scale_constant=1e308)
+    relax = solve_relaxation(inst)
+    zero = {e for e, v in enumerate(relax.x) if v == 0}
+    assert zero
+    y = inclusion_probabilities(inst, relax.x, cfg)
+    assert all(y[e] == 0.0 for e in zero)
+    assert not solve(inst, cfg, relaxation=relax).selection & zero
+
+
 def test_round_once_extremes():
     inst = two_vertex()
     cfg = RoundingConfig(seed=5)
