@@ -14,11 +14,9 @@ from itertools import repeat
 from operator import and_, or_
 from typing import Sequence
 
-import numpy as np
-
 from .errors import TooLargeError
 from .graph import DEFAULT_EXHAUSTIVE_LIMIT, Cut, Multigraph, canonical_masks, check_capacities
-from .model import FgcInstance, is_feasible_direct
+from .model import FgcInstance, infeasible_edges_error, is_feasible_direct
 from .relaxation import ConstraintRow, candidate_j_sets, constraint_row, violation
 
 DEFAULT_EDGE_LIMIT = 22
@@ -44,25 +42,30 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
     Edges are branched in ascending (cost, id) order, inclusion first,
     from a reverse-delete incumbent: every edge, then each edge in
     descending (cost, id) order dropped if the rest stays feasible.
-    The search state is a pair of saturating count planes, Python-int
-    bitsets over the K canonical cuts (bit i is the cut of mask
-    (i+1) << 1): ``cs[j]`` holds the cuts crossed by at least j chosen
-    safe edges (j = 0..Ts, Ts = min(p, m+1)) and ``ct[j]`` those crossed
-    by at least j chosen edges (j = 0..Tt, Tt = min(p+q, m+1)).
-    Including edge e passes down ``cs[j] | (cs[j-1] & cross_s[e])`` and
-    its total twin; excluding it passes the parent's planes unchanged.
-    The selection is feasible once ``cs[Ts] | ct[Tt]`` holds every cut.
-    A cut still misses k edges when it is in neither ``cs[Ts-k+1]`` nor
-    ``ct[Tt-k+1]``.  A branch dies when some cut cannot be repaired even
-    by every undecided edge (the chosen planes against suffix planes of
-    the undecided edges), or when the worst cut still misses k edges and
-    even the k cheapest undecided edges would lift the committed cost
-    above the incumbent (only by more than float error, so cost ties
-    still reach the tie-break).  Cost is ``selection_cost``; ties break
-    toward the lexicographically smallest sorted edge-id tuple.  Accepted
-    candidates, the incumbent included, are re-verified with
-    is_feasible_direct, keeping the search honest against the plane
-    bookkeeping.
+    The search state is one tuple of complemented ("still short") count
+    planes, Python-int bitsets 2K bits wide over the K canonical cuts (bit
+    i is the cut of mask (i+1) << 1).  Plane j holds in its low half the
+    cuts crossed by fewer than j - d chosen safe edges and in its high half
+    those crossed by fewer than j chosen edges, for j = 0..Tt with
+    Ts = min(p, m+1), Tt = min(p+q, m+1) and d = Tt - Ts, so both halves
+    reach their need at plane Tt.  A plane is met when no cut is short in
+    both halves, ``not x & x >> K``.  Including edge e passes down
+    ``short[j] & (short[j-1] | skip[e])``, where skip[e] holds the cuts
+    that e does not count for; excluding it passes the parent's planes
+    unchanged.  The selection is feasible once plane Tt is met, and the
+    worst cut still misses k edges when plane Tt-k+1 is not.  A branch dies
+    when some cut cannot be repaired even by every undecided edge (the
+    chosen planes against unshifted planes of the undecided edges), or
+    when the worst cut still misses k edges and even the k cheapest
+    undecided edges would lift the committed cost above the incumbent
+    (only by more than float error, so cost ties still reach the
+    tie-break).  The incumbent's test of each edge is one such repair test
+    of the prefix planes of the cheaper edges against the planes of the
+    edges kept so far.  Cost is ``selection_cost``; ties break toward the
+    lexicographically smallest sorted edge-id tuple.  Accepted candidates,
+    the incumbent included, are re-verified with is_feasible_direct,
+    keeping the search honest against the plane bookkeeping.  Raises
+    InvalidInstanceError("infeasible-edges") when no selection is feasible.
     """
     if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
         raise TooLargeError(
@@ -75,42 +78,47 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
     p, q, m = inst.p, inst.q, inst.m
     k_cuts = (1 << (inst.n - 1)) - 1
     every_cut = (1 << k_cuts) - 1
+    both_halves = every_cut << k_cuts | every_cut
 
-    # per-edge crossing bitsets over all canonical cuts
-    masks = np.arange(1, k_cuts + 1, dtype=np.int64) << 1
-    cross_t = []
-    for u, v in inst.graph.edges:
-        row = (((masks >> u) ^ (masks >> v)) & 1).astype(np.uint8)
-        cross_t.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
-    cross_s = [row if safe else 0 for row, safe in zip(cross_t, inst.safe)]
+    # side[v]: the cuts whose mask holds vertex v, that is bit v - 1 of
+    # i + 1 for cut i: runs of 2^(v-1) zeros then ones, doubled to K bits
+    side = [0]
+    for v in range(1, inst.n):
+        run = 1 << (v - 1)
+        pattern, width = ((1 << run) - 1) << run, 2 * run
+        while width <= k_cuts:
+            pattern |= pattern << width
+            width *= 2
+        side.append(pattern >> 1)
+    # skip[e]: the cuts that edge e does not count for, safe half low
+    skip = []
+    for (u, v), safe in zip(inst.graph.edges, inst.safe):
+        cross = side[u] ^ side[v]
+        skip.append(both_halves ^ (cross << k_cuts | (cross if safe else 0)))
     # no cut holds more than m edges, so a need above m + 1 changes nothing
     need_s, need_t = min(p, m + 1), min(p + q, m + 1)
 
-    def add(planes, row):
-        # plane j gains the cuts of plane j - 1 that the new edge crosses
-        return (every_cut, *map(or_, planes[1:], map(and_, planes, repeat(row))))
+    def add(planes, e):
+        # short of j after e: short of j, and short of j - 1 or skipped by e
+        return (0, *map(and_, planes[1:], map(or_, planes, repeat(skip[e]))))
+
+    def short_after(chosen, others):
+        # cuts short in both halves even with the edges of others added;
+        # others' unshifted planes come highest first, so plane j of chosen
+        # pairs with Tt - j of others
+        short = reduce(and_, map(or_, chosen, others))
+        return short & short >> k_cuts
 
     order = sorted(range(m), key=lambda e: (inst.cost[e], e))
     cost = [inst.cost[e] for e in order]
-    # cheapest[pos][k]: least cost of k more edges once order[:pos] is decided
-    cheapest = [[math.fsum(cost[pos : pos + k]) for k in range(m - pos + 1)] for pos in range(m + 1)]
-    none_s = (every_cut,) + (0,) * need_s
-    none_t = (every_cut,) + (0,) * need_t
-    # count planes of the undecided edges order[pos:], highest plane first,
-    # so zip(cs, undecided_s[pos]) pairs j chosen with need_s - j undecided
-    undecided_s = [none_s]
-    undecided_t = [none_t]
-    for e in reversed(order):
-        undecided_s.append(add(undecided_s[-1], cross_s[e]))
-        undecided_t.append(add(undecided_t[-1], cross_t[e]))
-    undecided_s = [planes[::-1] for planes in reversed(undecided_s)]
-    undecided_t = [planes[::-1] for planes in reversed(undecided_t)]
-
-    def satisfied(edges) -> bool:
-        cs, ct = none_s, none_t
-        for e in edges:
-            cs, ct = add(cs, cross_s[e]), add(ct, cross_t[e])
-        return cs[need_s] | ct[need_t] == every_cut
+    # cheapest[pos][k]: least cost of k <= need_s more edges once order[:pos] is decided
+    cheapest = [
+        [math.fsum(cost[pos : pos + k]) for k in range(min(need_s, m - pos) + 1)]
+        for pos in range(m + 1)
+    ]
+    # planes of no edges: shifted for the chosen edges, unshifted otherwise
+    none = (0,) + (every_cut << k_cuts,) * (need_t - need_s) + (both_halves,) * need_s
+    none_unshifted = (0,) + (both_halves,) * need_t
 
     best_cost = None
     best_ids = None
@@ -130,12 +138,40 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
         best_cost, best_ids = total, ids
         cutoff = total * (1 + _COST_SLACK)
 
-    def search(pos: int, partial: float, cs: tuple, ct: tuple):
+    # reverse delete, most expensive edge first, gives the search a
+    # feasible incumbent and so a finite cutoff from the root
+    prefix = [none]
+    for e in order:
+        prefix.append(add(prefix[-1], e))
+    full = prefix[m][need_t]
+    short = full & full >> k_cuts
+    if short:
+        # lowest bit: the first violated cut in canonical order
+        raise infeasible_edges_error(inst, Cut(inst.n, (short & -short).bit_length() << 1))
+    kept = none_unshifted
+    for pos in reversed(range(m)):
+        if short_after(prefix[pos], reversed(kept)):
+            chosen.append(order[pos])
+            kept = add(kept, order[pos])
+    consider_candidate()
+    chosen.clear()
+    del prefix
+
+    # unshifted planes of the undecided edges order[pos:], highest plane
+    # first, so zip(short, undecided[pos]) pairs j chosen with Tt - j undecided
+    grown = none_unshifted
+    undecided = [grown[::-1]]
+    for e in reversed(order):
+        grown = add(grown, e)
+        undecided.append(grown[::-1])
+    undecided.reverse()
+
+    def search(pos: int, partial: float, short: tuple):
         nonlocal nodes
         nodes += 1
         # edges still missing on the worst cut
         missing = 0
-        while missing < need_s and cs[need_s - missing] | ct[need_t - missing] != every_cut:
+        while missing < need_s and (plane := short[need_t - missing]) & plane >> k_cuts:
             missing += 1
         if missing == 0:
             # supersets only add cost or lengthen the id tuple
@@ -143,34 +179,17 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
             return
         if missing > m - pos or partial + cheapest[pos][missing] > cutoff:
             return
-        # cuts that reach their need on one side if every undecided edge is added
-        reach = reduce(or_, map(and_, cs, undecided_s[pos])) | reduce(
-            or_, map(and_, ct, undecided_t[pos])
-        )
-        if reach != every_cut:
+        if short_after(short, undecided[pos]):
             return
         e = order[pos]
         # include e
         chosen.append(e)
-        row = cross_s[e]
-        search(pos + 1, partial + cost[pos], add(cs, row) if row else cs, add(ct, cross_t[e]))
+        search(pos + 1, partial + cost[pos], add(short, e))
         chosen.pop()
         # exclude e
-        search(pos + 1, partial, cs, ct)
+        search(pos + 1, partial, short)
 
-    if satisfied(order):
-        # reverse delete, most expensive edge first, gives the search a
-        # feasible incumbent and so a finite cutoff from the root
-        chosen.extend(order)
-        for e in reversed(order):
-            rest = [f for f in chosen if f != e]
-            if satisfied(rest):
-                chosen[:] = rest
-        consider_candidate()
-        chosen.clear()
-    search(0, 0.0, none_s, none_t)
-    if best_ids is None:
-        raise AssertionError("no feasible selection found; the instance invariant is broken")
+    search(0, 0.0, none)
     return ExactResult(best_selection=frozenset(best_ids), best_cost=best_cost, nodes_explored=nodes)
 
 

@@ -197,9 +197,13 @@ def validate_instance(inst: FgcInstance) -> None:
         raise InvalidInstanceError("costs", "the total cost is beyond float range") from None
     verdict = is_feasible(inst, inst.all_edges)
     if not verdict:
-        side = sorted(verdict.witness.vertices)
-        raise InvalidInstanceError(
-            "infeasible-edges",
-            f"the full edge set is infeasible for p={inst.p}, q={inst.q}: "
-            f"cut {side} has too few safe and total edges",
-        )
+        raise infeasible_edges_error(inst, verdict.witness)
+
+
+def infeasible_edges_error(inst: FgcInstance, witness: Cut) -> InvalidInstanceError:
+    """The error for an instance whose full edge set leaves cut ``witness`` short."""
+    return InvalidInstanceError(
+        "infeasible-edges",
+        f"the full edge set is infeasible for p={inst.p}, q={inst.q}: "
+        f"cut {sorted(witness.vertices)} has too few safe and total edges",
+    )

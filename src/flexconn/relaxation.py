@@ -35,7 +35,7 @@ from .graph import Cut, _cut_blocks, cut_edges
 # Kept only for perfbench/tracing.py, which wraps these bindings by name;
 # their spans read 0 now that separation scores every cut through _cut_blocks.
 from .graph import enumerate_cuts_below, min_cut  # noqa: F401
-from .model import FgcInstance, capacities
+from .model import FgcInstance, capacities, infeasible_edges_error, is_feasible
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
@@ -371,8 +371,10 @@ class _HighsLp:
     def solve(self) -> tuple[tuple[float, ...], float]:
         """Optimal x and its cost; zeros while every row added was trivial.
 
-        The row system is always satisfiable (x = 1 satisfies every covering
-        row), so failures are numerical and reported with the rows attached.
+        x = 1 satisfies every covering row when the instance's full edge
+        set is feasible, so on a valid instance failures are numerical;
+        otherwise HiGHS can report the rows infeasible.  Either way the
+        error carries the rows.
         """
         if not self.rows:
             return (0.0,) * len(self.cost), 0.0
@@ -544,7 +546,9 @@ def solve_relaxation(
     every violated cut, until separation certifies no violation beyond
     eps.  The float route keeps one HiGHS model for the whole loop and adds
     only the new rows to it, so each solve warm-starts from the last basis.
-    The value is a lower bound on the optimal integral cost.
+    The value is a lower bound on the optimal integral cost.  When the
+    subsolver fails on an instance whose full edge set is infeasible, the
+    error is InvalidInstanceError("infeasible-edges") naming the cut.
     numeric="exact" runs the rational subsolver over the pool (small
     instances only); pass eps=0 with it for the exact LP optimum.
     """
@@ -569,11 +573,18 @@ def solve_relaxation(
                 f"cutting-plane loop exceeded {cap} iterations", iterations, None
             )
         iterations += 1
-        if lp is None:
-            x, value = lp_solve_exact(rows, inst.cost, inst.m)
-        else:
-            lp.add(new)
-            x, value = lp.solve()
+        try:
+            if lp is None:
+                x, value = lp_solve_exact(rows, inst.cost, inst.m)
+            else:
+                lp.add(new)
+                x, value = lp.solve()
+        except LpSolveError:
+            # x = 1 meets every row unless the full edge set is infeasible
+            verdict = is_feasible(inst, inst.all_edges)
+            if not verdict:
+                raise infeasible_edges_error(inst, verdict.witness) from None
+            raise
         if on_iterate is not None:
             on_iterate(iterations, x, value)
         violated = _separate_per_cut(inst, x, eps, j_family)

@@ -8,6 +8,7 @@ import pytest
 from flexconn import (
     Cut,
     FgcInstance,
+    InvalidInstanceError,
     Multigraph,
     TooLargeError,
     all_cut_capacities,
@@ -22,6 +23,7 @@ from flexconn import (
     solve_relaxation,
     violation,
 )
+from flexconn import exact
 
 from instances import (
     cycle_graph,
@@ -193,6 +195,143 @@ def test_exact_opt_search_tree_is_pinned_on_wide_bitsets(args, want):
     inst = gen_random(n, m, 0.5, (1.0, 10.0), p, q, seed)
     res = exact_opt(inst)
     assert (inst.m, res.nodes_explored, res.best_cost, tuple(sorted(res.best_selection))) == want
+
+
+def test_exact_opt_matches_full_subset_enumeration_at_every_plane_shift():
+    # the safe half of each count plane sits d = min(p+q, m+1) - min(p, m+1)
+    # planes up; d = 0, 0, 3, 2, 1, 1 for these targets
+    rng = random.Random(2025)
+    checked = 0
+    for seed in range(48):
+        p, q = ((1, 0), (2, 0), (1, 3), (2, 2), (3, 1), (4, 1))[seed % 6]
+        n = rng.randint(2, 7)
+        base = gen_random(n, rng.randint(n, 11), 0.5, (1.0, 9.0), p, q, seed)
+        if base.m > 12:
+            continue
+        inst = FgcInstance(base.graph, base.safe, tuple(float(rng.randint(1, 3)) for _ in range(base.m)), p, q)
+        want = min(
+            (inst.selection_cost(ids), ids)
+            for size in range(inst.m + 1)
+            for ids in itertools.combinations(range(inst.m), size)
+            if is_feasible_direct(inst, ids).feasible
+        )
+        res = exact_opt(inst)
+        assert (res.best_cost, tuple(sorted(res.best_selection))) == want, seed
+        checked += 1
+    assert checked >= 36
+
+
+def test_exact_opt_refuses_an_infeasible_edge_set_with_a_typed_error():
+    # cut {2} holds one safe and one unsafe edge: neither p = 2 safe edges
+    # nor p + q = 3 edges, so no selection is feasible
+    g = Multigraph(3, ((0, 1), (0, 1), (1, 2), (1, 2)))
+    inst = FgcInstance(g, (True, True, True, False), (1.0, 1.0, 1.0, 1.0), 2, 1)
+    witness = is_feasible_direct(inst, inst.all_edges).witness
+    assert sorted(witness.vertices) == [2]
+    with pytest.raises(InvalidInstanceError, match=r"cut \[2\] has too few") as err:
+        exact_opt(inst)
+    assert err.value.code == "infeasible-edges"
+
+
+def _reverse_delete_quadratic(inst):
+    """The incumbent as exact_opt once built it: from every edge, drop each
+    edge in descending (cost, id) order if the rest stays feasible, testing
+    each rest anew on saturating safe and total count planes."""
+    m = inst.m
+    k_cuts = (1 << (inst.n - 1)) - 1
+    every_cut = (1 << k_cuts) - 1
+    cross_t = []
+    for u, v in inst.graph.edges:
+        row = 0
+        for i, mask in enumerate(range(2, 1 << inst.n, 2)):
+            row |= (((mask >> u) ^ (mask >> v)) & 1) << i
+        cross_t.append(row)
+    cross_s = [row if safe else 0 for row, safe in zip(cross_t, inst.safe)]
+    need_s, need_t = min(inst.p, m + 1), min(inst.p + inst.q, m + 1)
+
+    def add(planes, row):
+        return (every_cut,) + tuple(planes[j] | (planes[j - 1] & row) for j in range(1, len(planes)))
+
+    def satisfied(edges):
+        cs, ct = (every_cut,) + (0,) * need_s, (every_cut,) + (0,) * need_t
+        for e in edges:
+            cs, ct = add(cs, cross_s[e]), add(ct, cross_t[e])
+        return cs[need_s] | ct[need_t] == every_cut
+
+    order = sorted(range(m), key=lambda e: (inst.cost[e], e))
+    chosen = list(order)
+    for e in reversed(order):
+        rest = [f for f in chosen if f != e]
+        if satisfied(rest):
+            chosen = rest
+    return frozenset(chosen)
+
+
+def test_exact_opt_incumbent_is_the_quadratic_reverse_delete(monkeypatch):
+    checked = []
+
+    def record(inst, f):
+        checked.append(frozenset(f))
+        return is_feasible_direct(inst, f)
+
+    monkeypatch.setattr(exact, "is_feasible_direct", record)
+    rng = random.Random(77)
+    for seed in range(40):
+        n = rng.randint(2, 8)
+        p, q = rng.choice([(1, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)])
+        inst = gen_random(n, rng.randint(n, 14), 0.5, rng.choice(((1.0, 3.0), (1e-9, 1e-6))), p, q, seed)
+        checked.clear()
+        exact_opt(inst)
+        assert checked[0] == _reverse_delete_quadratic(inst), seed
+
+
+# exact_opt over 60 instances drawn the way perfbench's verify workload
+# draws them, 10 per (cost scale, p, q); pinned before the search moved
+# to one complemented plane tuple
+VERIFY_LIKE_NODES = 37788
+VERIFY_LIKE_COSTS = [
+    41.35598255541977, 30.976103694828304, 43.175967867797716,
+    21.700548637851703, 24.5773965133888, 20.240647477610537,
+    23.71830369826675, 29.417936480732994, 42.2474564895372,
+    65.8219464010061, 72.40078343556382, 21.40319146889061,
+    43.09144997703724, 22.45528934997845, 32.32554856583763,
+    31.11700074155247, 34.835600445783946, 35.35446733222179,
+    34.365468794289804, 21.618713460954886, 54.19543546627146,
+    68.9000476461045, 62.353226751594654, 40.11862821848581,
+    21.093596175117757, 48.48456179683903, 38.0080898500563,
+    61.71647977347401, 63.62188690843743, 44.579499058107444,
+    5.037625713784993e-06, 4.446959007639818e-06, 2.6671595794311246e-06,
+    2.3236713744576193e-06, 1.6015001176249114e-06, 1.9161701660804562e-06,
+    9.864500276826674e-07, 9.67774280366478e-07, 1.0598872967865907e-06,
+    1.4917215932632e-06, 1.717199946873682e-06, 3.087954547037507e-06,
+    4.620919677935258e-06, 1.5849246532033625e-06, 3.0352544083922645e-06,
+    2.951064980536212e-06, 7.073274995247206e-06, 4.750017177977764e-06,
+    3.681163827522503e-06, 2.481149381031104e-06, 6.041365907930326e-06,
+    8.606819121562024e-06, 4.0904341865945654e-06, 8.205754409322752e-06,
+    3.76562752221773e-06, 3.3351620059825264e-06, 3.2444057894708897e-06,
+    6.640695018038676e-06, 3.6499694018435797e-06, 7.984309876074997e-06,
+]
+
+
+def _verify_like_instances():
+    rng = random.Random("exact-pin")
+    out = []
+    for scale in ((1.0, 10.0), (1e-9, 1e-6)):
+        for p, q in ((1, 1), (1, 2), (2, 1)):
+            drawn = 0
+            while drawn < 10:
+                n = rng.randint(6, 10)
+                inst = gen_random(n, rng.randint(n + 4, 16), 0.5, scale, p, q, rng.randrange(2**31))
+                if inst.m <= 16:
+                    out.append(inst)
+                    drawn += 1
+    return out
+
+
+def test_exact_opt_is_pinned_on_verify_like_instances():
+    results = [exact_opt(inst) for inst in _verify_like_instances()]
+    assert [res.best_cost for res in results] == VERIFY_LIKE_COSTS
+    assert sum(res.nodes_explored for res in results) == VERIFY_LIKE_NODES
 
 
 def test_exact_opt_optimum_is_feasible_and_sandwiched():

@@ -26,7 +26,7 @@ from flexconn import graph, relaxation
 from flexconn.exact import separate_bruteforce
 from flexconn import model
 from flexconn.model import FgcInstance
-from flexconn.errors import LpSolveError
+from flexconn.errors import InvalidInstanceError, LpSolveError
 from flexconn.graph import CUT_BLOCK, Multigraph, enumerate_cuts_below
 from flexconn.instance_io import gen_random
 from flexconn.relaxation import DEFAULT_EPS, ConstraintRow
@@ -427,6 +427,20 @@ def test_solve_relaxation_at_huge_q():
     # HiGHS refuses matrix entries of 1e15 and more
     with pytest.raises(LpSolveError):
         solve_relaxation(_safe_heavy_path(10**15))
+
+
+@pytest.mark.parametrize("numeric", ["float", "exact"])
+def test_solve_relaxation_names_the_cut_of_an_infeasible_edge_set(numeric):
+    # all-safe at q = 0, so gen_random's repair edge is unsafe; read at
+    # q = 1, cut {2} holds too few safe and too few total edges, and HiGHS
+    # once reported the bare LpSolveError "LP subsolver failed: Infeasible"
+    base = gen_random(12, 30, 1.0, (1, 10), 2, 0, 1)
+    inst = FgcInstance(base.graph, base.safe, base.cost, 2, 1)
+    witness = model.is_feasible(inst, inst.all_edges).witness
+    assert sorted(witness.vertices) == [2]
+    with pytest.raises(InvalidInstanceError, match=r"cut \[2\] has too few") as err:
+        solve_relaxation(inst, numeric=numeric)
+    assert err.value.code == "infeasible-edges"
 
 
 @pytest.mark.parametrize("n", [13, 14])
