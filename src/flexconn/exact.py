@@ -189,7 +189,12 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
         # exclude e
         search(pos + 1, partial, short)
 
-    search(0, 0.0, none)
+    try:
+        search(0, 0.0, none)
+    finally:
+        # search's cell refers to search: clear it, or the closure and its
+        # plane tables wait for the cyclic collector
+        del search
     return ExactResult(best_selection=frozenset(best_ids), best_cost=best_cost, nodes_explored=nodes)
 
 

@@ -1,8 +1,9 @@
 """Multigraph representation, cut arithmetic, exact global minimum cut,
 and enumeration of all cuts below a capacity threshold.
 
-All types are immutable values; every operation here is a pure function
-and safe to call from multiple threads.
+All types but CutScan are immutable values and every function here is
+pure and safe to call from multiple threads; a CutScan fills its
+per-graph state on first use, so each caller (one solve) keeps its own.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -147,18 +148,20 @@ def cut_edges(g: Multigraph, r: Cut) -> frozenset[int]:
     )
 
 
-def crossing_matrix(g: Multigraph, masks: Sequence[int]) -> np.ndarray:
+def crossing_matrix(g: Multigraph, masks: Sequence[int], ends=None) -> np.ndarray:
     """Boolean masks x edges matrix; entry (i, e) is whether edge e crosses
     the cut with side mask masks[i].
 
     Side masks are unpacked from their bytes, so any vertex count works
     (shifting an int64 mask past bit 62 would give wrong crossings).
+    ``ends``, the 2 x m array of edge endpoints, saves rebuilding it from
+    g.edges.
     """
     width = (g.n + 7) // 8
     raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
     bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
     side = np.unpackbits(bits, axis=1, bitorder="little")
-    u, v = np.array(g.edges, dtype=np.intp).T
+    u, v = np.array(g.edges, dtype=np.intp).T if ends is None else ends
     return side[:, u] != side[:, v]
 
 
@@ -297,60 +300,103 @@ def _cut_blocks(
     delta: float = 1e-6,
     seed: int = 0,
 ) -> Iterator[tuple[list[int], list, np.ndarray]]:
-    """The cuts below ``threshold``, as enumerate_cuts_below defines them, in
-    blocks ``(side masks, capacities, crossing_matrix rows)`` in ascending
-    mask order; each block comes from at most CUT_BLOCK candidate masks.
+    """CutScan(g).blocks(...): one scan of a graph that is not scanned again."""
+    return CutScan(g).blocks(caps, threshold, mode, delta=delta, seed=seed)
 
-    Exhaustive candidates are every canonical mask while they fit in one
-    block (n <= 13 at CUT_BLOCK = 4096), and otherwise the masks that a
-    float table of every cut's capacity puts within a rounding margin of
-    the cutoff; the table's fixed cost per vertex outweighs one block's
-    crossing matrix at small n.  Each candidate is re-summed exactly in
-    the capacities' own type over its crossing row, adding in edge order
-    from 0 as a plain running total would: floats by a float64 cumsum with
-    a 0 (exact for x >= 0) for every edge that does not cross, ints by an
-    int64 cumsum while their total is below 2^53 (so the sums, and their
-    comparison with a float cutoff, are exact), the rest by reduce (sum()
-    compensates floats on Python 3.12+).
+
+class CutScan:
+    """The cut scan of one graph, prepared once and run for any number of
+    capacity vectors.
+
+    It holds the edge endpoint arrays and, from the first exhaustive scan
+    at which all 2^(n-1) - 1 canonical masks fit in one CUT_BLOCK (n <= 13
+    at 4096), those masks and their crossing matrix, which no capacity
+    changes.  CUT_BLOCK is read at each scan; the stored matrix is sliced
+    into blocks of its current size.
     """
-    check_capacities(caps, g.m)
-    if not 0 < threshold < math.inf:  # also rejects NaN
-        raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    floats = _are_floats(caps)
-    cutoff = threshold - CUT_REL_TOL * threshold if floats else threshold
 
-    if mode == "exhaustive":
-        if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
-            raise TooLargeError(
-                f"instance too large for exhaustive mode (n={g.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
-            )
-        if (1 << (g.n - 1)) - 1 <= CUT_BLOCK:
-            masks = canonical_masks(g.n)
-        else:
-            masks = _table_shortlist(g, caps, cutoff)
-    elif mode == "contraction":
-        masks = _contraction_shortlist(g, caps, cutoff, threshold, delta, seed)
-    else:
-        raise ValueError(f"unknown enumeration mode {mode!r}")
+    def __init__(self, g: Multigraph):
+        self.g = g
+        self._every: tuple[range, np.ndarray] | None = None
 
-    if floats:
-        values = np.array(caps, dtype=float)
-    elif all(type(c) is int for c in caps) and sum(caps) < 2**53:
-        values = np.array(caps, dtype=np.int64)
-    else:
-        values = np.array(caps, dtype=object)
-    for start in range(0, len(masks), CUT_BLOCK):
-        block = masks[start : start + CUT_BLOCK]
-        cross = crossing_matrix(g, block)
-        if values.dtype == object:
-            sums = np.fromiter(
-                (reduce(add, values[row].tolist(), 0) for row in cross), object, len(cross)
-            )
+    @cached_property
+    def ends(self) -> np.ndarray:
+        # built at the first crossing matrix: a scan can shortlist no mask
+        return np.array(self.g.edges, dtype=np.intp).T
+
+    def blocks(
+        self,
+        caps: Sequence,
+        threshold,
+        mode: str = "exhaustive",
+        *,
+        delta: float = 1e-6,
+        seed: int = 0,
+    ) -> Iterator[tuple[list[int], list, np.ndarray]]:
+        """The cuts below ``threshold``, as enumerate_cuts_below defines
+        them, in blocks ``(side masks, capacities, crossing_matrix rows)`` in
+        ascending mask order; each block comes from at most CUT_BLOCK
+        candidate masks.
+
+        Exhaustive candidates are every canonical mask while they fit in one
+        block, and otherwise the masks that a float table of every cut's
+        capacity puts within a rounding margin of the cutoff; the table's
+        fixed cost per vertex outweighs one block's crossing matrix at small
+        n.  Each candidate is re-summed exactly in the capacities' own type
+        over its crossing row, adding in edge order from 0 as a plain
+        running total would: floats by a float64 cumsum with a 0 (exact for
+        x >= 0) for every edge that does not cross, ints by an int64 cumsum
+        while their total is below 2^53 (so the sums, and their comparison
+        with a float cutoff, are exact), the rest by reduce (sum()
+        compensates floats on Python 3.12+).
+        """
+        g = self.g
+        check_capacities(caps, g.m)
+        if not 0 < threshold < math.inf:  # also rejects NaN
+            raise ValueError(f"threshold must be positive and finite, got {threshold}")
+        floats = _are_floats(caps)
+        cutoff = threshold - CUT_REL_TOL * threshold if floats else threshold
+
+        every = None
+        if mode == "exhaustive":
+            if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
+                raise TooLargeError(
+                    f"instance too large for exhaustive mode (n={g.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
+                )
+            if self._every is None and (1 << (g.n - 1)) - 1 <= CUT_BLOCK:
+                masks = canonical_masks(g.n)
+                self._every = masks, crossing_matrix(g, masks, self.ends)
+            every = self._every
+            masks = _table_shortlist(g, caps, cutoff) if every is None else every[0]
+        elif mode == "contraction":
+            if not 0 < delta < 1:  # also rejects NaN
+                raise ValueError(f"delta must be between 0 and 1, got {delta}")
+            masks = _contraction_shortlist(g, caps, cutoff, threshold, delta, seed)
         else:
-            sums = np.cumsum(np.where(cross, values, 0), axis=1)[:, -1]
-        keep = np.flatnonzero(sums < cutoff)
-        if len(keep):
-            yield [block[i] for i in keep], sums[keep].tolist(), cross[keep]
+            raise ValueError(f"unknown enumeration mode {mode!r}")
+
+        if floats:
+            values = np.array(caps, dtype=float)
+        elif all(type(c) is int for c in caps) and sum(caps) < 2**53:
+            values = np.array(caps, dtype=np.int64)
+        else:
+            values = np.array(caps, dtype=object)
+        size = CUT_BLOCK
+        for start in range(0, len(masks), size):
+            block = masks[start : start + size]
+            if every is None:
+                cross = crossing_matrix(g, block, self.ends)
+            else:
+                cross = every[1][start : start + size]
+            if values.dtype == object:
+                sums = np.fromiter(
+                    (reduce(add, values[row].tolist(), 0) for row in cross), object, len(cross)
+                )
+            else:
+                sums = np.cumsum(np.where(cross, values, 0), axis=1)[:, -1]
+            keep = np.flatnonzero(sums < cutoff)
+            if len(keep):
+                yield [block[i] for i in keep.tolist()], sums[keep].tolist(), cross[keep]
 
 
 def _table_shortlist(g, caps, cutoff) -> list[int]:

@@ -218,8 +218,12 @@ def gen_random(
     Samples uniform random multigraphs until one is connected, labels each
     edge safe with probability safe_fraction, and draws costs uniformly
     from cost_range.  If the full edge set is infeasible for (p, q), the
-    graph is repaired by adding parallel unsafe edges across violated cuts
-    until it passes, so high q never stalls the generator.
+    graph is repaired by adding parallel unsafe edges across violated cuts,
+    one per step, until it passes.  Only unsafe edges are added, so a cut
+    short of p safe edges needs p+q edges in all, and at large q the
+    repair gives up after MAX_AUGMENTATIONS = 1000 edges with
+    GenerationError: gen_random(12, 30, 0.7, (1, 10), 2, 10**5, 1) raises
+    it.
     """
     lo, hi = cost_range
     if n < 2:

@@ -30,10 +30,10 @@ import numpy as np
 import scipy
 
 from .errors import IterationLimitError, LpSolveError
-from .graph import Cut, _cut_blocks, cut_edges
+from .graph import Cut, CutScan, cut_edges
 
 # Kept only for perfbench/tracing.py, which wraps these bindings by name;
-# their spans read 0 now that separation scores every cut through _cut_blocks.
+# their spans read 0 now that separation scores every cut through graph.CutScan.
 from .graph import enumerate_cuts_below, min_cut  # noqa: F401
 from .model import FgcInstance, capacities, infeasible_edges_error, is_feasible
 
@@ -216,7 +216,7 @@ def separate(
     violation matches a brute-force scan.  Only the best row so far and one
     block's rows are held at a time.
     """
-    blocks = _violated_blocks(inst, _check_box(x), eps, j_family)
+    blocks = _Separator(inst, j_family).violated_blocks(_check_box(x), eps)
     hits = (hit for block in blocks for hit in block)
     best = min(hits, key=lambda hit: (-hit[1], hit[0]), default=None)
     return None if best is None else best[2]
@@ -227,92 +227,151 @@ def _separate_per_cut(
     x: Sequence,
     eps: float = DEFAULT_EPS,
     j_family: str = "full",
+    separator: "_Separator | None" = None,
 ) -> list[ConstraintRow]:
     """The most violated row of every cut that carries a violation beyond
     eps, in cut order (capacity, then side mask); each is its cut's first
-    row of largest violation in (a, b) order.  x must lie in the box."""
-    hits = [hit for block in _violated_blocks(inst, x, eps, j_family) for hit in block]
+    row of largest violation in (a, b) order.  x must lie in the box.
+    ``separator``, a _Separator(inst, j_family), is reused across calls
+    instead of building one."""
+    if separator is None:
+        separator = _Separator(inst, j_family)
+    hits = [hit for block in separator.violated_blocks(x, eps) for hit in block]
     hits.sort(key=lambda hit: hit[0])
     return [row for _, _, row in hits]
 
 
-def _violated_blocks(
-    inst: FgcInstance, x: Sequence, eps, j_family: str
-) -> Iterator[list[tuple[tuple, float, ConstraintRow]]]:
-    """Per block of cuts, ``((capacity, side mask), violation, row)`` for
-    each cut whose most violated row beats eps; the row is the cut's first
-    row of largest violation in (a, b) order.
+class _Separator:
+    """Separation at one instance and J family, split into what no x
+    changes, built here once per solve or call, and the round run at each
+    x by violated_blocks.
 
-    Every cut of u_x capacity below 2p(p+q) is scanned, since no other
-    cut can carry a violation (float x meets that threshold with
-    graph's float slop, Fraction x exactly).  The J_{a,b} candidates of
-    each block of graph._cut_blocks are scored in closed form in one numpy
-    pass over the block's crossing rows, and only the candidates within a
-    float error slack of their cut's best score are built as rows and
-    re-checked with violation().  j_family="basic" scores only J empty.
+    Built once: the graph's prepared cut scan (graph.CutScan), the J_{a,b}
+    grid (rhs, -inf where it is 0, and the coefficients of the safe and
+    the unsafe tail sums) and the safe and unsafe edge columns.
     """
-    if not 0 <= eps < math.inf:  # also rejects NaN
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    ux = capacities(inst, x)
-    p, q = inst.p, inst.q
-    need = p * (p + q)
-    if j_family not in ("full", "basic"):
-        raise ValueError(f"unknown j_family {j_family!r}")
 
-    # J_{a,b} violates by rhs - [(p-a+(q-b)+).(XS-PS[a]) + (p-a).(XU-PU[b])],
-    # rhs = (p-a).(p+q-a-b)+, where PS and PU are prefix sums of x over the
-    # cut's safe and unsafe edges in candidate_j_sets' order and XS, XU
-    # their totals.  No cut has more than m edges, so a and b stop at m.
-    # They are floats: in int64 the products wrap once p.q passes 2^63.
-    #
-    # With x in [0, 1], coefficients <= p+q and at most m terms per sum, a
-    # score (numpy sums in any order, up to four roundings in rhs, none
-    # while p(p+q) < 2^53, plus one rounding per term when a Fraction x
-    # goes to float) is within 9u.(p+q).(m+p)^2 of the exact violation,
-    # u = 2^-53, and violation()'s sequential float sum is within
-    # 3u.(p+q).(m+p)^2.  So they differ by under 12u.(p+q).(m+p)^2; the
-    # slack, about 90u.(p+q).(m+p)^2, is over seven times that.  Let V be a
-    # cut's largest violation() and M its largest score: every candidate
-    # reaching V scores above V - slack > M - 2.slack, so it is built.
-    slack = 1e-14 * (p + q) * (inst.m + p) ** 2
-    order = sorted(range(inst.m), key=lambda e: (-x[e], e))
-    safe_order = np.array([e for e in order if inst.safe[e]], dtype=np.intp)
-    unsafe_order = np.array([e for e in order if not inst.safe[e]], dtype=np.intp)
-    xf = np.array([float(v) for v in x])
-    full = j_family == "full"
-    a = np.arange(min(p, inst.m + 1) if full else 1, dtype=float)[:, None]
-    b = np.arange(min(p + q, inst.m + 1) if full else 1, dtype=float)
-    rhs = (p - a) * np.maximum(p + q - a - b, 0)
-    safe_coef = p - a + np.maximum(q - b, 0)
-    for masks, cut_caps, cross in _cut_blocks(inst.graph, ux, 2 * need):
-        cross_s, cross_u = cross[:, safe_order], cross[:, unsafe_order]
-        tail_s, count_s = _tail_sums(cross_s, xf[safe_order], len(a))
-        tail_u, count_u = _tail_sums(cross_u, xf[unsafe_order], len(b))
-        score = rhs - (safe_coef * tail_s[:, :, None] + (p - a) * tail_u[:, None, :])
-        valid = (rhs > 0) & (a <= count_s[:, None, None]) & (b <= count_u[:, None, None])
-        score = np.where(valid, score, -np.inf)
-        top = score.max(axis=(1, 2), keepdims=True)
-        keep = (score > eps - slack) & (score >= top - 2 * slack)
-        best = {}  # block index -> (violation, row), in ascending index order
-        for i, ai, bi in zip(*np.nonzero(keep)):
-            j = safe_order[cross_s[i]][:ai].tolist() + unsafe_order[cross_u[i]][:bi].tolist()
-            r = Cut(inst.n, masks[i], capacity=cut_caps[i])
-            row = _row(inst, r, frozenset(np.flatnonzero(cross[i]).tolist()), frozenset(j))
-            v = violation(row, x)
-            if v > best.get(i, (eps,))[0]:
-                best[i] = (v, row)
-        yield [((cut_caps[i], masks[i]), v, row) for i, (v, row) in best.items()]
+    def __init__(self, inst: FgcInstance, j_family: str = "full"):
+        if j_family not in ("full", "basic"):
+            raise ValueError(f"unknown j_family {j_family!r}")
+        p, q = inst.p, inst.q
+        self.inst = inst
+        self.scan = CutScan(inst.graph)
+        # No cut has more than m edges, so a and b stop at m.  They are
+        # floats: in int64 the products wrap once p.q passes 2^63.
+        full = j_family == "full"
+        a = np.arange(min(p, inst.m + 1) if full else 1, dtype=float)[:, None]
+        b = np.arange(min(p + q, inst.m + 1) if full else 1, dtype=float)
+        rhs = (p - a) * np.maximum(p + q - a - b, 0)
+        # -inf where rhs = 0: those rows are trivial and never scored
+        self.rhs = np.where(rhs > 0, rhs, -np.inf)
+        self.safe_coef = p - a + np.maximum(q - b, 0)
+        self.unsafe_coef = p - a
+        self.is_safe = np.array(inst.safe, dtype=bool)
+        self.safe = _Family(np.flatnonzero(self.is_safe), len(a))
+        self.unsafe = _Family(np.flatnonzero(~self.is_safe), len(b))
+
+    def violated_blocks(
+        self, x: Sequence, eps
+    ) -> Iterator[list[tuple[tuple, float, ConstraintRow]]]:
+        """Per block of cuts, ``((capacity, side mask), violation, row)`` for
+        each cut whose most violated row beats eps; the row is the cut's
+        first row of largest violation in (a, b) order.
+
+        Every cut of u_x capacity below 2p(p+q) is scanned, since no other
+        cut can carry a violation (float x meets that threshold with
+        graph's float slop, Fraction x exactly).  The J_{a,b} candidates of
+        each block of the cut scan are scored in closed form in one numpy
+        pass over the block's crossing rows, and only the candidates within
+        a float error slack of their cut's best score are built as rows and
+        re-checked with violation().  j_family="basic" scores only J empty.
+        """
+        if not 0 <= eps < math.inf:  # also rejects NaN
+            raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+        inst = self.inst
+        p, q = inst.p, inst.q
+        ux = capacities(inst, x)
+
+        # J_{a,b} violates by rhs - [(p-a+(q-b)+).TS[a] + (p-a).TU[b]],
+        # rhs = (p-a).(p+q-a-b)+, where TS[a] is x summed over the cut's
+        # safe edges after the a largest (ties broken by edge id, as in
+        # candidate_j_sets), so the same sum for every tie-break, and TU[b]
+        # the same over its unsafe edges.
+        #
+        # With x in [0, 1], coefficients <= p+q and at most m terms per sum, a
+        # score (numpy sums of the sorted x values in any order, up to four
+        # roundings in rhs, none while p(p+q) < 2^53, plus one rounding per
+        # term when a Fraction x goes to float) is within 9u.(p+q).(m+p)^2
+        # of the exact violation, u = 2^-53, and violation()'s sequential
+        # float sum is within 3u.(p+q).(m+p)^2.  So they differ by under
+        # 12u.(p+q).(m+p)^2; the slack, about 90u.(p+q).(m+p)^2, is over
+        # seven times that.  Let V be a cut's largest violation() and M its
+        # largest score: every candidate reaching V scores above
+        # V - slack > M - 2.slack, so it is built.
+        slack = 1e-14 * (p + q) * (inst.m + p) ** 2
+        xf = np.array(x, dtype=float)
+        x_safe, x_unsafe = xf[self.safe.cols], xf[self.unsafe.cols]
+        by_x = None  # the safe and unsafe edges in candidate_j_sets' order
+        for masks, cut_caps, cross in self.scan.blocks(ux, 2 * p * (p + q)):
+            tail_s = self.safe.tail_sums(cross, x_safe)
+            tail_u = self.unsafe.tail_sums(cross, x_unsafe)
+            # an infinite tail (a J with too few edges) or rhs gives -inf
+            score = self.rhs - (
+                self.safe_coef * tail_s[:, :, None] + self.unsafe_coef * tail_u[:, None, :]
+            )
+            top = score.max(axis=(1, 2), keepdims=True)
+            keep = (score > eps - slack) & (score >= top - 2 * slack)
+            best = {}  # block index -> (violation, row), in ascending index order
+            for i, ai, bi in zip(*(axis.tolist() for axis in np.nonzero(keep))):
+                if by_x is None:
+                    order = _by_x(x, xf)
+                    by_x = order[self.is_safe[order]], order[~self.is_safe[order]]
+                safe_order, unsafe_order = by_x
+                j = (
+                    safe_order[cross[i, safe_order]][:ai].tolist()
+                    + unsafe_order[cross[i, unsafe_order]][:bi].tolist()
+                )
+                r = Cut(inst.n, masks[i], capacity=cut_caps[i])
+                row = _row(inst, r, frozenset(cross[i].nonzero()[0].tolist()), frozenset(j))
+                v = violation(row, x)
+                if v > best.get(i, (eps,))[0]:
+                    best[i] = (v, row)
+            yield [((cut_caps[i], masks[i]), v, row) for i, (v, row) in best.items()]
 
 
-def _tail_sums(cross: np.ndarray, xs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per cut, x summed over its crossing edges after the first a, for a < k,
-    and its number of crossing edges; the columns of ``cross`` are in order."""
-    rank = np.cumsum(cross, axis=1)
-    head = np.zeros((len(cross), k))
-    rows, cols = np.nonzero(cross & (rank < k))
-    head[rows, rank[rows, cols]] = xs[cols]
-    total = np.where(cross, xs, 0.0).sum(axis=1)
-    return total[:, None] - np.cumsum(head, axis=1), cross.sum(axis=1)
+def _by_x(x: Sequence, xf: np.ndarray) -> np.ndarray:
+    """Edge ids by nonincreasing x value, ties by ascending id, as
+    candidate_j_sets orders them; ``xf`` is x in float64, which a stable
+    argsort orders exactly unless it rounded some value."""
+    if xf.tolist() == list(x):
+        return np.argsort(-xf, kind="stable")
+    return np.array(sorted(range(len(x)), key=lambda e: (-x[e], e)), dtype=np.intp)
+
+
+class _Family:
+    """One edge family (safe or unsafe) of the J_{a,b} grid, for a < k."""
+
+    def __init__(self, cols: np.ndarray, k: int):
+        self.cols = cols
+        self.k = k
+        self.ranks = np.arange(k)
+
+    def tail_sums(self, cross: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Per cut (row of ``cross``), x summed over the family's crossing
+        edges after the a largest, for a < k; inf where the cut has fewer
+        than a of them.  ``xs`` is x over the family's columns.
+
+        The head sums, over the a largest, add up the top of each cut's x
+        values sorted along the row, 0 where an edge does not cross.
+        """
+        cross = cross[:, self.cols]
+        values = np.where(cross, xs, 0.0)
+        values.sort(axis=1)
+        top = values[:, : -self.k : -1]  # the k - 1 largest, in descending order
+        heads = np.zeros((len(cross), self.k))
+        np.cumsum(top, axis=1, out=heads[:, 1 : 1 + top.shape[1]])
+        tails = values.sum(axis=1)[:, None] - heads
+        return np.where(self.ranks > cross.sum(axis=1)[:, None], np.inf, tails)
 
 
 class _HighsLp:
@@ -351,10 +410,12 @@ class _HighsLp:
         starts, index, value = [], [], []
         for row in new:
             # by edge id: a frozenset's iteration order depends on how it was built
-            k = sorted(row.k_safe | row.k_unsafe)
+            k_safe = row.k_safe
+            k = sorted(k_safe | row.k_unsafe)
             starts.append(len(index))
             index.extend(k)
-            value.extend(row.coefficient(e) for e in k)
+            safe, unsafe = row.alpha1 + row.alpha2, row.alpha1
+            value.extend([safe if e in k_safe else unsafe for e in k])
         status = self.highs.addRows(
             len(new),
             np.array([row.rhs for row in new], dtype=float),
@@ -385,7 +446,7 @@ class _HighsLp:
             raise LpSolveError(f"LP subsolver failed: {message}", self.rows)
         # + 0.0 also turns -0.0 into 0.0
         x = np.clip(self.highs.getSolution().col_value, 0.0, 1.0) + 0.0
-        return tuple(float(v) for v in x), float(self.cost @ x)
+        return tuple(x.tolist()), float(self.cost @ x)
 
 
 def lp_solve(
@@ -545,7 +606,8 @@ def solve_relaxation(
     alternates LP solves with separation, adding the most violated row of
     every violated cut, until separation certifies no violation beyond
     eps.  The float route keeps one HiGHS model for the whole loop and adds
-    only the new rows to it, so each solve warm-starts from the last basis.
+    only the new rows to it, so each solve warm-starts from the last basis;
+    separation's x-independent state is built once for the loop.
     The value is a lower bound on the optimal integral cost.  When the
     subsolver fails on an instance whose full edge set is infeasible, the
     error is InvalidInstanceError("infeasible-edges") naming the cut.
@@ -555,6 +617,7 @@ def solve_relaxation(
     if numeric not in ("float", "exact"):
         raise ValueError(f"unknown numeric mode {numeric!r}")
     lp = _HighsLp(inst.cost, inst.m) if numeric == "float" else None
+    separator = _Separator(inst, j_family)
     cap = ITERATIONS_PER_EDGE_VERTEX * inst.m * inst.n
 
     rows: list[ConstraintRow] = []
@@ -587,7 +650,7 @@ def solve_relaxation(
             raise
         if on_iterate is not None:
             on_iterate(iterations, x, value)
-        violated = _separate_per_cut(inst, x, eps, j_family)
+        violated = _separate_per_cut(inst, x, eps, j_family, separator)
         if not violated:
             return RelaxationResult(
                 x=x, value=value, active_rows=tuple(rows), iterations=iterations

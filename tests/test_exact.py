@@ -1,5 +1,6 @@
 """Brute-force optimum, brute-force separation, and cut counting."""
 
+import gc
 import itertools
 import random
 
@@ -283,6 +284,20 @@ def test_exact_opt_incumbent_is_the_quadratic_reverse_delete(monkeypatch):
         checked.clear()
         exact_opt(inst)
         assert checked[0] == _reverse_delete_quadratic(inst), seed
+
+
+def test_exact_opt_leaves_no_reference_cycle():
+    # the recursive search closure once held its own cell, so its plane
+    # tables outlived the call until the cyclic collector ran
+    inst = gen_random(5, 9, 0.5, (1, 10), 1, 1, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        res = exact_opt(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert res.nodes_explored == 51
 
 
 # exact_opt over 60 instances drawn the way perfbench's verify workload

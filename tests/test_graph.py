@@ -15,6 +15,7 @@ from flexconn import (
     TooLargeError,
     cut_edges,
     enumerate_cuts_below,
+    gen_random,
     min_cut,
 )
 from flexconn import graph
@@ -281,9 +282,53 @@ def test_contraction_agrees_with_exhaustive():
         assert [c.side_mask for c in exhaustive] == [c.side_mask for c in contraction]
 
 
+@pytest.mark.parametrize("delta", [0, 6, 100, -0.5, 1, math.nan])
+def test_contraction_rejects_a_delta_outside_0_1(delta):
+    # delta 6 or 100 gave ln(n / delta) <= 0 runs and silently no cuts,
+    # 0 a ZeroDivisionError and NaN a failed int conversion
+    g = gen_random(6, 12, 0.5, (1, 10), 1, 0, 3).graph
+    caps = [1] * g.m
+    _, lam = min_cut(g, caps)
+    assert len(enumerate_cuts_below(g, caps, 1.3 * lam)) == 1
+    with pytest.raises(ValueError, match="delta"):
+        enumerate_cuts_below(g, caps, 1.3 * lam, "contraction", delta=delta)
+
+
 def test_contraction_shortcut_below_min_cut():
     g = cycle_graph(6)
     assert enumerate_cuts_below(g, [1] * 6, 2, mode="contraction") == []
+
+
+def _flat_blocks(blocks):
+    return [
+        (mask, value, row)
+        for masks, values, cross in blocks
+        for mask, value, row in zip(masks, values, cross.tolist())
+    ]
+
+
+@pytest.mark.parametrize("n", [6, 13, 14])
+def test_a_prepared_scan_reused_matches_fresh_scans(monkeypatch, n):
+    # one CutScan run at many capacity vectors and block sizes, as
+    # separation runs it once per round, yields the cuts, capacities and
+    # crossing rows of a scan built for each run; at block 2 the matrix
+    # stored at the full block size is sliced, while a fresh scan
+    # shortlists with the capacity table
+    rng = random.Random(200 + n)
+    g = random_connected(rng, n, 2 * n)
+    scan = graph.CutScan(g)
+    for block in (graph.CUT_BLOCK, 2, graph.CUT_BLOCK):
+        monkeypatch.setattr(graph, "CUT_BLOCK", block)
+        for trial in range(3):
+            caps = [rng.uniform(0.1, 5.0) for _ in range(g.m)]
+            threshold = 2 * min_cut(g, caps)[1]
+            reused = _flat_blocks(scan.blocks(caps, threshold))
+            assert reused == _flat_blocks(graph._cut_blocks(g, caps, threshold)), (block, trial)
+            cuts = enumerate_cuts_below(g, caps, threshold)
+            assert sorted((mask, value) for mask, value, _ in reused) == sorted(
+                (c.side_mask, c.capacity) for c in cuts
+            )
+            assert all(len(row) == g.m for _, _, row in reused)
 
 
 def test_canonical_masks_cover_all_bipartitions():

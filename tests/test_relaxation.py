@@ -275,6 +275,18 @@ def test_separate_keeps_the_row_of_building_every_candidate(built_rows):
         _assert_same_row_as_building_every_row(inst, x, eps, built_rows)
 
 
+def test_separate_orders_fractions_that_share_a_float(built_rows):
+    # unsafe edges 0 and 2 sit at 1 - 10^-20 and 1, which round to the same
+    # float: only the exact values put edge 2 first, and J = {2} is the
+    # most violated row (a float argsort would take edge 0 by id)
+    g = Multigraph(2, ((0, 1),) * 6)
+    inst = FgcInstance(g, (False, True, False, True, False, True), (1.0,) * 6, 3, 1)
+    third = Fraction(1, 3)
+    x = (1 - Fraction(1, 10**20), Fraction(0), Fraction(1), Fraction(0), third, third)
+    _assert_same_row_as_building_every_row(inst, x, 0, built_rows)
+    assert separate(inst, x, 0).j_edges == {2}
+
+
 def test_separate_keeps_the_row_on_hundreds_of_parallel_edges(built_rows):
     # p+q-1 unsafe edges at x = 1 and hundreds of edges at x in {0, .001,
     # .002, .003}: the rows J_{a,b} with b >= q tie exactly, and their float
@@ -463,6 +475,69 @@ def test_per_cut_separation_on_both_sides_of_the_table_size(monkeypatch, n):
         assert len(tables) == (1 if n == 14 else 0)
         assert [row.key() for row in rows] == [row.key() for row in want if row]
         assert any(row.j_edges for row in rows)
+
+
+@pytest.mark.parametrize("j_family", ["full", "basic"])
+@pytest.mark.parametrize("n", [8, 13, 14])
+def test_one_separator_per_solve_matches_a_fresh_one_per_iterate(j_family, n):
+    # n <= 13 reuses the scan's stored crossing matrix; n = 14 shortlists
+    # with the capacity table each round
+    inst = random_instance(930 + n, n=n, m=3 * n, p=2, q=2)
+    iterates = []
+    solve_relaxation(inst, j_family=j_family, on_iterate=lambda i, x, v: iterates.append(x))
+    assert len(iterates) >= 2
+    separator = relaxation._Separator(inst, j_family)
+    for x in iterates:
+        reused = relaxation._separate_per_cut(inst, x, DEFAULT_EPS, j_family, separator)
+        fresh = relaxation._separate_per_cut(inst, x, DEFAULT_EPS, j_family)
+        assert [row.key() for row in reused] == [row.key() for row in fresh]
+        assert [violation(row, x) for row in reused] == [violation(row, x) for row in fresh]
+
+
+def test_a_reused_separator_slices_its_stored_matrix_by_the_current_block(monkeypatch):
+    inst = random_instance(941, n=10, m=24, p=2, q=1)
+    rng = random.Random(941)
+    x = tuple(rng.random() * 0.3 for _ in range(inst.m))
+    want = [row.key() for row in relaxation._separate_per_cut(inst, x, DEFAULT_EPS)]
+    assert want
+    separator = relaxation._Separator(inst)
+    for block in (CUT_BLOCK, 2, 7, 511):  # the first run stores the matrix
+        monkeypatch.setattr(graph, "CUT_BLOCK", block)
+        rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS, "full", separator)
+        assert [row.key() for row in rows] == want, block
+
+
+@pytest.mark.parametrize("safe", [True, False])
+def test_separation_with_one_edge_family_empty(built_rows, safe):
+    # all safe or all unsafe: one family's tail sums have no columns
+    rng = random.Random(953 if safe else 954)
+    for trial in range(24):
+        n, p, q = rng.randint(3, 7), rng.randint(1, 3), rng.randint(0, 3)
+        base = random_instance(960 + trial, n=n, m=14, p=p, q=q)
+        inst = FgcInstance(base.graph, (safe,) * base.m, base.cost, base.p, base.q)
+        if trial % 2:
+            x = tuple(Fraction(rng.randint(0, 8), 8) for _ in range(inst.m))
+            eps = 0
+        else:
+            x = tuple(rng.random() for _ in range(inst.m))
+            eps = DEFAULT_EPS
+        _assert_same_row_as_building_every_row(inst, x, eps, built_rows)
+        need = inst.p * (inst.p + inst.q)
+        cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need)
+        want = [_separate_by_building_every_row(inst, x, eps, [r]) for r in cuts]
+        rows = relaxation._separate_per_cut(inst, x, eps)
+        assert [row.key() for row in rows] == [row.key() for row in want if row], trial
+
+
+def test_crossing_matrix_runs_once_per_solve(monkeypatch):
+    # every canonical mask fits in one block at n = 8, so the scan keeps
+    # their crossing matrix for the whole loop instead of one per round
+    calls = []
+    build = graph.crossing_matrix
+    monkeypatch.setattr(graph, "crossing_matrix", lambda *a, **k: calls.append(1) or build(*a, **k))
+    relax = solve_relaxation(gen_random(8, 56, 0.5, (1, 10), 4, 3, 7))
+    assert relax.iterations == 8
+    assert len(calls) == 1
 
 
 def test_lp_solve_no_rows_gives_zero():
