@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -148,20 +148,18 @@ def cut_edges(g: Multigraph, r: Cut) -> frozenset[int]:
     )
 
 
-def crossing_matrix(g: Multigraph, masks: Sequence[int], ends=None) -> np.ndarray:
+def crossing_matrix(g: Multigraph, masks: Sequence[int]) -> np.ndarray:
     """Boolean masks x edges matrix; entry (i, e) is whether edge e crosses
     the cut with side mask masks[i].
 
     Side masks are unpacked from their bytes, so any vertex count works
     (shifting an int64 mask past bit 62 would give wrong crossings).
-    ``ends``, the 2 x m array of edge endpoints, saves rebuilding it from
-    g.edges.
     """
     width = (g.n + 7) // 8
     raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
     bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
     side = np.unpackbits(bits, axis=1, bitorder="little")
-    u, v = np.array(g.edges, dtype=np.intp).T if ends is None else ends
+    u, v = np.array(g.edges, dtype=np.intp).T
     return side[:, u] != side[:, v]
 
 
@@ -274,7 +272,7 @@ def enumerate_cuts_below(
     max(2, ceil(2a)) supervertices and every bipartition of the quotient
     is a candidate. With probability at least 1 - delta the result contains
     every qualifying cut; it never contains a non-qualifying one. Both
-    modes re-sum their candidates exactly (see _cut_blocks).
+    modes re-sum their candidates exactly (see CutScan.blocks).
 
     Float capacities within CUT_REL_TOL (relative) of the threshold count
     as at the threshold and are excluded.  int, Fraction and mixed
@@ -284,45 +282,27 @@ def enumerate_cuts_below(
     """
     cuts = [
         Cut(g.n, mask, capacity=cap)
-        for masks, values, _ in _cut_blocks(g, caps, threshold, mode, delta=delta, seed=seed)
+        for masks, values, _ in CutScan(g).blocks(caps, threshold, mode, delta=delta, seed=seed)
         for mask, cap in zip(masks, values)
     ]
     cuts.sort(key=lambda c: (c.capacity, c.side_mask))
     return cuts
 
 
-def _cut_blocks(
-    g: Multigraph,
-    caps: Sequence,
-    threshold,
-    mode: str = "exhaustive",
-    *,
-    delta: float = 1e-6,
-    seed: int = 0,
-) -> Iterator[tuple[list[int], list, np.ndarray]]:
-    """CutScan(g).blocks(...): one scan of a graph that is not scanned again."""
-    return CutScan(g).blocks(caps, threshold, mode, delta=delta, seed=seed)
-
-
 class CutScan:
     """The cut scan of one graph, prepared once and run for any number of
     capacity vectors.
 
-    It holds the edge endpoint arrays and, from the first exhaustive scan
-    at which all 2^(n-1) - 1 canonical masks fit in one CUT_BLOCK (n <= 13
-    at 4096), those masks and their crossing matrix, which no capacity
-    changes.  CUT_BLOCK is read at each scan; the stored matrix is sliced
-    into blocks of its current size.
+    From the first exhaustive scan at which all 2^(n-1) - 1 canonical
+    masks fit in one CUT_BLOCK (n <= 13 at 4096), it holds those masks and
+    their crossing matrix, which no capacity changes.  CUT_BLOCK is read
+    at each scan; the stored matrix is sliced into blocks of its current
+    size.
     """
 
     def __init__(self, g: Multigraph):
         self.g = g
         self._every: tuple[range, np.ndarray] | None = None
-
-    @cached_property
-    def ends(self) -> np.ndarray:
-        # built at the first crossing matrix: a scan can shortlist no mask
-        return np.array(self.g.edges, dtype=np.intp).T
 
     def blocks(
         self,
@@ -365,7 +345,7 @@ class CutScan:
                 )
             if self._every is None and (1 << (g.n - 1)) - 1 <= CUT_BLOCK:
                 masks = canonical_masks(g.n)
-                self._every = masks, crossing_matrix(g, masks, self.ends)
+                self._every = masks, crossing_matrix(g, masks)
             every = self._every
             masks = _table_shortlist(g, caps, cutoff) if every is None else every[0]
         elif mode == "contraction":
@@ -385,7 +365,7 @@ class CutScan:
         for start in range(0, len(masks), size):
             block = masks[start : start + size]
             if every is None:
-                cross = crossing_matrix(g, block, self.ends)
+                cross = crossing_matrix(g, block)
             else:
                 cross = every[1][start : start + size]
             if values.dtype == object:

@@ -113,6 +113,13 @@ class ConstraintRow:
             return self.alpha1
         return 0
 
+    def entries(self) -> tuple[list[int], list[int]]:
+        """The edges of K by ascending id (a frozenset's iteration order
+        depends on how it was built) and their coefficients."""
+        k = sorted(self.k_safe | self.k_unsafe)
+        safe, unsafe = self.alpha1 + self.alpha2, self.alpha1
+        return k, [safe if e in self.k_safe else unsafe for e in k]
+
     def lhs(self, x: Sequence):
         total = 0
         for e in self.k_safe:
@@ -324,7 +331,9 @@ class _Separator:
             best = {}  # block index -> (violation, row), in ascending index order
             for i, ai, bi in zip(*(axis.tolist() for axis in np.nonzero(keep))):
                 if by_x is None:
-                    order = _by_x(x, xf)
+                    # candidate_j_sets' (-x[e], e) order: a reverse sort
+                    # is stable too, so ties keep ascending ids
+                    order = np.array(sorted(range(inst.m), key=x.__getitem__, reverse=True))
                     by_x = order[self.is_safe[order]], order[~self.is_safe[order]]
                 safe_order, unsafe_order = by_x
                 j = (
@@ -337,15 +346,6 @@ class _Separator:
                 if v > best.get(i, (eps,))[0]:
                     best[i] = (v, row)
             yield [((cut_caps[i], masks[i]), v, row) for i, (v, row) in best.items()]
-
-
-def _by_x(x: Sequence, xf: np.ndarray) -> np.ndarray:
-    """Edge ids by nonincreasing x value, ties by ascending id, as
-    candidate_j_sets orders them; ``xf`` is x in float64, which a stable
-    argsort orders exactly unless it rounded some value."""
-    if xf.tolist() == list(x):
-        return np.argsort(-xf, kind="stable")
-    return np.array(sorted(range(len(x)), key=lambda e: (-x[e], e)), dtype=np.intp)
 
 
 class _Family:
@@ -409,13 +409,10 @@ class _HighsLp:
             return
         starts, index, value = [], [], []
         for row in new:
-            # by edge id: a frozenset's iteration order depends on how it was built
-            k_safe = row.k_safe
-            k = sorted(k_safe | row.k_unsafe)
+            k, coefficients = row.entries()
             starts.append(len(index))
             index.extend(k)
-            safe, unsafe = row.alpha1 + row.alpha2, row.alpha1
-            value.extend([safe if e in k_safe else unsafe for e in k])
+            value.extend(coefficients)
         status = self.highs.addRows(
             len(new),
             np.array([row.rhs for row in new], dtype=float),

@@ -323,7 +323,7 @@ def test_a_prepared_scan_reused_matches_fresh_scans(monkeypatch, n):
             caps = [rng.uniform(0.1, 5.0) for _ in range(g.m)]
             threshold = 2 * min_cut(g, caps)[1]
             reused = _flat_blocks(scan.blocks(caps, threshold))
-            assert reused == _flat_blocks(graph._cut_blocks(g, caps, threshold)), (block, trial)
+            assert reused == _flat_blocks(graph.CutScan(g).blocks(caps, threshold)), (block, trial)
             cuts = enumerate_cuts_below(g, caps, threshold)
             assert sorted((mask, value) for mask, value, _ in reused) == sorted(
                 (c.side_mask, c.capacity) for c in cuts
