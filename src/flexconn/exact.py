@@ -55,7 +55,9 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
     unchanged.  The selection is feasible once plane Tt is met, and the
     worst cut still misses k edges when plane Tt-k+1 is not.  A branch dies
     when some cut cannot be repaired even by every undecided edge (the
-    chosen planes against unshifted planes of the undecided edges), or
+    chosen planes against unshifted planes of the undecided edges; tested
+    only below an exclusion, as including an edge leaves the chosen and
+    undecided edges together unchanged), or
     when the worst cut still misses k edges and even the k cheapest
     undecided edges would lift the committed cost above the incumbent
     (only by more than float error, so cost ties still reach the
@@ -166,7 +168,9 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
         undecided.append(grown[::-1])
     undecided.reverse()
 
-    def search(pos: int, partial: float, short: tuple):
+    def search(pos: int, partial: float, short: tuple, repairable: bool):
+        # repairable: known to pass the repair test (the root, or a child
+        # that included its parent's edge)
         nonlocal nodes
         nodes += 1
         # edges still missing on the worst cut
@@ -179,18 +183,19 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
             return
         if missing > m - pos or partial + cheapest[pos][missing] > cutoff:
             return
-        if short_after(short, undecided[pos]):
+        if not repairable and short_after(short, undecided[pos]):
             return
         e = order[pos]
         # include e
         chosen.append(e)
-        search(pos + 1, partial + cost[pos], add(short, e))
+        search(pos + 1, partial + cost[pos], add(short, e), True)
         chosen.pop()
         # exclude e
-        search(pos + 1, partial, short)
+        search(pos + 1, partial, short, False)
 
     try:
-        search(0, 0.0, none)
+        # the full edge set is feasible, so the root passes the repair test
+        search(0, 0.0, none, True)
     finally:
         # search's cell refers to search: clear it, or the closure and its
         # plane tables wait for the cyclic collector

@@ -205,6 +205,10 @@ def min_cut(g: Multigraph, caps: Sequence) -> tuple[Cut, float]:
     Deterministic: phase start vertices and ties are resolved by smallest
     index. Works for any ordered numeric capacity type (int, float,
     Fraction); the returned value has the promoted type of the inputs.
+
+    Each pick is one pass over the waiting vertices (ascending), which
+    adds the picked vertex's weights to their scores and keeps the first
+    strict maximum as the next pick.
     """
     check_capacities(caps, g.m)
     n = g.n
@@ -220,29 +224,35 @@ def min_cut(g: Multigraph, caps: Sequence) -> tuple[Cut, float]:
 
     while len(active) > 1:
         start = active[0]
-        rest = [v for v in active if v != start]
-        score = {v: weight[start][v] for v in rest}
-        prev = start
-        last = start
-        while rest:
-            # most tightly connected next vertex, smallest index on ties
-            nxt = rest[0]
-            for v in rest[1:]:
-                if score[v] > score[nxt]:
-                    nxt = v
+        score = weight[start][:]
+        rest = active[1:]
+        # most tightly connected next vertex, smallest index on ties
+        nxt = max(rest, key=score.__getitem__)
+        prev = last = start
+        while True:
             rest.remove(nxt)
             prev, last = last, nxt
+            if not rest:
+                break
+            row = weight[nxt]
+            top = -1  # below every score, so the first waiting vertex is taken
             for v in rest:
-                score[v] += weight[nxt][v]
+                s = score[v] + row[v]
+                score[v] = s
+                if s > top:
+                    top = s
+                    nxt = v
         phase_value = score[last]
         if best_value is None or phase_value < best_value:
             best_value = phase_value
             best_mask = masks[last]
         # merge last into prev
+        into, away = weight[prev], weight[last]
         for v in active:
             if v != last and v != prev:
-                weight[prev][v] += weight[last][v]
-                weight[v][prev] = weight[prev][v]
+                s = into[v] + away[v]
+                into[v] = s
+                weight[v][prev] = s
         masks[prev] |= masks[last]
         active.remove(last)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import FieldRangeError, GenerationError, ParseError
 from .graph import Multigraph, is_connected
-from .model import FgcInstance, is_feasible, validate_instance
+from .model import FgcInstance, is_feasible, validate_fields, validate_instance
 
 HEADER = "fgc"
 VERSION = 1
@@ -270,5 +270,6 @@ def gen_random(
         inst = FgcInstance(Multigraph(n, tuple(edges)), tuple(safety), tuple(costs), p, q)
     else:
         raise GenerationError("feasibility repair did not converge")
-    validate_instance(inst)
+    # the loop's last verdict found the full edge set feasible
+    validate_fields(inst)
     return inst

@@ -96,9 +96,10 @@ def capacities(inst: FgcInstance, x: Sequence) -> list:
 def check_selection(inst: FgcInstance, f: Iterable[int]) -> frozenset[int]:
     """Validate an edge selection: ids in range, returned as a frozenset."""
     out = frozenset(int(e) for e in f)
+    m = inst.m
     for e in out:
-        if not 0 <= e < inst.m:
-            raise ValueError(f"edge id {e} out of range 0..{inst.m - 1}")
+        if not 0 <= e < m:
+            raise ValueError(f"edge id {e} out of range 0..{m - 1}")
     return out
 
 
@@ -121,7 +122,9 @@ def is_feasible_direct(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdic
     The witness, when infeasible, is the first violated cut in canonical
     iteration order.  Deliberately a plain per-mask loop that shares no
     code with the solver's cut table: it is the reference that is_feasible
-    and exact_opt are checked against.
+    and exact_opt are checked against.  F's endpoints are read once, safe
+    edges apart from unsafe ones, and a cut already crossed by p safe
+    edges is not counted further.
     """
     if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
         raise TooLargeError(
@@ -129,9 +132,21 @@ def is_feasible_direct(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdic
         )
     f = check_selection(inst, f)
     p, q = inst.p, inst.q
+    edges = inst.graph.edges
+    safe_ends = [edges[e] for e in f if inst.safe[e]]
+    unsafe_ends = [edges[e] for e in f if not inst.safe[e]]
     for mask in canonical_masks(inst.n):
-        s, t = cut_tallies(inst, f, mask)
-        if s < p and t < p + q:
+        s = 0
+        for u, v in safe_ends:
+            if ((mask >> u) ^ (mask >> v)) & 1:
+                s += 1
+        if s >= p:
+            continue
+        t = s
+        for u, v in unsafe_ends:
+            if ((mask >> u) ^ (mask >> v)) & 1:
+                t += 1
+        if t < p + q:
             return FeasibilityVerdict(False, Cut(inst.n, mask), "direct")
     return FeasibilityVerdict(True, None, "direct")
 
@@ -177,11 +192,20 @@ def validate_instance(inst: FgcInstance) -> None:
     """Raise InvalidInstanceError unless the instance satisfies every invariant.
 
     Checks, with distinct error codes: parameter ranges ("params"),
-    nonnegative finite costs with a finite total ("costs"), and
-    feasibility of the full edge set ("infeasible-edges").  Graph
-    structure (connectivity, no self-loops) is already enforced by the
-    Multigraph constructor.
+    nonnegative finite costs with a finite total ("costs"), both by
+    validate_fields, and feasibility of the full edge set
+    ("infeasible-edges").  Graph structure (connectivity, no self-loops)
+    is already enforced by the Multigraph constructor.
     """
+    validate_fields(inst)
+    verdict = is_feasible(inst, inst.all_edges)
+    if not verdict:
+        raise infeasible_edges_error(inst, verdict.witness)
+
+
+def validate_fields(inst: FgcInstance) -> None:
+    """validate_instance's checks of p, q and the costs, without the
+    feasibility check, for a caller that already holds the verdict."""
     if inst.p < 1:
         raise InvalidInstanceError("params", f"p must be at least 1, got {inst.p}")
     if inst.q < 0:
@@ -195,9 +219,6 @@ def validate_instance(inst: FgcInstance) -> None:
         math.fsum(inst.cost)
     except OverflowError:
         raise InvalidInstanceError("costs", "the total cost is beyond float range") from None
-    verdict = is_feasible(inst, inst.all_edges)
-    if not verdict:
-        raise infeasible_edges_error(inst, verdict.witness)
 
 
 def infeasible_edges_error(inst: FgcInstance, witness: Cut) -> InvalidInstanceError:

@@ -349,6 +349,33 @@ def test_exact_opt_is_pinned_on_verify_like_instances():
     assert sum(res.nodes_explored for res in results) == VERIFY_LIKE_NODES
 
 
+# gen_random(n, m, 0.5, (1, 10), p, q, seed) as (n, m, p, q, seed) ->
+# (m after repair, nodes explored), one search tree per instance, recorded
+# while the repair test still ran at every node
+NODES_PINS = [
+    ((5, 9, 1, 0, 0), (9, 79)),
+    ((5, 9, 1, 0, 1), (9, 107)),
+    ((6, 10, 1, 1, 0), (10, 63)),
+    ((6, 10, 1, 1, 1), (10, 41)),
+    ((7, 12, 1, 2, 0), (12, 199)),
+    ((7, 12, 1, 2, 1), (13, 95)),
+    ((7, 12, 2, 1, 0), (13, 69)),
+    ((7, 12, 2, 1, 1), (14, 37)),
+    ((8, 13, 2, 2, 0), (19, 409)),
+    ((8, 13, 2, 2, 1), (16, 197)),
+    ((6, 11, 3, 1, 0), (13, 51)),
+    ((6, 11, 3, 1, 1), (16, 29)),
+    ((8, 14, 2, 3, 0), (21, 177)),
+]
+
+
+@pytest.mark.parametrize("args, want", NODES_PINS)
+def test_exact_opt_nodes_are_pinned(args, want):
+    n, m, p, q, seed = args
+    inst = gen_random(n, m, 0.5, (1.0, 10.0), p, q, seed)
+    assert (inst.m, exact_opt(inst).nodes_explored) == want
+
+
 def test_exact_opt_optimum_is_feasible_and_sandwiched():
     for name, inst in named_corpus():
         if inst.m > 18:

@@ -1,5 +1,6 @@
 """Graph core: cuts, exact minimum cut, threshold enumeration."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -169,6 +170,64 @@ def test_min_cut_generic_over_fractions():
     caps = [Fraction(1, 3)] * 4
     _, value = min_cut(g, caps)
     assert value == Fraction(2, 3)
+
+
+MIN_CUT_CAPACITIES = {
+    "unit": lambda rng, m: [1] * m,
+    "int": lambda rng, m: [rng.randint(0, 5) for _ in range(m)],
+    "float": lambda rng, m: [rng.choice((0.0, rng.uniform(0, 3))) for _ in range(m)],
+    "zero_float": lambda rng, m: [0.0] * m,
+    "fraction": lambda rng, m: [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(m)],
+    "int_fraction": lambda rng, m: [
+        rng.choice((rng.randint(0, 3), Fraction(rng.randint(0, 6), 3))) for _ in range(m)
+    ],
+    "int_float": lambda rng, m: [
+        rng.choice((rng.randint(0, 3), rng.uniform(0, 3))) for _ in range(m)
+    ],
+}
+
+
+def _min_cut_results(kind: str) -> list[tuple[int, str, str]]:
+    """(side_mask, repr(value), type name) of min_cut on 69 seeded graphs,
+    n = 2 to 24 at m = n-1, 1.5n and 3n (so parallel edges), plus, for unit
+    capacities, complete graphs, cycles and doubled cycles, which tie at
+    every pick."""
+    rng = random.Random(f"min-cut-{kind}")
+    graphs = [
+        random_connected(rng, n, m) for n in range(2, 25) for m in (n - 1, n + n // 2, 3 * n)
+    ]
+    if kind == "unit":
+        for n in range(2, 13):
+            everything = [(u, v) for v in range(n) for u in range(v)]
+            graphs += [Multigraph(n, tuple(everything)), cycle_graph(n)]
+            graphs.append(Multigraph(n, cycle_graph(n).edges * 2))
+    out = []
+    for g in graphs:
+        cut, value = min_cut(g, MIN_CUT_CAPACITIES[kind](rng, g.m))
+        out.append((cut.side_mask, repr(value), type(value).__name__))
+    return out
+
+
+# sha256 of repr(_min_cut_results(kind)), first 16 hex digits, recorded
+# from the phase loop that recomputed each pick's maximum in a second pass
+# over a dict of scores: the side mask, the value and its type must not
+# move
+MIN_CUT_PINS = {
+    "unit": "0afccbbd069643a6",
+    "int": "bc8d007e59e6fb65",
+    "float": "3a39672f467a399e",
+    "zero_float": "b9580509203d0881",
+    "fraction": "7df4462301efb8d2",
+    "int_fraction": "f8ecc8e8029794eb",
+    "int_float": "8d7a9f7f5fa2c286",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MIN_CUT_PINS))
+def test_min_cut_results_are_pinned(kind):
+    results = _min_cut_results(kind)
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()[:16]
+    assert digest == MIN_CUT_PINS[kind]
 
 
 def test_enumerate_four_cycle_threshold_three():

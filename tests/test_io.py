@@ -1,5 +1,6 @@
 """Text and JSON instance formats plus the random generator."""
 
+import hashlib
 import json
 import math
 
@@ -23,6 +24,8 @@ from flexconn import (
     save_instance,
     serialize_instance,
 )
+
+from flexconn import instance_io, model
 
 from instances import named_corpus, two_vertex
 
@@ -316,6 +319,46 @@ def test_gen_random_repairs_high_q():
     inst = gen_random(4, 3, 0.0, (1, 2), 1, 4, seed=0)
     assert inst.m > 3
     assert is_feasible_direct(inst, inst.all_edges).feasible
+
+
+# gen_random(n, m, safe_fraction, cost_range, p, q, seed) -> (edges the
+# repair added, first 16 hex digits of the sha256 of serialize_instance),
+# recorded before the min cut's phase loop was rewritten; the repair
+# follows each witness cut, so these pin min_cut's choice among tied cuts
+GEN_RANDOM_PINS = [
+    ((8, 12, 0.3, (1.0, 10.0), 2, 1, 1), (4, "1b2c955426923b7b")),
+    ((10, 20, 0.5, (1.0, 10.0), 2, 2, 1), (10, "3690bfabadbebe7d")),
+    ((9, 14, 0.5, (1.0, 10.0), 1, 6, 3), (11, "7e38d472eea61031")),
+    ((12, 30, 0.7, (1.0, 10.0), 2, 8, 2), (24, "4937d7ce111980f7")),
+    ((6, 8, 0.0, (1e-9, 1e-6), 1, 2, 1), (5, "e310023a05ee925c")),
+    ((15, 45, 0.5, (1.0, 10.0), 2, 1, 1), (2, "cb1f2fdadb5751d3")),
+    ((20, 40, 0.5, (1.0, 10.0), 2, 2, 2), (20, "d96b5956fa004c30")),
+]
+
+
+@pytest.mark.parametrize("args, want", GEN_RANDOM_PINS)
+def test_gen_random_repair_is_pinned(args, want):
+    inst = gen_random(*args)
+    digest = hashlib.sha256(serialize_instance(inst).encode()).hexdigest()[:16]
+    assert (inst.m - args[1], digest) == want
+
+
+def test_gen_random_checks_each_instance_once(monkeypatch):
+    verdicts = []
+    for module in (instance_io, model):
+        check = module.is_feasible
+        monkeypatch.setattr(
+            module, "is_feasible", lambda inst, f, check=check: verdicts.append(1) or check(inst, f)
+        )
+    inst = gen_random(10, 20, 0.5, (1.0, 10.0), 2, 2, 1)
+    # one verdict per repair step and one for the instance returned
+    assert len(verdicts) == inst.m - 20 + 1
+
+
+def test_gen_random_checks_the_cost_total():
+    with pytest.raises(InvalidInstanceError) as exc:
+        gen_random(2, 3, 1.0, (1e308, 1.5e308), 1, 0, 0)
+    assert exc.value.code == "costs"
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexconn import (
+    Cut,
     FgcInstance,
     InvalidInstanceError,
     Multigraph,
@@ -16,6 +17,7 @@ from flexconn import (
     validate_instance,
 )
 from flexconn import model
+from flexconn.graph import canonical_masks
 from flexconn.model import cut_tallies
 
 from instances import gadget_f1, named_corpus, random_instance, two_vertex
@@ -49,6 +51,22 @@ def test_direct_witness_is_first_in_canonical_order():
     verdict = is_feasible_direct(inst, set())
     assert not verdict.feasible
     assert verdict.witness.side_mask == 0b00010  # mask 1 << 1 comes first
+
+
+def test_direct_witness_is_the_first_cut_short_by_its_tallies():
+    rng = random.Random(31)
+    for seed in range(40):
+        p, q = rng.randint(1, 3), rng.randint(0, 3)
+        inst = random_instance(seed, n=rng.randint(2, 7), m=rng.randint(6, 14), p=p, q=q)
+        f = {e for e in range(inst.m) if rng.random() < 0.7}
+        short = []
+        for mask in canonical_masks(inst.n):
+            s, t = cut_tallies(inst, f, mask)
+            if s < p and t < p + q:
+                short.append(mask)
+        verdict = is_feasible_direct(inst, f)
+        assert verdict.feasible == (not short)
+        assert verdict.witness == (Cut(inst.n, short[0]) if short else None)
 
 
 def test_direct_refuses_large_instances():
