@@ -1,15 +1,15 @@
 """Multigraph representation, cut arithmetic, exact global minimum cut,
 and enumeration of all cuts below a capacity threshold.
 
-All types but CutScan are immutable values and every function here is
-pure and safe to call from multiple threads; a CutScan fills its
-per-graph state on first use, so each caller (one solve) keeps its own.
+All types are immutable values (a CutScan keeps only what it built at
+construction) and every function here is pure and safe to call from
+multiple threads.
 """
 
 from __future__ import annotations
 
 import math
-import random
+import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -25,12 +25,6 @@ DEFAULT_EXHAUSTIVE_LIMIT = 20
 # Relative slop at enumeration thresholds for float capacities, so that ones
 # within floating-point noise of the threshold count as *at* it (strict).
 CUT_REL_TOL = 1e-9
-
-# Contraction mode refuses thresholds further above the minimum cut than this.
-DEFAULT_ALPHA_MAX = 4.0
-
-# Multiplier in front of the n^(2*alpha) * ln(n/delta) repetition count.
-DEFAULT_REPETITION_CONSTANT = 2.0
 
 # Cuts per crossing matrix, which bounds its size: at n = 20 up to 2^19
 # cuts can fall below a threshold.
@@ -262,27 +256,13 @@ def min_cut(g: Multigraph, caps: Sequence) -> tuple[Cut, float]:
     return Cut(n, best_mask, capacity=best_value), best_value
 
 
-def enumerate_cuts_below(
-    g: Multigraph,
-    caps: Sequence,
-    threshold,
-    mode: str = "exhaustive",
-    *,
-    delta: float = 1e-6,
-    seed: int = 0,
-) -> list[Cut]:
+def enumerate_cuts_below(g: Multigraph, caps: Sequence, threshold) -> list[Cut]:
     """All canonical nontrivial cuts with capacity strictly below ``threshold``.
 
-    Exhaustive mode scans every bipartition and is exact; it refuses graphs
-    with more than DEFAULT_EXHAUSTIVE_LIMIT vertices rather than silently
-    degrading. Contraction mode runs
-    ``ceil(K * n^(2a) * ln(n/delta))`` independent capacity-weighted
-    contraction runs (a = threshold / min cut, at most DEFAULT_ALPHA_MAX;
-    K = DEFAULT_REPETITION_CONSTANT); each run contracts down to
-    max(2, ceil(2a)) supervertices and every bipartition of the quotient
-    is a candidate. With probability at least 1 - delta the result contains
-    every qualifying cut; it never contains a non-qualifying one. Both
-    modes re-sum their candidates exactly (see CutScan.blocks).
+    Exact at every n.  Up to DEFAULT_EXHAUSTIVE_LIMIT vertices it runs the
+    exhaustive scan (CutScan.blocks); above that, flow-pruned branching
+    (_flow_cuts_below), which takes int and Fraction capacities only and
+    raises TooLargeError for any other.
 
     Float capacities within CUT_REL_TOL (relative) of the threshold count
     as at the threshold and are excluded.  int, Fraction and mixed
@@ -290,43 +270,46 @@ def enumerate_cuts_below(
 
     Results are sorted by (capacity, side_mask) and duplicate-free.
     """
+    if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
+        return _flow_cuts_below(g, caps, threshold)
     cuts = [
         Cut(g.n, mask, capacity=cap)
-        for masks, values, _ in CutScan(g).blocks(caps, threshold, mode, delta=delta, seed=seed)
+        for masks, values, _ in CutScan(g).blocks(caps, threshold)
         for mask, cap in zip(masks, values)
     ]
     cuts.sort(key=lambda c: (c.capacity, c.side_mask))
     return cuts
 
 
-class CutScan:
-    """The cut scan of one graph, prepared once and run for any number of
-    capacity vectors.
+def _check_scan_arguments(g: Multigraph, caps: Sequence, threshold) -> None:
+    check_capacities(caps, g.m)
+    if not 0 < threshold < math.inf:  # also rejects NaN
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
 
-    From the first exhaustive scan at which all 2^(n-1) - 1 canonical
-    masks fit in one CUT_BLOCK (n <= 13 at 4096), it holds those masks and
-    their crossing matrix, which no capacity changes.  CUT_BLOCK is read
-    at each scan; the stored matrix is sliced into blocks of its current
-    size.
+
+class CutScan:
+    """The exhaustive cut scan of one graph, prepared once and run for any
+    number of capacity vectors.
+
+    When all 2^(n-1) - 1 canonical masks fit in one CUT_BLOCK at
+    construction (n <= 13 at 4096), it holds those masks and their
+    crossing matrix, which no capacity changes.  CUT_BLOCK is read at each
+    scan; the stored matrix is sliced into blocks of its current size.
     """
 
     def __init__(self, g: Multigraph):
         self.g = g
         self._every: tuple[range, np.ndarray] | None = None
+        if (1 << (g.n - 1)) - 1 <= CUT_BLOCK:
+            masks = canonical_masks(g.n)
+            self._every = masks, crossing_matrix(g, masks)
 
-    def blocks(
-        self,
-        caps: Sequence,
-        threshold,
-        mode: str = "exhaustive",
-        *,
-        delta: float = 1e-6,
-        seed: int = 0,
-    ) -> Iterator[tuple[list[int], list, np.ndarray]]:
+    def blocks(self, caps: Sequence, threshold) -> Iterator[tuple[list[int], list, np.ndarray]]:
         """The cuts below ``threshold``, as enumerate_cuts_below defines
         them, in blocks ``(side masks, capacities, crossing_matrix rows)`` in
         ascending mask order; each block comes from at most CUT_BLOCK
-        candidate masks.
+        candidate masks.  Refuses graphs with more than
+        DEFAULT_EXHAUSTIVE_LIMIT vertices.
 
         Exhaustive candidates are every canonical mask while they fit in one
         block, and otherwise the masks that a float table of every cut's
@@ -341,29 +324,16 @@ class CutScan:
         compensates floats on Python 3.12+).
         """
         g = self.g
-        check_capacities(caps, g.m)
-        if not 0 < threshold < math.inf:  # also rejects NaN
-            raise ValueError(f"threshold must be positive and finite, got {threshold}")
+        _check_scan_arguments(g, caps, threshold)
+        if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
+            raise TooLargeError(
+                f"instance too large for the exhaustive cut scan "
+                f"(n={g.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
+            )
         floats = _are_floats(caps)
         cutoff = threshold - CUT_REL_TOL * threshold if floats else threshold
-
-        every = None
-        if mode == "exhaustive":
-            if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
-                raise TooLargeError(
-                    f"instance too large for exhaustive mode (n={g.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
-                )
-            if self._every is None and (1 << (g.n - 1)) - 1 <= CUT_BLOCK:
-                masks = canonical_masks(g.n)
-                self._every = masks, crossing_matrix(g, masks)
-            every = self._every
-            masks = _table_shortlist(g, caps, cutoff) if every is None else every[0]
-        elif mode == "contraction":
-            if not 0 < delta < 1:  # also rejects NaN
-                raise ValueError(f"delta must be between 0 and 1, got {delta}")
-            masks = _contraction_shortlist(g, caps, cutoff, threshold, delta, seed)
-        else:
-            raise ValueError(f"unknown enumeration mode {mode!r}")
+        every = self._every
+        masks = _table_shortlist(g, caps, cutoff) if every is None else every[0]
 
         if floats:
             values = np.array(caps, dtype=float)
@@ -406,62 +376,76 @@ def _table_shortlist(g, caps, cutoff) -> list[int]:
     return (shortlist << 1).tolist()
 
 
-def _contraction_shortlist(g, caps, cutoff, threshold, delta, seed) -> list[int]:
-    _, lam = min_cut(g, caps)
-    if lam <= 0:
-        raise ValueError("contraction mode requires a positive minimum cut")
-    if lam >= cutoff:
-        return []
-    alpha = float(threshold) / float(lam)
-    if alpha > DEFAULT_ALPHA_MAX:
-        raise ValueError(
-            f"threshold is {alpha:.3g}x the minimum cut, above alpha_max={DEFAULT_ALPHA_MAX}"
-        )
-    runs = math.ceil(DEFAULT_REPETITION_CONSTANT * g.n ** (2 * alpha) * math.log(g.n / delta))
-    target = max(2, math.ceil(2 * alpha))
-    rng = random.Random(seed)
-    weights = [float(c) for c in caps]
-    live = [e for e, w in enumerate(weights) if w > 0.0]
-    ends = [g.edges[e] for e in live]
-    rates = [weights[e] for e in live]
-    quotients = {_contraction_run(g.n, ends, rates, target, rng) for _ in range(runs)}
-    masks = set()
-    for parts in quotients:
-        # every bipartition of the quotient, as the side without vertex 0
-        sides = [0]
-        for part in parts:
-            if not part & 1:
-                sides += [side | part for side in sides]
-        masks.update(sides[1:])
-    return sorted(masks)
+def _flow_cuts_below(g: Multigraph, caps: Sequence, threshold) -> list[Cut]:
+    """enumerate_cuts_below by flow-pruned branching (Vazirani & Yannakakis,
+    ICALP 1992), for int and Fraction capacities at any n.
 
-
-def _contraction_run(n, ends, rates, target, rng):
-    """One capacity-weighted contraction of an n-vertex graph down to
-    ``target`` supervertices; returns the vertex masks of the quotient's
-    supervertices.
-
-    Contracting a random crossing edge, drawn in proportion to its weight,
-    until ``target`` supervertices remain is the same as union-find over
-    the edges in ascending order of exponential keys with rate w_e
-    (Karger & Stein, J. ACM 1996), so a run is one sort.  ``ends`` and
-    ``rates`` hold the endpoints and weights of the positive-weight edges.
+    Vertex 0 is on the source side A; vertices 1..n-1 go to A or to the
+    sink side B, depth first.  Once B is not empty, a node is pruned when
+    the maximum flow from A to B, with the undecided vertices free,
+    reaches ``threshold``: no completion then has a cut below it, and an
+    unpruned node has at least one completion that does.  At a leaf every
+    vertex is decided, so the flow is the cut's exact capacity.
     """
-    rand = rng.random
-    # rng.expovariate(w), inlined; nothing to contract when n <= target
-    keys = [-math.log(1.0 - rand()) / w for w in rates] if n > target else []
-    label = list(range(n))
-    comp_mask = [1 << v for v in range(n)]
-    alive = n
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        if alive <= target:
-            break
-        u, v = ends[i]
-        lu, lv = label[u], label[v]
-        if lu != lv:
-            for x in range(n):
-                if label[x] == lv:
-                    label[x] = lu
-            comp_mask[lu] |= comp_mask[lv]
-            alive -= 1
-    return frozenset(comp_mask[lab] for lab in label)
+    _check_scan_arguments(g, caps, threshold)
+    if not all(isinstance(c, numbers.Rational) for c in caps):
+        raise TooLargeError(
+            f"the flow route past n={DEFAULT_EXHAUSTIVE_LIMIT} takes int or Fraction "
+            f"capacities only (n={g.n})"
+        )
+    n = g.n
+    # summed capacity of each vertex pair, both directions
+    adj = [{} for _ in range(n)]
+    for (u, v), c in zip(g.edges, caps):
+        if c:
+            adj[u][v] = adj[v][u] = adj[u].get(v, 0) + c
+    cuts = []
+    stack = [(1, 1, 0)]  # (next vertex, A mask, B mask)
+    while stack:
+        k, a, b = stack.pop()
+        if b:
+            flow = _max_flow(adj, a, b, threshold)
+            if flow >= threshold:
+                continue
+            if k == n:
+                cuts.append(Cut(n, b, capacity=flow))
+        if k < n:
+            stack += [(k + 1, a | 1 << k, b), (k + 1, a, b | 1 << k)]
+    cuts.sort(key=lambda c: (c.capacity, c.side_mask))
+    return cuts
+
+
+def _max_flow(adj: list[dict], a: int, b: int, limit):
+    """Maximum flow from the vertices of mask ``a`` to those of mask ``b``
+    along shortest augmenting paths (Edmonds-Karp), stopped once it
+    reaches ``limit``."""
+    residual = [dict(row) for row in adj]
+    sources = [v for v in range(len(adj)) if a >> v & 1]
+    total = 0
+    while total < limit:
+        parent = dict.fromkeys(sources)
+        queue = sources[:]
+        sink = None
+        for u in queue:  # breadth first; the loop also visits what it appends
+            for v, c in residual[u].items():
+                if c and v not in parent:
+                    parent[v] = u
+                    if b >> v & 1:
+                        sink = v
+                        break
+                    queue.append(v)
+            if sink is not None:
+                break
+        if sink is None:
+            return total
+        path = []
+        v = sink
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        total += push
+    return total

@@ -166,7 +166,8 @@ def json_number(value, what: str) -> float:
 def instance_from_json(obj: dict) -> FgcInstance:
     """Parse and fully validate a JSON instance; coerces no field (see parse_instance)."""
     try:
-        if obj.get("format") != HEADER or obj.get("version") != VERSION:
+        is_fgc = isinstance(obj, dict) and obj.get("format") == HEADER
+        if not is_fgc or obj.get("version") != VERSION:
             raise ParseError("not a fgc/1 JSON object")
         n = json_int(obj["nodes"], "nodes")
         edges = []

@@ -72,9 +72,9 @@ class FeasibilityVerdict:
     ``witness`` is present exactly when infeasible and names a cut with
     fewer than p safe and fewer than p+q selected edges.  ``mode`` records
     which checking route produced the verdict: "direct" (exhaustive cut
-    characterization) or the capacitated route with "exhaustive" or
-    "contraction" enumeration.  Contraction-mode "feasible" verdicts are
-    Monte Carlo with one-sided error at most 1e-9.
+    characterization) or the capacitated route, whose near-minimum cuts
+    come from the "exhaustive" scan (n <= DEFAULT_EXHAUSTIVE_LIMIT) or
+    "flow"-pruned branching (above it).  Every verdict is exact.
     """
 
     feasible: bool
@@ -160,16 +160,16 @@ def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
     capacity at most p(p+q-1) + q(p-1) (from safe count <= p-1 and total
     count <= p+q-1), so only cuts up to that bound need testing against
     the characterization, and none exist when the minimum cut exceeds it
-    (always so when q <= 1 or p = 1).  Above
-    DEFAULT_EXHAUSTIVE_LIMIT vertices the enumeration runs in contraction
-    mode and a "feasible" verdict is Monte Carlo with one-sided error
-    at most 1e-9.
+    (always so when q <= 1 or p = 1).  enumerate_cuts_below lists those
+    cuts exactly at every n, so the verdict is deterministic and exact;
+    above DEFAULT_EXHAUSTIVE_LIMIT vertices it branches with flow pruning
+    on the integer capacities.
     """
     f = check_selection(inst, f)
     p, q = inst.p, inst.q
     need = p * (p + q)
     caps = capacities(inst, [1 if e in f else 0 for e in range(inst.m)])
-    mode = "exhaustive" if inst.n <= DEFAULT_EXHAUSTIVE_LIMIT else "contraction"
+    mode = "exhaustive" if inst.n <= DEFAULT_EXHAUSTIVE_LIMIT else "flow"
 
     witness, lam = min_cut(inst.graph, caps)
     if lam < need:
@@ -180,7 +180,7 @@ def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
     if lam > bound:
         return FeasibilityVerdict(True, None, mode)
     # integer capacities: cap <= bound is cap < bound + 0.5
-    cuts = enumerate_cuts_below(inst.graph, caps, bound + 0.5, mode, delta=1e-9)
+    cuts = enumerate_cuts_below(inst.graph, caps, bound + 0.5)
     for r in cuts:
         s, t = cut_tallies(inst, f, r.side_mask)
         if s < p and t < p + q:

@@ -30,6 +30,7 @@ from flexconn import (
     solve_relaxation,
     violation,
 )
+from flexconn.graph import _flow_cuts_below
 
 from instances import cycle_graph, gadget_f1, named_corpus, strengthening_gadget, two_vertex
 
@@ -197,8 +198,8 @@ def test_criterion_8_near_min_cut_counts(capsys):
                 assert count_cuts_at_most(g, [1] * g.m, alpha) <= n ** (2 * alpha), (i, alpha)
 
 
-def test_criterion_9_min_cut_and_contraction_enumeration(capsys):
-    desc = "min cut is exhaustively exact; contraction enumeration matches exhaustive"
+def test_criterion_9_min_cut_and_flow_enumeration(capsys):
+    desc = "min cut is exhaustively exact; flow-pruned enumeration matches exhaustive"
     with _report(capsys, 9, desc):
         for name, inst in named_corpus():
             if inst.n > 12:
@@ -221,11 +222,9 @@ def test_criterion_9_min_cut_and_contraction_enumeration(capsys):
             _, lam = min_cut(g, caps)
             threshold = (1.2 + 0.3 * (trial % 3)) * lam
             plain = enumerate_cuts_below(g, caps, threshold)
-            sampled = enumerate_cuts_below(
-                g, caps, threshold, mode="contraction", delta=1e-6, seed=trial
-            )
+            flow = _flow_cuts_below(g, caps, threshold)
             key = [(c.side_mask, c.capacity) for c in plain]
-            assert key == [(c.side_mask, c.capacity) for c in sampled], trial
+            assert key == [(c.side_mask, c.capacity) for c in flow], trial
 
 
 def test_criterion_10_knapsack_rows_strengthen_lp(capsys):

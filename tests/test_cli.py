@@ -181,6 +181,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("top", ["[1, 2]", '"x"'])
+def test_json_top_level_not_an_object_exit_code(tmp_path, capsys, top):
+    # instance_from_json called obj.get on it: AttributeError, exit 1 with a traceback
+    path = tmp_path / "l.json"
+    path.write_text(top)
+    assert run(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert run(["lp", str(tmp_path / "nope.fgc")]) == 2
 

@@ -16,7 +16,6 @@ from flexconn import (
     TooLargeError,
     cut_edges,
     enumerate_cuts_below,
-    gen_random,
     min_cut,
 )
 from flexconn import graph
@@ -278,11 +277,34 @@ def test_enumerate_threshold_is_strict_with_relative_slop():
 
 
 def test_enumerate_exhaustive_refuses_large_graphs():
+    # the scan stops at the limit, and past it the flow route takes no floats
     n = 21
     edges = tuple((v, v + 1) for v in range(n - 1))
     g = Multigraph(n, edges)
     with pytest.raises(TooLargeError):
-        enumerate_cuts_below(g, [1] * g.m, 2)
+        next(graph.CutScan(g).blocks([1] * g.m, 2))
+    with pytest.raises(TooLargeError):
+        enumerate_cuts_below(g, [1.0] * g.m, 2)
+    with pytest.raises(TooLargeError):
+        enumerate_cuts_below(g, [1] * (g.m - 1) + [1.0], 2)
+
+
+def test_enumerate_past_the_limit_runs_the_flow_route():
+    # a path's cuts below 2 are its 20 single edges, each of capacity 1
+    n = 21
+    g = Multigraph(n, tuple((v, v + 1) for v in range(n - 1)))
+    cuts = enumerate_cuts_below(g, [1] * g.m, 2)
+    assert [c.side_mask for c in cuts] == sorted(((1 << n) - (1 << v)) for v in range(1, n))
+    assert all(c.capacity == 1 for c in cuts)
+    assert enumerate_cuts_below(g, [1] * g.m, 1) == []
+    # a 22-cycle's cuts below 3 edges are its C(22, 2) pairs of edges
+    g = cycle_graph(22)
+    caps = [Fraction(1, 3)] * g.m
+    assert enumerate_cuts_below(g, caps, Fraction(2, 3)) == []  # strictly below only
+    cuts = enumerate_cuts_below(g, caps, Fraction(3, 4))
+    assert len(cuts) == 231 == len({c.side_mask for c in cuts})
+    assert all(c.capacity == Fraction(2, 3) and type(c.capacity) is Fraction for c in cuts)
+    assert [c.side_mask for c in cuts] == sorted(c.side_mask for c in cuts)
 
 
 def test_enumerate_rejects_bad_arguments():
@@ -290,18 +312,18 @@ def test_enumerate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         enumerate_cuts_below(g, [1] * 4, 0)
     with pytest.raises(ValueError):
-        enumerate_cuts_below(g, [1] * 4, 2, mode="magic")
+        graph._flow_cuts_below(g, [1] * 4, 0)
     with pytest.raises(ValueError):
-        # threshold 10x the minimum cut exceeds the default alpha cap
-        enumerate_cuts_below(g, [1] * 4, 20, mode="contraction")
+        graph._flow_cuts_below(g, [1] * 3, 2)
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "contraction"])
+@pytest.mark.parametrize("route", ["exhaustive", "flow"])
 @pytest.mark.parametrize("threshold", [math.inf, math.nan])
-def test_enumerate_rejects_non_finite_threshold(mode, threshold):
-    # inf - 1e-9 * inf is NaN, which no capacity is below
+def test_enumerate_rejects_non_finite_threshold(route, threshold):
+    # inf - 1e-9 * inf is NaN, which no capacity is below; a flow never reaches inf
+    enumerate_fn = enumerate_cuts_below if route == "exhaustive" else graph._flow_cuts_below
     with pytest.raises(ValueError, match="threshold"):
-        enumerate_cuts_below(cycle_graph(5), [1] * 5, threshold, mode)
+        enumerate_fn(cycle_graph(5), [1] * 5, threshold)
 
 
 def test_enumerate_sums_float_capacities_in_edge_order():
@@ -315,47 +337,42 @@ def test_enumerate_sums_float_capacities_in_edge_order():
     ]
 
 
-def test_contraction_keeps_fraction_capacities():
-    rng = random.Random(61)
-    g = random_connected(rng, 6, 11)
-    caps = [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in range(g.m)]
-    _, lam = min_cut(g, caps)
-    threshold = lam * Fraction(8, 5)
+def _flow_against_table(g, caps, threshold):
     expected = sorted((cap, mask) for mask, cap in all_cut_capacities(g, caps) if cap < threshold)
-    cuts = enumerate_cuts_below(g, caps, threshold, "contraction")
+    cuts = graph._flow_cuts_below(g, caps, threshold)
     assert [(c.capacity, c.side_mask) for c in cuts] == expected
-    assert all(type(c.capacity) is Fraction for c in cuts)
+    return cuts
 
 
-def test_contraction_agrees_with_exhaustive():
+def test_flow_keeps_fraction_capacities():
+    rng = random.Random(61)
+    for n in (6, 10, 14):
+        g = random_connected(rng, n, 2 * n)
+        caps = [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in range(g.m)]
+        _, lam = min_cut(g, caps)
+        existing = sorted({cap for _, cap in all_cut_capacities(g, caps)})
+        # 8/5 of the min cut, and one equal to an existing capacity (strictly below only)
+        for threshold in (lam * Fraction(8, 5), existing[len(existing) // 20]):
+            cuts = _flow_against_table(g, caps, threshold)
+            assert cuts and all(type(c.capacity) is Fraction for c in cuts)
+
+
+def test_flow_agrees_with_all_cut_capacities():
     rng = random.Random(13)
     for trial in range(30):
-        g = random_connected(rng, rng.randint(4, 7), rng.randint(6, 12))
-        caps = [rng.randint(1, 4) for _ in range(g.m)]
+        n = 4 + trial % 11
+        g = random_connected(rng, n, rng.randint(n + 2, 2 * n + 4))
+        caps = [rng.randint(0, 4) for _ in range(g.m)]
         _, lam = min_cut(g, caps)
-        threshold = 1.6 * lam
-        exhaustive = enumerate_cuts_below(g, caps, threshold)
-        contraction = enumerate_cuts_below(
-            g, caps, threshold, mode="contraction", delta=1e-6, seed=trial
-        )
-        assert [c.side_mask for c in exhaustive] == [c.side_mask for c in contraction]
+        existing = sorted({cap for _, cap in all_cut_capacities(g, caps)})
+        for threshold in (1.6 * lam + 0.1, existing[min(3, len(existing) - 1)], existing[-1] + 1):
+            _flow_against_table(g, caps, threshold)
 
 
-@pytest.mark.parametrize("delta", [0, 6, 100, -0.5, 1, math.nan])
-def test_contraction_rejects_a_delta_outside_0_1(delta):
-    # delta 6 or 100 gave ln(n / delta) <= 0 runs and silently no cuts,
-    # 0 a ZeroDivisionError and NaN a failed int conversion
-    g = gen_random(6, 12, 0.5, (1, 10), 1, 0, 3).graph
-    caps = [1] * g.m
-    _, lam = min_cut(g, caps)
-    assert len(enumerate_cuts_below(g, caps, 1.3 * lam)) == 1
-    with pytest.raises(ValueError, match="delta"):
-        enumerate_cuts_below(g, caps, 1.3 * lam, "contraction", delta=delta)
-
-
-def test_contraction_shortcut_below_min_cut():
+def test_flow_shortcut_below_min_cut():
     g = cycle_graph(6)
-    assert enumerate_cuts_below(g, [1] * 6, 2, mode="contraction") == []
+    assert graph._flow_cuts_below(g, [1] * 6, 2) == []
+    assert len(graph._flow_cuts_below(g, [1] * 6, 3)) == 15
 
 
 def _flat_blocks(blocks):
@@ -388,6 +405,28 @@ def test_a_prepared_scan_reused_matches_fresh_scans(monkeypatch, n):
                 (c.side_mask, c.capacity) for c in cuts
             )
             assert all(len(row) == g.m for _, _, row in reused)
+
+
+def test_a_scan_builds_its_crossing_matrix_at_construction(monkeypatch):
+    # up to n = 13 at CUT_BLOCK = 4096 the one matrix comes with the scan,
+    # and its runs build none; past that, or at a smaller CUT_BLOCK then,
+    # each run builds one per block of its table shortlist
+    built = []
+    cross = graph.crossing_matrix
+    monkeypatch.setattr(
+        graph, "crossing_matrix", lambda g, masks: built.append(len(masks)) or cross(g, masks)
+    )
+    rng = random.Random(7)
+    small, large = random_connected(rng, 13, 26), random_connected(rng, 14, 28)
+    scan = graph.CutScan(small)
+    assert built == [4095]
+    list(scan.blocks([1] * small.m, 100))
+    assert built == [4095]
+    graph.CutScan(large)
+    assert built == [4095]
+    monkeypatch.setattr(graph, "CUT_BLOCK", 2048)
+    list(graph.CutScan(small).blocks([1] * small.m, 100))
+    assert built == [4095, 2048, 2047]
 
 
 def test_canonical_masks_cover_all_bipartitions():

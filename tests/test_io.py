@@ -139,6 +139,9 @@ def test_parse_rejects_bad_params():
 def test_json_errors():
     with pytest.raises(ParseError):
         instance_from_json({"format": "other"})
+    for top in ([1, 2], "x"):  # obj.get raised AttributeError
+        with pytest.raises(ParseError, match="not a fgc/1 JSON object"):
+            instance_from_json(top)
     with pytest.raises(ParseError):
         instance_from_json({"format": "fgc", "version": 1, "p": 1, "q": 0})
     with pytest.raises(FieldRangeError):

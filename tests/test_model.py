@@ -12,8 +12,10 @@ from flexconn import (
     InvalidInstanceError,
     Multigraph,
     TooLargeError,
+    gen_random,
     is_feasible,
     is_feasible_direct,
+    min_cut,
     validate_instance,
 )
 from flexconn import model
@@ -146,32 +148,75 @@ def _cycle21_two_unsafe_per_position(single_safe_at_0: bool) -> FgcInstance:
 
 
 def _record_scans(monkeypatch) -> list:
-    modes, scan = [], model.enumerate_cuts_below
+    sizes, scan = [], model.enumerate_cuts_below
     monkeypatch.setattr(
-        model, "enumerate_cuts_below", lambda *args, **kw: modes.append(args[3]) or scan(*args, **kw)
+        model, "enumerate_cuts_below", lambda *args: sizes.append(args[0].n) or scan(*args)
     )
-    return modes
+    return sizes
 
 
-def test_capacitated_past_the_exhaustive_limit_enumerates_by_contraction(monkeypatch):
+def test_capacitated_past_the_exhaustive_limit_enumerates_by_flow(monkeypatch):
     # n = 21: every cut crosses two positions, 4 unsafe edges, capacity 8
     inst = _cycle21_two_unsafe_per_position(single_safe_at_0=False)
-    modes = _record_scans(monkeypatch)
+    sizes = _record_scans(monkeypatch)
     verdict = is_feasible(inst, inst.all_edges)
     assert verdict.feasible
-    assert verdict.mode == "contraction" and modes == ["contraction"]
+    assert verdict.mode == "flow" and sizes == [21]
 
 
-def test_capacitated_contraction_route_finds_a_witness_at_the_min_cut(monkeypatch):
+def test_capacitated_flow_route_finds_a_witness_at_the_min_cut(monkeypatch):
     # one safe edge at position 0: its cuts hold 1 safe and 3 edges, and
     # lambda = 4 + 4 = 8 = p(p+q), so the min cut alone does not decide
     inst = _cycle21_two_unsafe_per_position(single_safe_at_0=True)
-    modes = _record_scans(monkeypatch)
+    sizes = _record_scans(monkeypatch)
     verdict = is_feasible(inst, inst.all_edges)
     assert not verdict.feasible
-    assert verdict.mode == "contraction" and modes == ["contraction"]
+    assert verdict.mode == "flow" and sizes == [21]
     assert verdict.witness.vertices == frozenset({1})
     assert cut_tallies(inst, inst.all_edges, verdict.witness.side_mask) == (1, 3)
+
+
+def _survives_every_q_failure(inst: FgcInstance, f: frozenset) -> bool:
+    """The definition: F minus any q of its unsafe edges keeps unit min cut
+    >= p.  Dropping fewer edges is weaker, and each dropped edge lowers the
+    min cut by at most 1, so a set of failures at min cut >= p + (failures
+    still to come) needs no further branching."""
+    g, p = inst.graph, inst.p
+    unsafe = sorted(e for e in f if not inst.safe[e])
+
+    def survives(kept, budget, start):
+        lam = min_cut(g, [1 if e in kept else 0 for e in range(inst.m)])[1]
+        if lam < p:
+            return False
+        if budget == 0 or lam >= p + budget:
+            return True
+        return all(
+            survives(kept - {e}, budget - 1, i + 1) for i, e in enumerate(unsafe[start:], start)
+        )
+
+    return survives(f, inst.q, 0)
+
+
+@pytest.mark.parametrize("n", [24, 32, 40])
+def test_capacitated_past_the_table_matches_the_definition(monkeypatch, n):
+    # full edge sets, 1-edge and 3-edge deletions
+    sizes = _record_scans(monkeypatch)
+    verdicts, scanned = [], 0
+    for p, q in ((2, 1), (2, 2), (3, 2)):
+        inst = gen_random(n, 3 * n, 0.4, (1, 10), p, q, seed=n + q)
+        rng = random.Random(10 * n + p + q)
+        full = inst.all_edges
+        dropped = [set(), {rng.randrange(inst.m)}, set(rng.sample(range(inst.m), 3))]
+        for f in (full - d for d in dropped):
+            before = len(sizes)
+            verdict = is_feasible(inst, f)
+            scanned += len(sizes) > before
+            assert verdict.mode == "flow"
+            assert verdict.feasible == _survives_every_q_failure(inst, f), (n, p, q, f)
+            verdicts.append(verdict.feasible)
+    # both verdicts occur, and some came from the flow enumeration
+    assert True in verdicts and False in verdicts
+    assert scanned >= 2
 
 
 def test_full_edge_set_feasible_on_corpus():
