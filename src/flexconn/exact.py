@@ -217,6 +217,8 @@ def separate_bruteforce(inst: FgcInstance, x: Sequence, eps: float = 0.0) -> lis
         )
     if len(x) != inst.m:
         raise ValueError(f"expected {inst.m} coordinates, got {len(x)}")
+    if not 0 <= eps < math.inf:  # also rejects NaN
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     hits = []
     for mask in canonical_masks(inst.n):
         r = Cut(inst.n, mask)

@@ -159,8 +159,9 @@ def crossing_matrix(g: Multigraph, masks: Sequence[int]) -> np.ndarray:
 
 def _are_floats(caps: Sequence) -> bool:
     """Float capacities sum in float64 and meet thresholds with CUT_REL_TOL
-    slop; int, Fraction and mixed ones sum and compare exactly."""
-    return all(type(c) is float for c in caps)
+    slop; int, Fraction and mixed ones sum and compare exactly.  float
+    subclasses such as np.float64 are floats."""
+    return all(isinstance(c, float) for c in caps)
 
 
 def canonical_masks(n: int) -> range:

@@ -206,69 +206,46 @@ def _check_box(x: Sequence) -> tuple:
     return tuple(cleaned)
 
 
-def separate(
-    inst: FgcInstance,
-    x: Sequence,
-    eps: float = DEFAULT_EPS,
-    *,
-    j_family: str = "full",
-) -> ConstraintRow | None:
+def _check_eps(eps) -> None:
+    if not 0 <= eps < math.inf:  # also rejects NaN
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+
+
+def separate(inst: FgcInstance, x: Sequence, eps: float = DEFAULT_EPS) -> ConstraintRow | None:
     """Most violated covering row at x, or None if all hold within eps.
 
-    The first row of largest violation among _separate_per_cut's rows (one
-    per violated cut, in cut order): since each of those is its cut's first
+    The first row of largest violation among _Separator.rows (one per
+    violated cut, in cut order): since each of those is its cut's first
     row of largest violation in (a, b) order, this is the first row of
     largest violation in (cut, a, b) order, as building every candidate row
     gives.  Every cut that can carry a violation is scanned, so the
     violation matches a brute-force scan.  Only the best row so far and one
     block's rows are held at a time.
     """
-    blocks = _Separator(inst, j_family).violated_blocks(_check_box(x), eps)
+    _check_eps(eps)
+    blocks = _Separator(inst).violated_blocks(_check_box(x), eps)
     hits = (hit for block in blocks for hit in block)
     best = min(hits, key=lambda hit: (-hit[1], hit[0]), default=None)
     return None if best is None else best[2]
 
 
-def _separate_per_cut(
-    inst: FgcInstance,
-    x: Sequence,
-    eps: float = DEFAULT_EPS,
-    j_family: str = "full",
-    separator: "_Separator | None" = None,
-) -> list[ConstraintRow]:
-    """The most violated row of every cut that carries a violation beyond
-    eps, in cut order (capacity, then side mask); each is its cut's first
-    row of largest violation in (a, b) order.  x must lie in the box.
-    ``separator``, a _Separator(inst, j_family), is reused across calls
-    instead of building one."""
-    if separator is None:
-        separator = _Separator(inst, j_family)
-    hits = [hit for block in separator.violated_blocks(x, eps) for hit in block]
-    hits.sort(key=lambda hit: hit[0])
-    return [row for _, _, row in hits]
-
-
 class _Separator:
-    """Separation at one instance and J family, split into what no x
-    changes, built here once per solve or call, and the round run at each
-    x by violated_blocks.
+    """Separation at one instance, split into what no x changes, built here
+    once per solve or call, and the round run at each x by violated_blocks.
 
     Built once: the graph's prepared cut scan (graph.CutScan), the J_{a,b}
     grid (rhs, -inf where it is 0, and the coefficients of the safe and
     the unsafe tail sums) and the safe and unsafe edge columns.
     """
 
-    def __init__(self, inst: FgcInstance, j_family: str = "full"):
-        if j_family not in ("full", "basic"):
-            raise ValueError(f"unknown j_family {j_family!r}")
+    def __init__(self, inst: FgcInstance):
         p, q = inst.p, inst.q
         self.inst = inst
         self.scan = CutScan(inst.graph)
         # No cut has more than m edges, so a and b stop at m.  They are
         # floats: in int64 the products wrap once p.q passes 2^63.
-        full = j_family == "full"
-        a = np.arange(min(p, inst.m + 1) if full else 1, dtype=float)[:, None]
-        b = np.arange(min(p + q, inst.m + 1) if full else 1, dtype=float)
+        a = np.arange(min(p, inst.m + 1), dtype=float)[:, None]
+        b = np.arange(min(p + q, inst.m + 1), dtype=float)
         rhs = (p - a) * np.maximum(p + q - a - b, 0)
         # -inf where rhs = 0: those rows are trivial and never scored
         self.rhs = np.where(rhs > 0, rhs, -np.inf)
@@ -277,6 +254,14 @@ class _Separator:
         self.is_safe = np.array(inst.safe, dtype=bool)
         self.safe = _Family(np.flatnonzero(self.is_safe), len(a))
         self.unsafe = _Family(np.flatnonzero(~self.is_safe), len(b))
+
+    def rows(self, x: Sequence, eps) -> list[ConstraintRow]:
+        """The most violated row of every cut that carries a violation beyond
+        eps, in cut order (capacity, then side mask); each is its cut's first
+        row of largest violation in (a, b) order."""
+        hits = [hit for block in self.violated_blocks(x, eps) for hit in block]
+        hits.sort(key=lambda hit: hit[0])
+        return [row for _, _, row in hits]
 
     def violated_blocks(
         self, x: Sequence, eps
@@ -291,10 +276,9 @@ class _Separator:
         each block of the cut scan are scored in closed form in one numpy
         pass over the block's crossing rows, and only the candidates within
         a float error slack of their cut's best score are built as rows and
-        re-checked with violation().  j_family="basic" scores only J empty.
+        re-checked with violation().  x must lie in the box and eps be
+        finite and nonnegative.
         """
-        if not 0 <= eps < math.inf:  # also rejects NaN
-            raise ValueError(f"eps must be finite and nonnegative, got {eps}")
         inst = self.inst
         p, q = inst.p, inst.q
         ux = capacities(inst, x)
@@ -391,6 +375,8 @@ class _HighsLp:
         c = np.asarray(objective, dtype=float)
         if c.shape != (m,):
             raise ValueError(f"expected {m} objective coefficients")
+        if not np.isfinite(c).all():  # NaN and +-inf
+            raise ValueError("objective coefficients must be finite")
         if any(c < 0):
             raise ValueError("objective coefficients must be nonnegative")
         self.cost = c
@@ -593,8 +579,6 @@ def solve_relaxation(
     inst: FgcInstance,
     eps: float = DEFAULT_EPS,
     *,
-    j_family: str = "full",
-    numeric: str = "float",
     on_iterate: Callable[[int, tuple, float], None] | None = None,
 ) -> RelaxationResult:
     """Cutting-plane solve of the covering LP.
@@ -602,30 +586,27 @@ def solve_relaxation(
     Seeds the pool with the J-empty rows of all singleton cuts, then
     alternates LP solves with separation, adding the most violated row of
     every violated cut, until separation certifies no violation beyond
-    eps.  The float route keeps one HiGHS model for the whole loop and adds
-    only the new rows to it, so each solve warm-starts from the last basis;
+    eps.  One HiGHS model holds the pool for the whole loop and gets only
+    the new rows, so each solve warm-starts from the last basis;
     separation's x-independent state is built once for the loop.
     The value is a lower bound on the optimal integral cost.  When the
     subsolver fails on an instance whose full edge set is infeasible, the
     error is InvalidInstanceError("infeasible-edges") naming the cut.
-    numeric="exact" runs the rational subsolver over the pool (small
-    instances only); pass eps=0 with it for the exact LP optimum.
     """
-    if numeric not in ("float", "exact"):
-        raise ValueError(f"unknown numeric mode {numeric!r}")
-    lp = _HighsLp(inst.cost, inst.m) if numeric == "float" else None
-    separator = _Separator(inst, j_family)
+    _check_eps(eps)
+    lp = _HighsLp(inst.cost, inst.m)
+    separator = _Separator(inst)
     cap = ITERATIONS_PER_EDGE_VERTEX * inst.m * inst.n
 
-    rows: list[ConstraintRow] = []
+    # seed and separated rows are never trivial, so lp.rows is the pool
     seen = set()
+    new = []
     for v in range(inst.n):
         row = constraint_row(inst, Cut.from_vertices(inst.n, {v}), frozenset())
         if row.key() not in seen:
             seen.add(row.key())
-            rows.append(row)
+            new.append(row)
 
-    new = rows
     iterations = 0
     while True:
         if iterations >= cap:
@@ -634,11 +615,8 @@ def solve_relaxation(
             )
         iterations += 1
         try:
-            if lp is None:
-                x, value = lp_solve_exact(rows, inst.cost, inst.m)
-            else:
-                lp.add(new)
-                x, value = lp.solve()
+            lp.add(new)
+            x, value = lp.solve()
         except LpSolveError:
             # x = 1 meets every row unless the full edge set is infeasible
             verdict = is_feasible(inst, inst.all_edges)
@@ -647,10 +625,10 @@ def solve_relaxation(
             raise
         if on_iterate is not None:
             on_iterate(iterations, x, value)
-        violated = _separate_per_cut(inst, x, eps, j_family, separator)
+        violated = separator.rows(x, eps)
         if not violated:
             return RelaxationResult(
-                x=x, value=value, active_rows=tuple(rows), iterations=iterations
+                x=x, value=value, active_rows=tuple(lp.rows), iterations=iterations
             )
         # A pool row can read as violated by just over eps: the LP holds rows
         # only to its feasibility tolerance and x is clipped afterwards.
@@ -663,4 +641,3 @@ def solve_relaxation(
                 float(value),
             )
         seen.update(row.key() for row in new)
-        rows.extend(new)

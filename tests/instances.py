@@ -4,7 +4,8 @@ The hand-built instances carry values verified by hand (LP optimum, exact
 optimum, violation tables); tests assert against those frozen numbers.
 """
 
-from flexconn import FgcInstance, Multigraph, gen_random
+from flexconn import Cut, FgcInstance, Multigraph, constraint_row, gen_random, lp_solve
+from flexconn.graph import canonical_masks
 
 
 def two_vertex() -> FgcInstance:
@@ -65,6 +66,14 @@ def four_cycle_unsafe() -> FgcInstance:
     """
     g = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
     return FgcInstance(g, (False,) * 4, (1.0, 2.0, 3.0, 4.0), 1, 1)
+
+
+def basic_lp_value(inst: FgcInstance) -> float:
+    """Value of the basic covering LP, the p(p+q) capacitated formulation
+    the knapsack-cover rows strengthen: every cut's J-empty row at once
+    (2^(n-1) - 1 rows, so small n only), with no separation involved."""
+    rows = [constraint_row(inst, Cut(inst.n, mask), ()) for mask in canonical_masks(inst.n)]
+    return lp_solve(rows, inst.cost, inst.m)[1]
 
 
 def cycle_graph(n: int) -> Multigraph:

@@ -32,7 +32,14 @@ from flexconn import (
 )
 from flexconn.graph import _flow_cuts_below
 
-from instances import cycle_graph, gadget_f1, named_corpus, strengthening_gadget, two_vertex
+from instances import (
+    basic_lp_value,
+    cycle_graph,
+    gadget_f1,
+    named_corpus,
+    strengthening_gadget,
+    two_vertex,
+)
 
 
 @contextmanager
@@ -231,6 +238,6 @@ def test_criterion_10_knapsack_rows_strengthen_lp(capsys):
     desc = "knapsack-cover rows strictly raise the LP value on the gadget family"
     with _report(capsys, 10, desc):
         inst = strengthening_gadget()
-        basic = solve_relaxation(inst, j_family="basic").value
-        full = solve_relaxation(inst, j_family="full").value
+        basic = basic_lp_value(inst)
+        full = solve_relaxation(inst).value
         assert full >= basic + 1e-3

@@ -437,6 +437,15 @@ def test_separate_bruteforce_respects_eps():
     ]
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+def test_separate_bruteforce_rejects_bad_eps(eps):
+    # NaN once returned [] at a point every row violates, so the reference
+    # reported no violation
+    inst = two_vertex()
+    with pytest.raises(ValueError, match="eps"):
+        separate_bruteforce(inst, (0.0,) * inst.m, eps)
+
+
 def test_separate_bruteforce_refuses_large_graphs():
     g = cycle_graph(14)
     inst = FgcInstance(g, (True,) * 14, (1.0,) * 14, p=1, q=0)

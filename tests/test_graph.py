@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -324,6 +325,17 @@ def test_enumerate_rejects_non_finite_threshold(route, threshold):
     enumerate_fn = enumerate_cuts_below if route == "exhaustive" else graph._flow_cuts_below
     with pytest.raises(ValueError, match="threshold"):
         enumerate_fn(cycle_graph(5), [1] * 5, threshold)
+
+
+def test_numpy_float_capacities_get_the_float_slop():
+    # np.float64 capacities once compared exactly: on a unit triangle at
+    # 2(1 + 1e-10), within CUT_REL_TOL above every cut, they listed all
+    # three cuts and Python floats none
+    g = cycle_graph(3)
+    threshold = 2 * (1 + 1e-10)
+    cuts = enumerate_cuts_below(g, [1.0] * 3, threshold)
+    assert cuts == []
+    assert enumerate_cuts_below(g, [np.float64(1.0)] * 3, threshold) == cuts
 
 
 def test_enumerate_sums_float_capacities_in_edge_order():

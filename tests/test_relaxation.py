@@ -32,6 +32,7 @@ from flexconn.instance_io import gen_random
 from flexconn.relaxation import DEFAULT_EPS, ConstraintRow
 
 from instances import (
+    basic_lp_value,
     gadget_f1,
     named_corpus,
     random_instance,
@@ -174,9 +175,14 @@ def test_separate_rejects_bad_eps(eps):
         separate(two_vertex(), (0.0, 0.0, 0.0), eps)
 
 
-def test_solve_relaxation_rejects_nan_eps():
-    with pytest.raises(ValueError, match="eps"):
-        solve_relaxation(random_instance(3, n=6, m=12, p=2, q=1), float("nan"))
+def test_solve_relaxation_rejects_nan_eps(monkeypatch):
+    # a NaN eps once ran one LP solve before separation raised
+    built = []
+    monkeypatch.setattr(relaxation, "_HighsLp", lambda *args: built.append(args))
+    for eps in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="eps"):
+            solve_relaxation(random_instance(3, n=6, m=12, p=2, q=1), eps)
+    assert built == []
 
 
 def test_separate_agrees_with_bruteforce_on_violation_size():
@@ -336,7 +342,7 @@ def test_separate_scores_cuts_in_every_block(monkeypatch):
         for block in sorted({2, place, place + 1, CUT_BLOCK} - {0, 1}):
             monkeypatch.setattr(graph, "CUT_BLOCK", block)
             assert separate(inst, x).key() == want.key(), (vertex, block)
-            assert len(relaxation._separate_per_cut(inst, x)) == len(cuts), (vertex, block)
+            assert len(_per_cut_rows(inst, x)) == len(cuts), (vertex, block)
         monkeypatch.undo()
 
 
@@ -382,14 +388,16 @@ def _separation_points():
         yield name, inst, tuple(Fraction(rng.randint(0, 4), 4) for _ in range(inst.m))
 
 
-@pytest.mark.parametrize(
-    "j_family, block", [("full", CUT_BLOCK), ("full", 2), ("basic", CUT_BLOCK)]
-)
-def test_per_cut_separation_agrees_with_separate(monkeypatch, j_family, block):
+def _per_cut_rows(inst, x, eps=DEFAULT_EPS):
+    return relaxation._Separator(inst).rows(x, eps)
+
+
+@pytest.mark.parametrize("block", [CUT_BLOCK, 2])
+def test_per_cut_separation_agrees_with_separate(monkeypatch, block):
     monkeypatch.setattr(graph, "CUT_BLOCK", block)  # 2: cuts span many blocks
     for name, inst, x in _separation_points():
-        rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS, j_family=j_family)
-        best = separate(inst, x, DEFAULT_EPS, j_family=j_family)
+        rows = _per_cut_rows(inst, x)
+        best = separate(inst, x, DEFAULT_EPS)
         assert all(violation(row, x) > DEFAULT_EPS for row in rows), name
         assert len({row.cut for row in rows}) == len(rows), name
         assert (best is None) == (not rows), name
@@ -403,20 +411,8 @@ def test_per_cut_separation_keeps_each_cuts_row_of_building_every_candidate():
         need = inst.p * (inst.p + inst.q)
         cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need)
         want = [_separate_by_building_every_row(inst, x, DEFAULT_EPS, [r]) for r in cuts]
-        rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS)
+        rows = _per_cut_rows(inst, x)
         assert [row.key() for row in rows] == [row.key() for row in want if row], name
-
-
-def test_basic_per_cut_separation_returns_every_violated_j_empty_row():
-    # the J-empty row of every cut below 2p(p+q) violated beyond eps, in
-    # (capacity, mask) order, not only the minimum cut's row
-    for name, inst, x in _separation_points():
-        need = inst.p * (inst.p + inst.q)
-        cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need)
-        want = [constraint_row(inst, r, ()) for r in cuts]
-        want = [row for row in want if violation(row, x) > DEFAULT_EPS]
-        rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS, j_family="basic")
-        assert [row.key() for row in rows] == [row.key() for row in want], name
 
 
 def _safe_heavy_path(q):
@@ -441,8 +437,7 @@ def test_solve_relaxation_at_huge_q():
         solve_relaxation(_safe_heavy_path(10**15))
 
 
-@pytest.mark.parametrize("numeric", ["float", "exact"])
-def test_solve_relaxation_names_the_cut_of_an_infeasible_edge_set(numeric):
+def test_solve_relaxation_names_the_cut_of_an_infeasible_edge_set():
     # all-safe at q = 0, so gen_random's repair edge is unsafe; read at
     # q = 1, cut {2} holds too few safe and too few total edges, and HiGHS
     # once reported the bare LpSolveError "LP subsolver failed: Infeasible"
@@ -451,7 +446,7 @@ def test_solve_relaxation_names_the_cut_of_an_infeasible_edge_set(numeric):
     witness = model.is_feasible(inst, inst.all_edges).witness
     assert sorted(witness.vertices) == [2]
     with pytest.raises(InvalidInstanceError, match=r"cut \[2\] has too few") as err:
-        solve_relaxation(inst, numeric=numeric)
+        solve_relaxation(inst)
     assert err.value.code == "infeasible-edges"
 
 
@@ -471,25 +466,24 @@ def test_per_cut_separation_on_both_sides_of_the_table_size(monkeypatch, n):
         cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * p * (p + q))
         want = [_separate_by_building_every_row(inst, x, DEFAULT_EPS, [r]) for r in cuts]
         tables.clear()
-        rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS)
+        rows = _per_cut_rows(inst, x)
         assert len(tables) == (1 if n == 14 else 0)
         assert [row.key() for row in rows] == [row.key() for row in want if row]
         assert any(row.j_edges for row in rows)
 
 
-@pytest.mark.parametrize("j_family", ["full", "basic"])
 @pytest.mark.parametrize("n", [8, 13, 14])
-def test_one_separator_per_solve_matches_a_fresh_one_per_iterate(j_family, n):
+def test_one_separator_per_solve_matches_a_fresh_one_per_iterate(n):
     # n <= 13 reuses the scan's stored crossing matrix; n = 14 shortlists
     # with the capacity table each round
     inst = random_instance(930 + n, n=n, m=3 * n, p=2, q=2)
     iterates = []
-    solve_relaxation(inst, j_family=j_family, on_iterate=lambda i, x, v: iterates.append(x))
+    solve_relaxation(inst, on_iterate=lambda i, x, v: iterates.append(x))
     assert len(iterates) >= 2
-    separator = relaxation._Separator(inst, j_family)
+    separator = relaxation._Separator(inst)
     for x in iterates:
-        reused = relaxation._separate_per_cut(inst, x, DEFAULT_EPS, j_family, separator)
-        fresh = relaxation._separate_per_cut(inst, x, DEFAULT_EPS, j_family)
+        reused = separator.rows(x, DEFAULT_EPS)
+        fresh = _per_cut_rows(inst, x)
         assert [row.key() for row in reused] == [row.key() for row in fresh]
         assert [violation(row, x) for row in reused] == [violation(row, x) for row in fresh]
 
@@ -498,12 +492,12 @@ def test_a_reused_separator_slices_its_stored_matrix_by_the_current_block(monkey
     inst = random_instance(941, n=10, m=24, p=2, q=1)
     rng = random.Random(941)
     x = tuple(rng.random() * 0.3 for _ in range(inst.m))
-    want = [row.key() for row in relaxation._separate_per_cut(inst, x, DEFAULT_EPS)]
+    want = [row.key() for row in _per_cut_rows(inst, x)]
     assert want
     separator = relaxation._Separator(inst)
     for block in (CUT_BLOCK, 2, 7, 511):  # the first run stores the matrix
         monkeypatch.setattr(graph, "CUT_BLOCK", block)
-        rows = relaxation._separate_per_cut(inst, x, DEFAULT_EPS, "full", separator)
+        rows = separator.rows(x, DEFAULT_EPS)
         assert [row.key() for row in rows] == want, block
 
 
@@ -525,7 +519,7 @@ def test_separation_with_one_edge_family_empty(built_rows, safe):
         need = inst.p * (inst.p + inst.q)
         cuts = enumerate_cuts_below(inst.graph, capacities(inst, x), 2 * need)
         want = [_separate_by_building_every_row(inst, x, eps, [r]) for r in cuts]
-        rows = relaxation._separate_per_cut(inst, x, eps)
+        rows = _per_cut_rows(inst, x, eps)
         assert [row.key() for row in rows] == [row.key() for row in want if row], trial
 
 
@@ -628,6 +622,17 @@ def test_lp_solve_rejects_negative_objective():
         lp_solve([], (-1.0, 0.0), 2)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_lp_solve_rejects_non_finite_objective(bad):
+    # a NaN cost gave value nan, an infinite one value inf, and with no
+    # rows a NaN cost gave zeros after a RuntimeWarning
+    row = constraint_row(_all_unsafe_pair(), Cut.from_vertices(2, {1}), {0})
+    with pytest.raises(ValueError, match="finite"):
+        lp_solve([row], (bad, 1.0, 1.0), 3)
+    with pytest.raises(ValueError, match="finite"):
+        lp_solve([], (bad, 1.0), 2)
+
+
 def test_exact_lp_matches_float_lp_on_corpus():
     # the warm-started model's final value against a fresh HiGHS model and
     # the rational simplex over the same pool
@@ -691,13 +696,13 @@ def test_solve_relaxation_skips_pool_rows_separation_reports(monkeypatch):
     inst = strengthening_gadget()
     want = solve_relaxation(inst)
     pool_row = constraint_row(inst, Cut.from_vertices(inst.n, {0}), frozenset())
-    per_cut = relaxation._separate_per_cut
+    per_cut = relaxation._Separator.rows
 
     def with_pool_row(*args):
         rows = per_cut(*args)
         return [pool_row] + rows if rows else rows
 
-    monkeypatch.setattr(relaxation, "_separate_per_cut", with_pool_row)
+    monkeypatch.setattr(relaxation._Separator, "rows", with_pool_row)
     relax = solve_relaxation(inst)
     assert relax.value == want.value
     assert len({row.key() for row in relax.active_rows}) == len(relax.active_rows)
@@ -706,17 +711,22 @@ def test_solve_relaxation_skips_pool_rows_separation_reports(monkeypatch):
 def test_solve_relaxation_stalls_when_separation_repeats_the_pool(monkeypatch):
     inst = two_vertex()
     pool_row = constraint_row(inst, Cut.from_vertices(inst.n, {0}), frozenset())
-    monkeypatch.setattr(relaxation, "_separate_per_cut", lambda *args: [pool_row])
+    monkeypatch.setattr(relaxation._Separator, "rows", lambda *args: [pool_row])
     with pytest.raises(IterationLimitError, match="already in the pool"):
         solve_relaxation(inst)
 
 
 def test_solve_relaxation_exact_numeric_mode():
-    relax = solve_relaxation(two_vertex(), eps=0, numeric="exact")
-    assert relax.value == 2
-    assert relax.x == (0, 1, 1)
-    gadget = solve_relaxation(strengthening_gadget(), eps=0, numeric="exact")
-    assert gadget.value == 11
+    # the rational simplex over the float loop's final pool certifies the
+    # LP optimum: exact separation at its optimum finds no violated row
+    inst = two_vertex()
+    xe, ve = lp_solve_exact(solve_relaxation(inst).active_rows, inst.cost, inst.m)
+    assert (xe, ve) == ((0, 1, 1), 2)
+    assert separate(inst, xe, 0) is None
+    gadget = strengthening_gadget()
+    xe, ve = lp_solve_exact(solve_relaxation(gadget).active_rows, gadget.cost, gadget.m)
+    assert ve == 11
+    assert separate(gadget, xe, 0) is None
 
 
 def test_solve_relaxation_logs_iterates():
@@ -727,15 +737,15 @@ def test_solve_relaxation_logs_iterates():
 
 def test_strengthening_gadget_gap():
     inst = strengthening_gadget()
-    basic = solve_relaxation(inst, j_family="basic")
+    basic = basic_lp_value(inst)
     full = solve_relaxation(inst)
-    assert abs(basic.value - 4.0) <= 1e-6
+    assert abs(basic - 4.0) <= 1e-6
     assert abs(full.value - 11.0) <= 1e-6
-    assert full.value >= basic.value + 1e-3
+    assert full.value >= basic + 1e-3
 
 
 def test_knapsack_rows_never_lower_the_lp():
     for name, inst in named_corpus():
-        basic = solve_relaxation(inst, j_family="basic")
+        basic = basic_lp_value(inst)
         full = solve_relaxation(inst)
-        assert full.value >= basic.value - 1e-9, name
+        assert full.value >= basic - 1e-9, name
