@@ -25,7 +25,7 @@ from .exact import count_cuts_at_most, exact_opt
 from .graph import min_cut
 from .instance_io import gen_random, json_int, json_number, load_instance, save_instance
 from .model import is_feasible
-from .relaxation import DEFAULT_EPS, solve_relaxation
+from .relaxation import solve_relaxation
 from .rounding import RoundingConfig, solve as rounding_solve
 
 
@@ -66,7 +66,7 @@ def cmd_check(args) -> int:
 
 def cmd_lp(args) -> int:
     inst = load_instance(args.file)
-    relax = solve_relaxation(inst, args.eps)
+    relax = solve_relaxation(inst)
     report = {
         "command": "lp",
         "lp_value": relax.value,
@@ -87,7 +87,7 @@ def cmd_solve(args) -> int:
         seed=args.seed,
     )
     t0 = time.perf_counter()
-    relax = solve_relaxation(inst, args.eps)
+    relax = solve_relaxation(inst)
     t1 = time.perf_counter()
     outcome = rounding_solve(inst, cfg, relaxation=relax)
     t2 = time.perf_counter()
@@ -170,9 +170,18 @@ def cmd_counts(args) -> int:
     return 0
 
 
+_BENCH_FIELDS = (
+    "n", "m", "p", "q", "seed",
+    "safe_fraction", "cost_range", "scale_constant", "solve_seed", "max_attempts",
+)
+
+
 def _bench_item(index: int, item: dict) -> dict:
     try:  # no coercion, as in instance_from_json
         n, m, p, q, seed = (json_int(item[key], key) for key in ("n", "m", "p", "q", "seed"))
+        for key in item:  # a misspelt optional field would run at its default
+            if key not in _BENCH_FIELDS:
+                raise ParseError(f"unknown field {key!r}")
         lo, hi = (json_number(c, "cost_range") for c in item.get("cost_range", (1.0, 10.0)))
         safe_fraction = json_number(item.get("safe_fraction", 0.5), "safe_fraction")
         scale_constant = json_number(item.get("scale_constant", 100.0), "scale_constant")
@@ -234,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lp", help="solve the fractional relaxation")
     sp.add_argument("file")
-    sp.add_argument("--eps", type=float, default=DEFAULT_EPS)
     common(sp)
     sp.set_defaults(func=cmd_lp)
 
@@ -244,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scale-c", type=float, default=100.0)
     sp.add_argument("--cost-cap", type=float, default=2.0)
     sp.add_argument("--max-attempts", type=int, default=64)
-    sp.add_argument("--eps", type=float, default=DEFAULT_EPS)
     sp.add_argument("--with-exact", action="store_true", help="also run the exact baseline")
     common(sp)
     sp.set_defaults(func=cmd_solve)

@@ -292,13 +292,19 @@ class CutScan:
     """The exhaustive cut scan of one graph, prepared once and run for any
     number of capacity vectors.
 
-    When all 2^(n-1) - 1 canonical masks fit in one CUT_BLOCK at
-    construction (n <= 13 at 4096), it holds those masks and their
+    Construction refuses graphs with more than DEFAULT_EXHAUSTIVE_LIMIT
+    vertices.  When all 2^(n-1) - 1 canonical masks fit in one CUT_BLOCK
+    at construction (n <= 13 at 4096), it holds those masks and their
     crossing matrix, which no capacity changes.  CUT_BLOCK is read at each
     scan; the stored matrix is sliced into blocks of its current size.
     """
 
     def __init__(self, g: Multigraph):
+        if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
+            raise TooLargeError(
+                f"instance too large for the exhaustive cut scan "
+                f"(n={g.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
+            )
         self.g = g
         self._every: tuple[range, np.ndarray] | None = None
         if (1 << (g.n - 1)) - 1 <= CUT_BLOCK:
@@ -309,8 +315,7 @@ class CutScan:
         """The cuts below ``threshold``, as enumerate_cuts_below defines
         them, in blocks ``(side masks, capacities, crossing_matrix rows)`` in
         ascending mask order; each block comes from at most CUT_BLOCK
-        candidate masks.  Refuses graphs with more than
-        DEFAULT_EXHAUSTIVE_LIMIT vertices.
+        candidate masks.
 
         Exhaustive candidates are every canonical mask while they fit in one
         block, and otherwise the masks that a float table of every cut's
@@ -326,11 +331,6 @@ class CutScan:
         """
         g = self.g
         _check_scan_arguments(g, caps, threshold)
-        if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
-            raise TooLargeError(
-                f"instance too large for the exhaustive cut scan "
-                f"(n={g.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
-            )
         floats = _are_floats(caps)
         cutoff = threshold - CUT_REL_TOL * threshold if floats else threshold
         every = self._every

@@ -73,7 +73,8 @@ def _load_highs_core(roots: Iterable[str]) -> ModuleType:
 
 _highs = _load_highs_core(scipy.__path__)
 
-# Absolute tolerance on row violations; rhs values are small integers.
+# Absolute tolerance on row violations at which the cutting-plane loop
+# separates: HiGHS holds rows only to its 1e-7 primal feasibility tolerance.
 DEFAULT_EPS = 1e-7
 
 # x vectors may carry solver noise this far outside the box before we reject.
@@ -206,11 +207,6 @@ def _check_box(x: Sequence) -> tuple:
     return tuple(cleaned)
 
 
-def _check_eps(eps) -> None:
-    if not 0 <= eps < math.inf:  # also rejects NaN
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-
-
 def separate(inst: FgcInstance, x: Sequence, eps: float = DEFAULT_EPS) -> ConstraintRow | None:
     """Most violated covering row at x, or None if all hold within eps.
 
@@ -222,7 +218,8 @@ def separate(inst: FgcInstance, x: Sequence, eps: float = DEFAULT_EPS) -> Constr
     violation matches a brute-force scan.  Only the best row so far and one
     block's rows are held at a time.
     """
-    _check_eps(eps)
+    if not 0 <= eps < math.inf:  # also rejects NaN
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     blocks = _Separator(inst).violated_blocks(_check_box(x), eps)
     hits = (hit for block in blocks for hit in block)
     best = min(hits, key=lambda hit: (-hit[1], hit[0]), default=None)
@@ -567,7 +564,7 @@ def lp_solve_exact(
 
 @dataclass(frozen=True)
 class RelaxationResult:
-    """Optimal fractional solution with the rows that were active at the end."""
+    """Optimal fractional solution, the final row pool and the iteration count."""
 
     x: tuple
     value: float
@@ -577,7 +574,6 @@ class RelaxationResult:
 
 def solve_relaxation(
     inst: FgcInstance,
-    eps: float = DEFAULT_EPS,
     *,
     on_iterate: Callable[[int, tuple, float], None] | None = None,
 ) -> RelaxationResult:
@@ -586,16 +582,17 @@ def solve_relaxation(
     Seeds the pool with the J-empty rows of all singleton cuts, then
     alternates LP solves with separation, adding the most violated row of
     every violated cut, until separation certifies no violation beyond
-    eps.  One HiGHS model holds the pool for the whole loop and gets only
-    the new rows, so each solve warm-starts from the last basis;
-    separation's x-independent state is built once for the loop.
+    DEFAULT_EPS, the LP's own row tolerance.  One HiGHS model holds the
+    pool for the whole loop and gets only the new rows, so each solve
+    warm-starts from the last basis; separation's x-independent state is
+    built once for the loop.
     The value is a lower bound on the optimal integral cost.  When the
     subsolver fails on an instance whose full edge set is infeasible, the
     error is InvalidInstanceError("infeasible-edges") naming the cut.
     """
-    _check_eps(eps)
-    lp = _HighsLp(inst.cost, inst.m)
+    # the separator's cut scan refuses n > DEFAULT_EXHAUSTIVE_LIMIT before any LP
     separator = _Separator(inst)
+    lp = _HighsLp(inst.cost, inst.m)
     cap = ITERATIONS_PER_EDGE_VERTEX * inst.m * inst.n
 
     # seed and separated rows are never trivial, so lp.rows is the pool
@@ -625,13 +622,13 @@ def solve_relaxation(
             raise
         if on_iterate is not None:
             on_iterate(iterations, x, value)
-        violated = separator.rows(x, eps)
+        violated = separator.rows(x, DEFAULT_EPS)
         if not violated:
             return RelaxationResult(
                 x=x, value=value, active_rows=tuple(lp.rows), iterations=iterations
             )
-        # A pool row can read as violated by just over eps: the LP holds rows
-        # only to its feasibility tolerance and x is clipped afterwards.
+        # A pool row can read as violated by just over DEFAULT_EPS: the LP
+        # holds rows only to its tolerance and x is clipped afterwards.
         new = [row for row in violated if row.key() not in seen]
         if not new:
             raise IterationLimitError(

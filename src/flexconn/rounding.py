@@ -105,7 +105,9 @@ def solve(
     relax = relaxation if relaxation is not None else solve_relaxation(inst)
     y = inclusion_probabilities(inst, relax.x, cfg)
     forced = sum(1 for v in y if v >= 1.0)
-    cap = cfg.cost_cap_multiplier * cfg.scale_constant * math.log(inst.n) * float(relax.value)
+    value = float(relax.value)
+    factor = cfg.cost_cap_multiplier * cfg.scale_constant * math.log(inst.n)
+    cap = factor * value if value else 0.0  # the factor can overflow, and inf . 0 is nan
     attempts = []
     for attempt in range(cfg.max_attempts):
         f = round_once(inst, relax.x, cfg, attempt)
@@ -118,7 +120,7 @@ def solve(
                 cost=cost,
                 attempts_used=attempt + 1,
                 forced_set_size=forced,
-                lp_value=float(relax.value),
+                lp_value=value,
                 relaxation=relax,
             )
         attempts.append(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from flexconn import FgcInstance, exact, save_instance
+from flexconn import FgcInstance, exact, relaxation, save_instance
 from flexconn.cli import run
 
 from instances import cycle_graph, gadget_f1, triangle_p1q0, two_vertex
@@ -122,10 +122,14 @@ def test_counts_refuses_large_graphs_before_any_cut_scan(tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize("command", ["lp", "solve"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_lp_and_solve_reject_bad_eps(inst_file, capsys, command, value):
-    assert run([command, inst_file, "--eps", value]) == 2
-    assert "eps" in capsys.readouterr().err
+def test_lp_and_solve_refuse_large_graphs_before_any_lp(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "cycle21.fgc"
+    save_instance(FgcInstance(cycle_graph(21), (True,) * 21, (1.0,) * 21, 1, 0), path)
+    built = []
+    monkeypatch.setattr(relaxation, "_HighsLp", lambda *args: built.append(args))
+    assert run([command, str(path)]) == 3
+    assert "too large" in capsys.readouterr().err
+    assert built == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -300,6 +304,11 @@ def test_bench_deterministic(tmp_path, capsys):
         (
             {"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "cost_range": [1, 10**400]},
             "cost_range is out of float range",
+        ),
+        # a misspelt optional field ran the item at its default
+        (
+            {"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "scale_constnat": 0.5, "max_attempt": 1},
+            "unknown field 'scale_constnat'",
         ),
     ],
 )

@@ -278,12 +278,13 @@ def test_enumerate_threshold_is_strict_with_relative_slop():
 
 
 def test_enumerate_exhaustive_refuses_large_graphs():
-    # the scan stops at the limit, and past it the flow route takes no floats
+    # the scan refuses to be built past the limit, and past it the flow
+    # route takes no floats
     n = 21
     edges = tuple((v, v + 1) for v in range(n - 1))
     g = Multigraph(n, edges)
     with pytest.raises(TooLargeError):
-        next(graph.CutScan(g).blocks([1] * g.m, 2))
+        graph.CutScan(g)
     with pytest.raises(TooLargeError):
         enumerate_cuts_below(g, [1.0] * g.m, 2)
     with pytest.raises(TooLargeError):

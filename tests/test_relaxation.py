@@ -26,13 +26,14 @@ from flexconn import graph, relaxation
 from flexconn.exact import separate_bruteforce
 from flexconn import model
 from flexconn.model import FgcInstance
-from flexconn.errors import InvalidInstanceError, LpSolveError
+from flexconn.errors import InvalidInstanceError, LpSolveError, TooLargeError
 from flexconn.graph import CUT_BLOCK, Multigraph, enumerate_cuts_below
 from flexconn.instance_io import gen_random
 from flexconn.relaxation import DEFAULT_EPS, ConstraintRow
 
 from instances import (
     basic_lp_value,
+    cycle_graph,
     gadget_f1,
     named_corpus,
     random_instance,
@@ -175,13 +176,15 @@ def test_separate_rejects_bad_eps(eps):
         separate(two_vertex(), (0.0, 0.0, 0.0), eps)
 
 
-def test_solve_relaxation_rejects_nan_eps(monkeypatch):
-    # a NaN eps once ran one LP solve before separation raised
+def test_solve_relaxation_and_separate_refuse_large_graphs_before_any_lp(monkeypatch):
+    # the cut scan's size check once ran only at its first scan, after one LP solve
     built = []
     monkeypatch.setattr(relaxation, "_HighsLp", lambda *args: built.append(args))
-    for eps in (float("nan"), float("inf"), -1.0):
-        with pytest.raises(ValueError, match="eps"):
-            solve_relaxation(random_instance(3, n=6, m=12, p=2, q=1), eps)
+    inst = FgcInstance(cycle_graph(21), (True,) * 21, (1.0,) * 21, 1, 0)
+    with pytest.raises(TooLargeError, match="n=21 > 20"):
+        solve_relaxation(inst)
+    with pytest.raises(TooLargeError, match="n=21 > 20"):
+        separate(inst, (0.0,) * inst.m)
     assert built == []
 
 

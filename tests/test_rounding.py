@@ -79,6 +79,16 @@ def test_zero_x_edges_stay_out_when_the_scale_overflows():
     assert not solve(inst, cfg, relaxation=relax).selection & zero
 
 
+def test_zero_lp_value_caps_at_zero_when_the_scale_overflows():
+    # C ln(n) = inf made the cap inf . 0 = nan, so a feasible draw of cost 0
+    # read as above it and every attempt was rejected
+    inst = gen_random(8, 16, 0.5, (0.0, 0.0), 2, 1, 3)
+    out = solve(inst, RoundingConfig(scale_constant=1e308))
+    assert out.lp_value == 0.0
+    assert out.cost == 0.0
+    assert out.attempts_used == 1
+
+
 def test_round_once_extremes():
     inst = two_vertex()
     cfg = RoundingConfig(seed=5)
