@@ -82,7 +82,6 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.file)
     cfg = RoundingConfig(
         scale_constant=args.scale_c,
-        cost_cap_multiplier=args.cost_cap,
         max_attempts=args.max_attempts,
         seed=args.seed,
     )
@@ -191,11 +190,11 @@ def _bench_item(index: int, item: dict) -> dict:
             max_attempts=item.get("max_attempts", 64),
             seed=solve_seed,
         )
+        inst = gen_random(n, m, safe_fraction, (lo, hi), p, q, seed)
     except KeyError as exc:
         raise ParseError(f"suite item {index}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:  # ValueError includes ParseError
+    except (TypeError, ValueError) as exc:  # ValueError includes ParseError, GenerationError
         raise ParseError(f"suite item {index}: {exc}") from None
-    inst = gen_random(n, m, safe_fraction, (lo, hi), p, q, seed)
     outcome = rounding_solve(inst, cfg)
     report = {
         "item": index,
@@ -219,6 +218,9 @@ def cmd_bench(args) -> int:
     items = suite.get("items") if isinstance(suite, dict) else None
     if not isinstance(items, list):
         raise ParseError("a suite is a JSON object with an 'items' list")
+    for key in suite:  # a suite-wide setting would be silently ignored
+        if key != "items":
+            raise ParseError(f"unknown suite key {key!r}: a suite holds only 'items'")
     for i, item in enumerate(items):
         _emit(_bench_item(i, item), args.pretty)
     return 0
@@ -250,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--scale-c", type=float, default=100.0)
-    sp.add_argument("--cost-cap", type=float, default=2.0)
     sp.add_argument("--max-attempts", type=int, default=64)
     sp.add_argument("--with-exact", action="store_true", help="also run the exact baseline")
     common(sp)

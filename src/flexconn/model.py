@@ -179,8 +179,8 @@ def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
     bound = p * (p + q - 1) + q * (p - 1)
     if lam > bound:
         return FeasibilityVerdict(True, None, mode)
-    # integer capacities: cap <= bound is cap < bound + 0.5
-    cuts = enumerate_cuts_below(inst.graph, caps, bound + 0.5)
+    # integer capacities: cap <= bound is cap < bound + 1, exactly at any size
+    cuts = enumerate_cuts_below(inst.graph, caps, bound + 1)
     for r in cuts:
         s, t = cut_tallies(inst, f, r.side_mask)
         if s < p and t < p + q:

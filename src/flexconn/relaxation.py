@@ -88,9 +88,11 @@ ITERATIONS_PER_EDGE_VERTEX = 10
 class ConstraintRow:
     """One linearized covering inequality for a (cut, J) pair.
 
-    Coefficients: safe edges of K get alpha1+alpha2, unsafe edges of K get
-    alpha1, everything else 0.  rhs = alpha1 . (p+q-a-b)+.  All quantities
-    are integers.  A row with rhs 0 is trivial and never enters the LP.
+    ``k`` holds the edges of K = delta(R) minus J by ascending id and
+    ``coef`` their coefficients: alpha1+alpha2 on safe edges, alpha1 on
+    unsafe ones; every other edge has 0.  rhs = alpha1 . (p+q-a-b)+.  All
+    quantities are integers.  A row with rhs 0 is trivial and never
+    enters the LP.
     """
 
     cut: Cut
@@ -100,33 +102,19 @@ class ConstraintRow:
     alpha1: int
     alpha2: int
     rhs: int
-    k_safe: frozenset[int]
-    k_unsafe: frozenset[int]
+    k: tuple[int, ...]
+    coef: tuple[int, ...]
 
     @property
     def trivial(self) -> bool:
         return self.rhs == 0
 
-    def coefficient(self, e: int):
-        if e in self.k_safe:
-            return self.alpha1 + self.alpha2
-        if e in self.k_unsafe:
-            return self.alpha1
-        return 0
-
-    def entries(self) -> tuple[list[int], list[int]]:
-        """The edges of K by ascending id (a frozenset's iteration order
-        depends on how it was built) and their coefficients."""
-        k = sorted(self.k_safe | self.k_unsafe)
-        safe, unsafe = self.alpha1 + self.alpha2, self.alpha1
-        return k, [safe if e in self.k_safe else unsafe for e in k]
-
     def lhs(self, x: Sequence):
+        """The running total along K in edge order (sum() compensates
+        floats on Python 3.12+)."""
         total = 0
-        for e in self.k_safe:
-            total += (self.alpha1 + self.alpha2) * x[e]
-        for e in self.k_unsafe:
-            total += self.alpha1 * x[e]
+        for e, c in zip(self.k, self.coef):
+            total += c * x[e]
         return total
 
     def key(self) -> tuple:
@@ -143,20 +131,19 @@ def constraint_row(inst: FgcInstance, r: Cut, j_edges: Iterable[int]) -> Constra
     j = frozenset(int(e) for e in j_edges)
     if not j <= delta:
         raise ValueError("j_edges must lie inside the cut's edge set")
-    return _row(inst, r, delta, j)
+    return _row(inst, r, sorted(delta), j)
 
 
-def _row(inst: FgcInstance, r: Cut, delta: frozenset[int], j: frozenset[int]) -> ConstraintRow:
-    """The covering row of cut ``r`` with edge set ``delta`` for J = j, a
-    subset of delta."""
+def _row(inst: FgcInstance, r: Cut, delta: Sequence[int], j: frozenset[int]) -> ConstraintRow:
+    """The covering row of cut ``r`` with edges ``delta`` in ascending
+    order for J = j, a subset of delta."""
     a = sum(1 for e in j if inst.safe[e])
     b = len(j) - a
     p, q = inst.p, inst.q
     alpha1 = max(p - a, 0)
     alpha2 = max(q - b, 0)
     rhs = alpha1 * max(p + q - a - b, 0)
-    k = delta - j
-    k_safe = frozenset(e for e in k if inst.safe[e])
+    k = tuple(e for e in delta if e not in j)
     return ConstraintRow(
         cut=r,
         j_edges=j,
@@ -165,8 +152,8 @@ def _row(inst: FgcInstance, r: Cut, delta: frozenset[int], j: frozenset[int]) ->
         alpha1=alpha1,
         alpha2=alpha2,
         rhs=rhs,
-        k_safe=k_safe,
-        k_unsafe=frozenset(k - k_safe),
+        k=k,
+        coef=tuple(alpha1 + alpha2 if inst.safe[e] else alpha1 for e in k),
     )
 
 
@@ -237,6 +224,8 @@ class _Separator:
 
     def __init__(self, inst: FgcInstance):
         p, q = inst.p, inst.q
+        if p + q > sys.float_info.max:  # the grid and the LP's rows are floats
+            raise LpSolveError("p+q is beyond float range, so the LP cannot hold its rows")
         self.inst = inst
         self.scan = CutScan(inst.graph)
         # No cut has more than m edges, so a and b stop at m.  They are
@@ -322,7 +311,7 @@ class _Separator:
                     + unsafe_order[cross[i, unsafe_order]][:bi].tolist()
                 )
                 r = Cut(inst.n, masks[i], capacity=cut_caps[i])
-                row = _row(inst, r, frozenset(cross[i].nonzero()[0].tolist()), frozenset(j))
+                row = _row(inst, r, cross[i].nonzero()[0].tolist(), frozenset(j))
                 v = violation(row, x)
                 if v > best.get(i, (eps,))[0]:
                     best[i] = (v, row)
@@ -392,10 +381,9 @@ class _HighsLp:
             return
         starts, index, value = [], [], []
         for row in new:
-            k, coefficients = row.entries()
             starts.append(len(index))
-            index.extend(k)
-            value.extend(coefficients)
+            index.extend(row.k)
+            value.extend(row.coef)
         status = self.highs.addRows(
             len(new),
             np.array([row.rhs for row in new], dtype=float),
@@ -517,8 +505,8 @@ def lp_solve_exact(
     basis = []
     for i, row in enumerate(active):
         line = [Fraction(0)] * (n_cols + 1)
-        for e in range(m):
-            line[e] = Fraction(row.coefficient(e))
+        for e, c in zip(row.k, row.coef):
+            line[e] = Fraction(c)
         line[m + i] = Fraction(-1)
         line[n_real + i] = Fraction(1)
         line[-1] = Fraction(row.rhs)

@@ -28,22 +28,20 @@ _CAP_SLACK = 4 * sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class RoundingConfig:
-    """Scaling constant C, acceptance cap, attempt budget, RNG seed.
+    """Scaling constant C, attempt budget, RNG seed.
 
-    Accepted outcomes cost at most cost_cap_multiplier . C . ln(n) times
-    the LP value; the defaults give the 200 ln(n) guarantee.
+    Accepted outcomes cost at most 2 . C . ln(n) times the LP value, 2
+    being the paper's Markov factor; the default C gives the 200 ln(n)
+    guarantee.
     """
 
     scale_constant: float = 100.0
-    cost_cap_multiplier: float = 2.0
     max_attempts: int = 64
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.scale_constant < math.inf:
             raise ValueError("scale_constant must be positive and finite")
-        if not 1 <= self.cost_cap_multiplier < math.inf:
-            raise ValueError("cost_cap_multiplier must be finite and at least 1")
         for name in ("max_attempts", "seed"):  # True is an int but must not read as 1
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -98,7 +96,7 @@ def solve(
     """Full pipeline: solve the LP relaxation, then round until accepted.
 
     An attempt is accepted when it passes is_feasible and costs at most
-    cost_cap_multiplier . C . ln(n) . lp_value.  Raises RoundingFailedError
+    2 . C . ln(n) . lp_value.  Raises RoundingFailedError
     with per-attempt diagnostics if max_attempts draws are all rejected.
     A precomputed relaxation may be passed to skip the LP phase.
     """
@@ -106,7 +104,7 @@ def solve(
     y = inclusion_probabilities(inst, relax.x, cfg)
     forced = sum(1 for v in y if v >= 1.0)
     value = float(relax.value)
-    factor = cfg.cost_cap_multiplier * cfg.scale_constant * math.log(inst.n)
+    factor = 2 * cfg.scale_constant * math.log(inst.n)
     cap = factor * value if value else 0.0  # the factor can overflow, and inf . 0 is nan
     attempts = []
     for attempt in range(cfg.max_attempts):

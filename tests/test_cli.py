@@ -152,11 +152,32 @@ def test_counts_rejects_alpha_whose_karger_bound_overflows(tmp_path, capsys):
     assert "--alpha 400" in captured.err
 
 
-@pytest.mark.parametrize("flag", ["--scale-c", "--cost-cap"])
+@pytest.mark.parametrize("flag", ["--scale-c"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_solve_rejects_non_finite_rounding_constants(inst_file, capsys, flag, value):
     assert run(["solve", inst_file, flag, value]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_solve_has_no_cost_cap_option(inst_file, capsys):
+    # the cap is always 2 C ln(n) times the LP value
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", inst_file, "--cost-cap", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cost-cap" in capsys.readouterr().err
+
+
+def test_q_beyond_float_range(tmp_path, capsys):
+    # check loaded the file through is_feasible, which raised OverflowError;
+    # lp and solve then raised it from the separator's float grid
+    path = tmp_path / "cycle4.fgc"
+    save_instance(FgcInstance(cycle_graph(4), (True,) * 4, (1.0,) * 4, 2, 10**400), path)
+    assert run(["check", str(path)]) == 0
+    assert _single_report(capsys)["feasible"] is True
+    for command in ("lp", "solve"):
+        assert run([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "float range" in captured.err
 
 
 def test_solve_rejects_a_negative_seed_before_the_lp(inst_file, capsys, monkeypatch):
@@ -310,6 +331,10 @@ def test_bench_deterministic(tmp_path, capsys):
             {"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "scale_constnat": 0.5, "max_attempt": 1},
             "unknown field 'scale_constnat'",
         ),
+        # gen_random's range errors did not name the item
+        ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "cost_range": [10, 1]}, "cost range"),
+        ({"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3, "safe_fraction": 1.5}, "safe_fraction"),
+        ({"n": 6, "m": 12, "p": 0, "q": 1, "seed": 3}, "need p >= 1"),
     ],
 )
 def test_bench_rejects_malformed_items(tmp_path, capsys, item, message):
@@ -320,6 +345,16 @@ def test_bench_rejects_malformed_items(tmp_path, capsys, item, message):
     err = capsys.readouterr().err
     assert "suite item 1" in err
     assert message in err
+
+
+def test_bench_rejects_unknown_suite_keys(tmp_path, capsys):
+    # a suite-wide setting ran every item at its default
+    suite_path = tmp_path / "suite.json"
+    items = [{"n": 6, "m": 12, "p": 2, "q": 1, "seed": 3}]
+    suite_path.write_text(json.dumps({"items": items, "max_attempts": 1}))
+    assert run(["bench", "--suite", str(suite_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown suite key 'max_attempts'" in captured.err
 
 
 @pytest.mark.parametrize("suite", [[], {"runs": []}, {"items": {}}])

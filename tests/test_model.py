@@ -22,7 +22,7 @@ from flexconn import model
 from flexconn.graph import canonical_masks
 from flexconn.model import cut_tallies
 
-from instances import gadget_f1, named_corpus, random_instance, two_vertex
+from instances import cycle_graph, gadget_f1, named_corpus, random_instance, two_vertex
 
 
 def test_instance_checks_array_lengths():
@@ -217,6 +217,22 @@ def test_capacitated_past_the_table_matches_the_definition(monkeypatch, n):
     # both verdicts occur, and some came from the flow enumeration
     assert True in verdicts and False in verdicts
     assert scanned >= 2
+
+
+@pytest.mark.parametrize("n", [4, 14, 24])
+def test_capacitated_at_q_beyond_float_range(n):
+    # every cut of a safe cycle crosses 2 = p safe edges, so it is feasible
+    # at any q; the cut threshold was bound + 0.5, which raised
+    # OverflowError once q passed float range.  n = 14 shortlists through
+    # the float cut table, which cannot hold these capacities, and n = 24
+    # enumerates by flow
+    inst = FgcInstance(cycle_graph(n), (True,) * n, (1.0,) * n, 2, 10**400)
+    path = inst.all_edges - {0}
+    assert is_feasible(inst, inst.all_edges).feasible
+    assert not is_feasible(inst, path).feasible
+    if n <= 14:
+        assert is_feasible_direct(inst, inst.all_edges).feasible
+        assert not is_feasible_direct(inst, path).feasible
 
 
 def test_full_edge_set_feasible_on_corpus():

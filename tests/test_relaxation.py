@@ -1,6 +1,5 @@
 """Constraint rows, separation oracle, LP subsolvers, cutting-plane driver."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -29,7 +28,7 @@ from flexconn.model import FgcInstance
 from flexconn.errors import InvalidInstanceError, LpSolveError, TooLargeError
 from flexconn.graph import CUT_BLOCK, Multigraph, enumerate_cuts_below
 from flexconn.instance_io import gen_random
-from flexconn.relaxation import DEFAULT_EPS, ConstraintRow
+from flexconn.relaxation import DEFAULT_EPS
 
 from instances import (
     basic_lp_value,
@@ -67,8 +66,7 @@ def test_constraint_row_j_empty_reduces_to_covering_form():
     inst = two_vertex()
     row = constraint_row(inst, Cut.from_vertices(2, {1}), frozenset())
     # p x(delta) + q x(delta & S) >= p(p+q): coefficient 2 on safe, 1 on unsafe
-    assert row.coefficient(0) == 2
-    assert row.coefficient(1) == 1
+    assert row.k == (0, 1, 2) and row.coef == (2, 1, 1)
     assert row.rhs == 2
 
 
@@ -438,6 +436,10 @@ def test_solve_relaxation_at_huge_q():
     # HiGHS refuses matrix entries of 1e15 and more
     with pytest.raises(LpSolveError):
         solve_relaxation(_safe_heavy_path(10**15))
+    # past float range the separator's grid overflowed with a bare OverflowError
+    for run_lp in (solve_relaxation, lambda inst: separate(inst, (0.5,) * 10)):
+        with pytest.raises(LpSolveError, match="float range"):
+            run_lp(_safe_heavy_path(10**400))
 
 
 def test_solve_relaxation_names_the_cut_of_an_infeasible_edge_set():
@@ -593,31 +595,36 @@ def test_lp_value_stays_below_optimum_at_tiny_costs(p, q, seed):
     assert solve_relaxation(inst).value <= exact_opt(inst).best_cost * (1 + 1e-9)
 
 
-def test_highs_gets_row_entries_in_edge_order():
-    # frozenset([8, 0]) and frozenset([0, 8]) iterate in different orders
-    first = ConstraintRow(
-        cut=Cut.from_vertices(2, {1}),
-        j_edges=frozenset(),
-        a=0,
-        b=0,
-        alpha1=2,
-        alpha2=1,
-        rhs=6,
-        k_safe=frozenset([8, 0]),
-        k_unsafe=frozenset([3]),
-    )
-    second = dataclasses.replace(first, k_safe=frozenset([0, 8]))
-    assert first == second and list(first.k_safe) != list(second.k_safe)
+def test_row_is_the_same_whichever_order_its_cut_set_iterates(monkeypatch):
+    # cut {1} crosses edges 0, 8 and 16, which share a slot in a small set
+    # table, so frozenset([16, 8, 0]) iterates in another order than the
+    # frozenset that cut_edges builds in edge order
+    ends = [(0, 1) if e % 8 == 0 else (0, 2) for e in range(17)]
+    inst = FgcInstance(Multigraph(3, ends), (True,) * 17, (1.0,) * 17, 1, 0)
+    cut = Cut.from_vertices(3, {1})
+    built = relaxation.cut_edges(inst.graph, cut)
+    reordered = frozenset([16, 8, 0])
+    assert built == reordered and list(built) != list(reordered)
+    rows = [constraint_row(inst, cut, ())]
+    monkeypatch.setattr(relaxation, "cut_edges", lambda g, r: reordered)
+    rows.append(constraint_row(inst, cut, ()))
+    assert rows[0].k == rows[1].k == (0, 8, 16) and rows[0].coef == rows[1].coef == (1, 1, 1)
+
     calls = []
-    for row in (first, second):
-        lp = relaxation._HighsLp((1.0,) * 9, 9)
+    for row in rows:
+        lp = relaxation._HighsLp(inst.cost, inst.m)
         add_rows = lp.highs.addRows  # the model's own attributes are read-only
         lp.highs = SimpleNamespace(addRows=lambda *args: calls.append(args) or add_rows(*args))
         lp.add([row])
     index, value = calls[0][5:]
-    assert index.tolist() == [0, 3, 8] and value.tolist() == [3.0, 2.0, 3.0]
+    assert index.tolist() == [0, 8, 16] and value.tolist() == [1.0, 1.0, 1.0]
     for a, b in zip(*calls):
         assert np.array_equal(a, b)
+
+    # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit
+    x = [0.0] * inst.m
+    x[0], x[8], x[16] = 0.1, 0.2, 0.3
+    assert rows[0].lhs(x) == rows[1].lhs(x) == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
 
 
 def test_lp_solve_rejects_negative_objective():

@@ -23,8 +23,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RoundingConfig(scale_constant=0)
     with pytest.raises(ValueError):
-        RoundingConfig(cost_cap_multiplier=0.5)
-    with pytest.raises(ValueError):
         RoundingConfig(max_attempts=0)
     with pytest.raises(ValueError, match="seed"):
         RoundingConfig(seed=-1)
@@ -38,7 +36,7 @@ def test_config_rejects_non_integer_counts(field, bad):
         RoundingConfig(**{field: bad})
 
 
-@pytest.mark.parametrize("field", ["scale_constant", "cost_cap_multiplier"])
+@pytest.mark.parametrize("field", ["scale_constant"])
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_config_rejects_non_finite(field, bad):
     # with C = inf, C ln(n) * 0 is NaN and min(1.0, NaN) is 1.0, so every
@@ -156,16 +154,17 @@ def test_solve_cost_bound_holds_on_corpus():
 
 def test_solve_cost_cap_is_scale_free():
     # at costs near 1e-11 an absolute slack of 1e-9 would accept the first
-    # draw at 1.066 times the cap; the second draw is the first within it
+    # draw at 1.066 times the cap 2 C ln(n) LP; the 17th draw is the first
+    # within it
     base = gen_random(6, 10, 0.5, (1, 10), 1, 1, 14)
     inst = FgcInstance(base.graph, base.safe, tuple(c * 1e-12 for c in base.cost), base.p, base.q)
-    cfg = RoundingConfig(scale_constant=1.0, cost_cap_multiplier=1.0, max_attempts=200, seed=14)
+    cfg = RoundingConfig(scale_constant=0.5, max_attempts=200, seed=30)
     out = solve(inst, cfg)
-    cap = math.log(inst.n) * out.lp_value
+    cap = 2 * cfg.scale_constant * math.log(inst.n) * out.lp_value
     first = round_once(inst, out.relaxation.x, cfg, 0)
     assert is_feasible_direct(inst, first).feasible
     assert inst.selection_cost(first) > 1.05 * cap
-    assert out.attempts_used == 2
+    assert out.attempts_used == 17
     assert out.cost <= cap
 
 
