@@ -49,7 +49,6 @@ from .relaxation import (
     candidate_j_sets,
     constraint_row,
     lp_solve,
-    lp_solve_exact,
     separate,
     solve_relaxation,
     violation,
@@ -94,7 +93,6 @@ __all__ = [
     "is_feasible_direct",
     "load_instance",
     "lp_solve",
-    "lp_solve_exact",
     "min_cut",
     "parse_instance",
     "round_once",

@@ -169,15 +169,17 @@ def test_solve_has_no_cost_cap_option(inst_file, capsys):
 
 def test_q_beyond_float_range(tmp_path, capsys):
     # check loaded the file through is_feasible, which raised OverflowError;
-    # lp and solve then raised it from the separator's float grid
-    path = tmp_path / "cycle4.fgc"
-    save_instance(FgcInstance(cycle_graph(4), (True,) * 4, (1.0,) * 4, 2, 10**400), path)
-    assert run(["check", str(path)]) == 0
-    assert _single_report(capsys)["feasible"] is True
-    for command in ("lp", "solve"):
-        assert run([command, str(path)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and "float range" in captured.err
+    # lp and solve then raised it from the separator's float grid, and at
+    # 10^308, where p+q fits a float but 2p(p+q) does not, from the LP's rows
+    for q in (10**308, 10**400):
+        path = tmp_path / "cycle4.fgc"
+        save_instance(FgcInstance(cycle_graph(4), (True,) * 4, (1.0,) * 4, 2, q), path)
+        assert run(["check", str(path)]) == 0
+        assert _single_report(capsys)["feasible"] is True
+        for command in ("lp", "solve"):
+            assert run([command, str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "float range" in captured.err
 
 
 def test_solve_rejects_a_negative_seed_before_the_lp(inst_file, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Constraint rows, separation oracle, LP subsolvers, cutting-plane driver."""
 
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,7 +16,6 @@ from flexconn import (
     constraint_row,
     exact_opt,
     lp_solve,
-    lp_solve_exact,
     min_cut,
     separate,
     solve_relaxation,
@@ -30,6 +30,7 @@ from flexconn.graph import CUT_BLOCK, Multigraph, enumerate_cuts_below
 from flexconn.instance_io import gen_random
 from flexconn.relaxation import DEFAULT_EPS
 
+from exact_lp import lp_solve_exact
 from instances import (
     basic_lp_value,
     cycle_graph,
@@ -436,10 +437,35 @@ def test_solve_relaxation_at_huge_q():
     # HiGHS refuses matrix entries of 1e15 and more
     with pytest.raises(LpSolveError):
         solve_relaxation(_safe_heavy_path(10**15))
-    # past float range the separator's grid overflowed with a bare OverflowError
-    for run_lp in (solve_relaxation, lambda inst: separate(inst, (0.5,) * 10)):
-        with pytest.raises(LpSolveError, match="float range"):
-            run_lp(_safe_heavy_path(10**400))
+    # past float range the separator's grid overflowed with a bare OverflowError;
+    # at 10^308 p+q fits a float but the grid's rhs p(p+q) and the scan
+    # threshold 2p(p+q) do not, and overflowed the same way after a warning
+    for q in (10**308, 10**400):
+        for run_lp in (solve_relaxation, lambda inst: separate(inst, (0.5,) * 10)):
+            with pytest.raises(LpSolveError, match="float range"):
+                run_lp(_safe_heavy_path(q))
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_separate_at_the_largest_q_the_float_guard_admits(parallel):
+    # Cut capacities reach m(p+q), beyond 2p(p+q) when m > 2p: they too
+    # must stay finite, or the scan's sums overflow (a RuntimeWarning, an
+    # error under this suite).  Just below the guard every sum fits and
+    # separation matches the brute-force reference; at 4q a cut's capacity
+    # at x = 1 would pass float range, and the instance is refused.
+    if parallel:
+        g, safe = Multigraph(2, ((0, 1),) * 20), (True,) * 20
+    else:
+        g = Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)))
+        safe = (True, False) * 3
+    p = 2
+    q = int(sys.float_info.max) // (2 * max(p, g.m)) - p
+    inst = FgcInstance(g, safe, (1.0,) * g.m, p, q)
+    for x in [(1.0,) * g.m, (0.5,) * g.m, (0.0,) * g.m]:
+        want = separate_bruteforce(inst, x, DEFAULT_EPS)
+        assert separate(inst, x) == (want[0] if want else None)
+    with pytest.raises(LpSolveError, match="float range"):
+        separate(FgcInstance(g, safe, (1.0,) * g.m, p, 4 * q), (1.0,) * g.m)
 
 
 def test_solve_relaxation_names_the_cut_of_an_infeasible_edge_set():
@@ -645,7 +671,8 @@ def test_lp_solve_rejects_non_finite_objective(bad):
 
 def test_exact_lp_matches_float_lp_on_corpus():
     # the warm-started model's final value against a fresh HiGHS model and
-    # the rational simplex over the same pool
+    # the rational simplex over the same pool, whose optimum certifies the
+    # LP optimum
     for name, inst in named_corpus():
         if inst.m > 16:
             continue
@@ -657,6 +684,8 @@ def test_exact_lp_matches_float_lp_on_corpus():
         for row in relax.active_rows:
             if not row.trivial:
                 assert row.lhs(xe) >= row.rhs  # exact feasibility
+        # exact separation at the rational optimum finds no violated row
+        assert separate(inst, xe, 0) is None, name
 
 
 def test_exact_lp_simple_vertex():
@@ -726,7 +755,7 @@ def test_solve_relaxation_stalls_when_separation_repeats_the_pool(monkeypatch):
         solve_relaxation(inst)
 
 
-def test_solve_relaxation_exact_numeric_mode():
+def test_exact_lp_certifies_two_vertex_and_gadget_optima():
     # the rational simplex over the float loop's final pool certifies the
     # LP optimum: exact separation at its optimum finds no violated row
     inst = two_vertex()
