@@ -225,8 +225,8 @@ class _Separator:
     def __init__(self, inst: FgcInstance):
         p, q = inst.p, inst.q
         # The grid, the scan and the LP's rows are floats.  The largest values
-        # formed are the scan threshold 2p(p+q) and the capacity sums, each at
-        # most m(p+q), which the float table doubles.
+        # separation forms are the scan threshold 2p(p+q) and the float cut
+        # table's entries, up to twice the m(p+q) all capacities can sum to.
         if 2 * max(p, inst.m) * (p + q) > sys.float_info.max:
             raise LpSolveError(
                 "2.max(p, m).(p+q) is beyond float range, so separation cannot score its cuts"

@@ -14,10 +14,7 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from flexconn import *", namespace)
     assert set(flexconn.__all__) <= set(namespace)
-
-
-def test_the_rational_simplex_is_not_in_the_package():
-    # it lives beside the tests that certify the float LP with it
+    # the rational simplex lives beside the tests that certify the float LP
     assert "lp_solve_exact" not in flexconn.__all__
     assert not hasattr(flexconn, "lp_solve_exact")
     assert not hasattr(flexconn.relaxation, "lp_solve_exact")

@@ -446,20 +446,14 @@ def test_solve_relaxation_at_huge_q():
                 run_lp(_safe_heavy_path(q))
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_separate_at_the_largest_q_the_float_guard_admits(parallel):
+def test_separate_at_the_largest_q_the_float_guard_admits():
     # Cut capacities reach m(p+q), beyond 2p(p+q) when m > 2p: they too
     # must stay finite, or the scan's sums overflow (a RuntimeWarning, an
     # error under this suite).  Just below the guard every sum fits and
     # separation matches the brute-force reference; at 4q a cut's capacity
     # at x = 1 would pass float range, and the instance is refused.
-    if parallel:
-        g, safe = Multigraph(2, ((0, 1),) * 20), (True,) * 20
-    else:
-        g = Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)))
-        safe = (True, False) * 3
-    p = 2
-    q = int(sys.float_info.max) // (2 * max(p, g.m)) - p
+    g, safe, p = Multigraph(2, ((0, 1),) * 20), (True,) * 20, 2
+    q = int(sys.float_info.max) // (2 * g.m) - p
     inst = FgcInstance(g, safe, (1.0,) * g.m, p, q)
     for x in [(1.0,) * g.m, (0.5,) * g.m, (0.0,) * g.m]:
         want = separate_bruteforce(inst, x, DEFAULT_EPS)
