@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from operator import add
 from typing import Iterable, Iterator, Sequence
@@ -323,11 +324,12 @@ class CutScan:
         fixed cost per vertex outweighs one block's crossing matrix at small
         n.  Each candidate is re-summed exactly in the capacities' own type
         over its crossing row, adding in edge order from 0 as a plain
-        running total would: floats by a float64 cumsum with a 0 (exact for
-        x >= 0) for every edge that does not cross, ints by an int64 cumsum
-        while their total is below 2^53 (so the sums, and their comparison
-        with a float cutoff, are exact), the rest by reduce (sum()
-        compensates floats on Python 3.12+).
+        running total would: floats and ints in one row-by-row numpy
+        reduction over an edges x cuts table, with a 0 (exact for x >= 0)
+        for every edge that does not cross, floats in float64 and ints in
+        int64 while their total is below 2^53 (so the sums, and their
+        comparison with a float cutoff, are exact), the rest by reduce
+        (sum() compensates floats on Python 3.12+).
         """
         g = self.g
         _check_scan_arguments(g, caps, threshold)
@@ -354,7 +356,12 @@ class CutScan:
                     (reduce(add, values[row].tolist(), 0) for row in cross), object, len(cross)
                 )
             else:
-                sums = np.cumsum(np.where(cross, values, 0), axis=1)[:, -1]
+                # edges as rows and cuts as columns: numpy adds the rows in
+                # order, and the zero column keeps a one-cut block from
+                # being one contiguous run, which it would sum pairwise
+                table = np.zeros((g.m, len(cross) + 1), dtype=values.dtype)
+                np.copyto(table[:, :-1], values[:, None], where=cross.T)
+                sums = table.sum(axis=0)[:-1]
             keep = np.flatnonzero(sums < cutoff)
             if len(keep):
                 yield [block[i] for i in keep.tolist()], sums[keep].tolist(), cross[keep]
@@ -362,17 +369,30 @@ class CutScan:
 
 def _table_shortlist(g, caps, cutoff) -> list[int]:
     """Canonical masks whose float table capacity is within a rounding
-    margin of ``cutoff``: a superset of those strictly below it."""
+    margin of ``cutoff``: a superset of those strictly below it.
+
+    Capacities or a cutoff beyond float range (ints or Fractions) are first
+    divided, all by one power of two, exactly as rationals, so that the
+    table's intermediates stay below 2^1000; a mask is below the cutoff
+    exactly when it is below it scaled.
+    """
     try:
-        weights = np.array([float(c) for c in caps])
-        # Covers float rounding of the capacities, the cutoff and the table.
-        # Table intermediates are at most 2*sum(w). An entry takes at most
-        # n-1 doubling steps; each adds two roundings and carries those of
-        # d(k) and w(k, S), sums of at most m edge weights. So its error is
-        # below n*(3m+4)*eps*sum(w): under 1e-11*sum(w) at n = 20, m = 1000.
-        bound = float(cutoff) + 1e-9 * (float(weights.sum()) + 1.0)
-    except OverflowError:  # int or Fraction values beyond float range: shortlist all
-        weights, bound = np.zeros(g.m), 1.0
+        weights = [float(c) for c in caps]
+        limit = float(cutoff)
+    except OverflowError:
+        # every value v has v < 2^(int(v).bit_length()), so the table's
+        # intermediates, at most 2*sum(w), stay below 2^(top + m.bit_length() + 1)
+        top = max(int(c).bit_length() for c in (*caps, cutoff))
+        scale = Fraction(1, 1 << (top + g.m.bit_length() + 1 - 1000))
+        weights = [float(Fraction(c) * scale) for c in caps]
+        limit = float(Fraction(cutoff) * scale)
+    weights = np.array(weights)
+    # Covers float rounding of the capacities, the cutoff and the table.
+    # Table intermediates are at most 2*sum(w). An entry takes at most
+    # n-1 doubling steps; each adds two roundings and carries those of
+    # d(k) and w(k, S), sums of at most m edge weights. So its error is
+    # below n*(3m+4)*eps*sum(w): under 1e-11*sum(w) at n = 20, m = 1000.
+    bound = limit + 1e-9 * (float(weights.sum()) + 1.0)
     shortlist = np.flatnonzero(_cut_capacity_table(g, weights) < bound) + 1
     return (shortlist << 1).tolist()
 

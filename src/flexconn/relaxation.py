@@ -375,6 +375,11 @@ class _HighsLp:
         top = c.max(initial=0.0)
         self.highs = _highs._Highs()
         self.highs.setOptionValue("output_flag", False)
+        # Every model is a box LP with a few dozen covering rows, re-solved
+        # warm from the last basis: presolve only slows its cold first solve,
+        # and a run at one thread is faster than at the default count.
+        self.highs.setOptionValue("presolve", "off")
+        self.highs.setOptionValue("threads", 1)
         none = np.zeros(0, dtype=np.int32)
         self.highs.addCols(
             m, c / top if top > 0 else c, np.zeros(m), np.ones(m), 0, none, none, np.zeros(0)
@@ -414,6 +419,14 @@ class _HighsLp:
             return (0.0,) * len(self.cost), 0.0
         self.highs.run()
         status = self.highs.getModelStatus()
+        if status == _highs.HighsModelStatus.kNotset:
+            # HiGHS keeps one scheduler per process and refuses to run at
+            # another thread count than the one it started with, which a
+            # multi-threaded run elsewhere (scipy's, say) may have set:
+            # run at that count
+            self.highs.setOptionValue("threads", 0)
+            self.highs.run()
+            status = self.highs.getModelStatus()
         if status != _highs.HighsModelStatus.kOptimal:
             message = self.highs.modelStatusToString(status)
             raise LpSolveError(f"LP subsolver failed: {message}", self.rows)
@@ -468,11 +481,17 @@ def solve_relaxation(
     lp = _HighsLp(inst.cost, inst.m)
     cap = ITERATIONS_PER_EDGE_VERTEX * inst.m * inst.n
 
+    # each vertex's edges, ascending: the edges of its singleton cut
+    incident = [[] for _ in range(inst.n)]
+    for e, (u, v) in enumerate(inst.graph.edges):
+        incident[u].append(e)
+        incident[v].append(e)
+
     # seed and separated rows are never trivial, so lp.rows is the pool
     seen = set()
     new = []
     for v in range(inst.n):
-        row = constraint_row(inst, Cut.from_vertices(inst.n, {v}), frozenset())
+        row = _row(inst, Cut.from_vertices(inst.n, {v}), incident[v], frozenset())
         if row.key() not in seen:
             seen.add(row.key())
             new.append(row)

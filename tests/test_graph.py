@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -350,6 +351,28 @@ def test_enumerate_sums_float_capacities_in_edge_order():
     ]
 
 
+@pytest.mark.parametrize("cuts", [1, 3])
+def test_cut_sums_are_left_to_right_in_blocks_of_any_size(cuts):
+    # 1e16 then more than 8 ones: a sum that adds ones together first
+    # (numpy's pairwise sum of one contiguous row, or a BLAS dot) lands
+    # above 1e16; left to right each one rounds away.  At n = 2 the scan's
+    # one block holds one cut; at n = 3 it holds three, two summing to 1e16.
+    k = 16
+    caps = [1e16] + [1.0] * k
+    g = Multigraph(2, ((0, 1),) * (k + 1))
+    if cuts == 3:
+        caps.append(1.0)
+        g = Multigraph(3, g.edges + ((1, 2),))
+    assert float(np.sum(caps[: k + 1])) > 1e16
+    blocks = list(graph.CutScan(g).blocks(caps, 2e16))
+    assert [len(masks) for masks, _, _ in blocks] == [cuts]
+    table = all_cut_capacities(g, caps)
+    assert [cap for _, cap in table].count(1e16) == (1 if cuts == 1 else 2)
+    assert [(c.side_mask, c.capacity) for c in enumerate_cuts_below(g, caps, 2e16)] == sorted(
+        table, key=lambda item: (item[1], item[0])
+    )
+
+
 def _flow_against_table(g, caps, threshold):
     expected = sorted((cap, mask) for mask, cap in all_cut_capacities(g, caps) if cap < threshold)
     cuts = graph._flow_cuts_below(g, caps, threshold)
@@ -465,6 +488,35 @@ def test_enumerate_exact_beyond_float_range():
         for limit in (threshold, float(threshold)) if as_float else (threshold,):
             expected = sorted((cap, mask) for mask, cap in table if cap < limit)
             cuts = enumerate_cuts_below(g, caps, limit)
+            assert [(c.capacity, c.side_mask) for c in cuts] == expected
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_table_shortlist_beyond_float_range(monkeypatch, kind):
+    # capacities p + q.[safe] at q = 10^400 are scaled into float range for
+    # the cut table, so the shortlist holds the cuts below the cutoff and
+    # not every mask; CUT_BLOCK below 2^(n-1) - 1 sends enumeration through
+    # the table at n <= 12 too
+    rng = random.Random(17)
+    q = 10**400
+    for n in (4, 9, 12):
+        g = random_connected(rng, n, 2 * n)
+        caps = [2 + q * rng.randint(0, 1) for _ in range(g.m)]
+        if kind == "fraction":
+            caps = [Fraction(c, rng.randint(1, 7)) for c in caps]
+        assert max(caps) > sys.float_info.max
+        table = all_cut_capacities(g, caps)
+        existing = sorted({cap for _, cap in table})
+        for cutoff in (existing[1], existing[len(existing) // 3], existing[-1] + 1):
+            below = {mask for mask, cap in table if cap < cutoff}
+            shortlist = graph._table_shortlist(g, caps, cutoff)
+            assert below <= set(shortlist)
+            if cutoff <= existing[-1]:
+                assert len(shortlist) < len(table)
+            monkeypatch.setattr(graph, "CUT_BLOCK", 2)
+            cuts = enumerate_cuts_below(g, caps, cutoff)
+            monkeypatch.undo()
+            expected = sorted((cap, mask) for mask, cap in table if cap < cutoff)
             assert [(c.capacity, c.side_mask) for c in cuts] == expected
 
 

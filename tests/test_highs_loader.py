@@ -1,6 +1,7 @@
 """scipy's HiGHS bindings are loaded from their extension file, without
 importing scipy.optimize, and shared with scipy when it is imported too."""
 
+import ast
 import os
 import re
 import subprocess
@@ -9,15 +10,19 @@ from pathlib import Path
 
 import pytest
 
+import flexconn
 from flexconn import relaxation, save_instance
 
 from instances import two_vertex
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# The directory the suite imported flexconn from: the checkout's src/, or
+# site-packages when the suite runs against an installed package.
+PACKAGE_ROOT = Path(flexconn.__file__).resolve().parent.parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _python(args, cwd):
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)}
     out = subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
@@ -35,7 +40,9 @@ def _imported(importtime_log: str) -> set[str]:
 
 
 def test_import_leaves_scipy_optimize_out(tmp_path):
-    _python(["-c", "import flexconn, sys; assert 'scipy.optimize' not in sys.modules"], tmp_path)
+    code = "import flexconn, sys; assert 'scipy.optimize' not in sys.modules; print(flexconn.__file__)"
+    out = _python(["-c", code], tmp_path)
+    assert Path(out.stdout.strip()).resolve() == Path(flexconn.__file__).resolve()
 
 
 def test_solve_command_leaves_scipy_optimize_out(tmp_path):
@@ -77,8 +84,7 @@ def test_bindings_are_shared_with_scipy_optimize(tmp_path, scipy_first):
     imports = ["import flexconn", "import scipy.optimize"]
     first, second = imports[::-1] if scipy_first else imports
     code = _SHARED.format(first=first, second=second)
-    tests = Path(__file__).resolve().parent
-    _python(["-c", f"import sys; sys.path.insert(0, {str(tests)!r})\n" + code], tmp_path)
+    _python(["-c", f"import sys; sys.path.insert(0, {str(TESTS)!r})\n" + code], tmp_path)
 
 
 def test_later_scipy_optimize_import_leaves_no_core_attribute(tmp_path):
@@ -109,3 +115,48 @@ def test_missing_bindings_raise_import_error_naming_the_path(tmp_path, monkeypat
 
 def test_loader_reuses_the_loaded_module(tmp_path):
     assert relaxation._load_highs_core([str(tmp_path)]) is relaxation._highs
+
+
+# HiGHS keeps one task scheduler per process, started by the first run at
+# that run's thread count.  flexconn's models ask for one thread; they must
+# solve the same after scipy's linprog started it at HiGHS's default count,
+# and after a run that asked for two threads, which HiGHS would refuse a
+# one-thread run after on any machine.
+_RELAXATION = """
+import sys
+sys.path.insert(0, {tests!r})
+{first}
+from flexconn import solve_relaxation
+from instances import named_corpus
+result = solve_relaxation(dict(named_corpus())["rand_p3_q2"])
+print(repr((result.value, result.x, result.iterations)))
+"""
+
+_LINPROG = """
+from scipy.optimize import linprog
+res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], bounds=(0, 1), method="highs")
+assert res.status == 0
+"""
+
+_TWO_THREADS = """
+import numpy as np
+from flexconn import relaxation
+highs = relaxation._highs._Highs()
+highs.setOptionValue("output_flag", False)
+highs.setOptionValue("threads", 2)
+none = np.zeros(0, dtype=np.int32)
+highs.addCols(1, np.ones(1), np.zeros(1), np.ones(1), 0, none, none, np.zeros(0))
+highs.run()
+assert highs.getModelStatus() == relaxation._highs.HighsModelStatus.kOptimal
+"""
+
+
+@pytest.mark.parametrize("first", [_LINPROG, _TWO_THREADS], ids=["linprog", "two_threads"])
+def test_one_thread_models_solve_after_another_highs_run(tmp_path, first):
+    fresh, after = (
+        _python(["-c", _RELAXATION.format(tests=str(TESTS), first=code)], tmp_path).stdout
+        for code in ("", first)
+    )
+    assert after == fresh
+    _, x, iterations = ast.literal_eval(fresh)
+    assert iterations > 1 and any(0 < v < 1 for v in x)

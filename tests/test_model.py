@@ -224,8 +224,8 @@ def test_capacitated_at_q_beyond_float_range(n):
     # every cut of a safe cycle crosses 2 = p safe edges, so it is feasible
     # at any q; the cut threshold was bound + 0.5, which raised
     # OverflowError once q passed float range.  n = 14 shortlists through
-    # the float cut table, which cannot hold these capacities, and n = 24
-    # enumerates by flow
+    # the float cut table, which holds these capacities scaled by a power
+    # of two, and n = 24 enumerates by flow
     inst = FgcInstance(cycle_graph(n), (True,) * n, (1.0,) * n, 2, 10**400)
     path = inst.all_edges - {0}
     assert is_feasible(inst, inst.all_edges).feasible
