@@ -513,9 +513,9 @@ def test_table_shortlist_beyond_float_range(monkeypatch, kind):
             assert below <= set(shortlist)
             if cutoff <= existing[-1]:
                 assert len(shortlist) < len(table)
-            monkeypatch.setattr(graph, "CUT_BLOCK", 2)
-            cuts = enumerate_cuts_below(g, caps, cutoff)
-            monkeypatch.undo()
+            with monkeypatch.context() as patch:
+                patch.setattr(graph, "CUT_BLOCK", 2)
+                cuts = enumerate_cuts_below(g, caps, cutoff)
             expected = sorted((cap, mask) for mask, cap in table if cap < cutoff)
             assert [(c.capacity, c.side_mask) for c in cuts] == expected
 
