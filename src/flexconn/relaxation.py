@@ -376,10 +376,8 @@ class _HighsLp:
         self.highs = _highs._Highs()
         self.highs.setOptionValue("output_flag", False)
         # Every model is a box LP with a few dozen covering rows, re-solved
-        # warm from the last basis: presolve only slows its cold first solve,
-        # and a run at one thread is faster than at the default count.
+        # warm from the last basis: presolve only slows its cold first solve.
         self.highs.setOptionValue("presolve", "off")
-        self.highs.setOptionValue("threads", 1)
         none = np.zeros(0, dtype=np.int32)
         self.highs.addCols(
             m, c / top if top > 0 else c, np.zeros(m), np.ones(m), 0, none, none, np.zeros(0)
@@ -419,14 +417,6 @@ class _HighsLp:
             return (0.0,) * len(self.cost), 0.0
         self.highs.run()
         status = self.highs.getModelStatus()
-        if status == _highs.HighsModelStatus.kNotset:
-            # HiGHS keeps one scheduler per process and refuses to run at
-            # another thread count than the one it started with, which a
-            # multi-threaded run elsewhere (scipy's, say) may have set:
-            # run at that count
-            self.highs.setOptionValue("threads", 0)
-            self.highs.run()
-            status = self.highs.getModelStatus()
         if status != _highs.HighsModelStatus.kOptimal:
             message = self.highs.modelStatusToString(status)
             raise LpSolveError(f"LP subsolver failed: {message}", self.rows)
