@@ -21,7 +21,7 @@ from .errors import (
     InvalidInstanceError,
     ParseError,
 )
-from .exact import count_cuts_at_most, exact_opt
+from .exact import check_exact_size, count_cuts_at_most, exact_opt
 from .graph import min_cut
 from .instance_io import gen_random, json_int, json_number, load_instance, save_instance
 from .model import is_feasible
@@ -85,6 +85,9 @@ def cmd_solve(args) -> int:
         max_attempts=args.max_attempts,
         seed=args.seed,
     )
+    if args.with_exact:
+        # refuse before the LP and rounding, whose report would be lost
+        check_exact_size(inst)
     t0 = time.perf_counter()
     relax = solve_relaxation(inst)
     t1 = time.perf_counter()

@@ -36,6 +36,20 @@ class ExactResult:
     nodes_explored: int
 
 
+def check_exact_size(inst: FgcInstance) -> None:
+    """Raise TooLargeError unless exact_opt takes an instance of this size:
+    n <= DEFAULT_EXHAUSTIVE_LIMIT and m <= DEFAULT_EDGE_LIMIT.  A caller
+    that does other work before exact_opt calls it first."""
+    if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
+        raise TooLargeError(
+            f"instance too large for exact search (n={inst.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
+        )
+    if inst.m > DEFAULT_EDGE_LIMIT:
+        raise TooLargeError(
+            f"instance too large for exact search (m={inst.m} > {DEFAULT_EDGE_LIMIT})"
+        )
+
+
 def exact_opt(inst: FgcInstance) -> ExactResult:
     """Exact minimum-cost feasible selection by branch and bound.
 
@@ -64,19 +78,23 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
     tie-break).  The incumbent's test of each edge is one such repair test
     of the prefix planes of the cheaper edges against the planes of the
     edges kept so far.  Cost is ``selection_cost``; ties break toward the
-    lexicographically smallest sorted edge-id tuple.  Accepted candidates,
-    the incumbent included, are re-verified with is_feasible_direct,
-    keeping the search honest against the plane bookkeeping.  Raises
-    InvalidInstanceError("infeasible-edges") when no selection is feasible.
+    lexicographically smallest sorted edge-id tuple.  Once the search
+    excludes an edge, it bans every later edge that the excluded one
+    dominates: a parallel edge that is no safer and has a larger id or is
+    dearer by more than ulp(total cost).  Swapping the dominated edge for
+    the dominating one keeps a selection feasible and makes it no worse in
+    (cost, ids), so no optimum holds a banned edge and neither the optimum
+    nor its tie-break moves (the argument, float sums included, is in the
+    comment at ``dominated``).  nodes_explored counts the root and every
+    inclusion and exclusion child the search reaches; a chain of
+    exclusions is walked in one loop, and a banned edge is passed over
+    without a node.  Accepted candidates, the incumbent included, are
+    re-verified with is_feasible_direct, keeping the search honest against
+    the plane bookkeeping.  Raises TooLargeError past check_exact_size's
+    limits, and InvalidInstanceError("infeasible-edges") when no selection
+    is feasible.
     """
-    if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
-        raise TooLargeError(
-            f"instance too large for exact search (n={inst.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
-        )
-    if inst.m > DEFAULT_EDGE_LIMIT:
-        raise TooLargeError(
-            f"instance too large for exact search (m={inst.m} > {DEFAULT_EDGE_LIMIT})"
-        )
+    check_exact_size(inst)
     p, q, m = inst.p, inst.q, inst.m
     k_cuts = (1 << (inst.n - 1)) - 1
     every_cut = (1 << k_cuts) - 1
@@ -113,6 +131,28 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
 
     order = sorted(range(m), key=lambda e: (inst.cost[e], e))
     cost = [inst.cost[e] for e in order]
+    # Dominance.  Edge e, before f in the order, dominates f when e counts
+    # for every cut half that f counts for (the two are parallel, and e is
+    # safe or f is not), and e has the smaller id or is cheaper than f by
+    # more than ulp(total cost).  The swap: let S, the least feasible
+    # (selection_cost, sorted ids), hold f but not e.  S - f + e is
+    # feasible, and as cost[e] <= cost[f] its exact cost sum is no larger,
+    # so neither is its correctly rounded selection_cost.  Two sums that
+    # round to one float differ by at most its ulp, so if the two selection
+    # costs are equal, e has the smaller id and S - f + e the smaller
+    # sorted id tuple.  Either way S is not least, so no optimum holds f
+    # without e, and once the search excludes e it bans f.  Tied edge
+    # costs are ordered by id, so a tie always bans, and zero costs need no
+    # exception: the swap uses only cost[e] <= cost[f].  Banned edges stay
+    # in cheapest and undecided below, so those bounds stay valid.
+    # dominated[pos]: the positions after pos whose edges order[pos] dominates
+    total_ulp = math.ulp(inst.selection_cost(range(m)))
+    dominated = [0] * m
+    for pos, e in enumerate(order):
+        for later in range(pos + 1, m):
+            f = order[later]
+            if skip[e] | skip[f] == skip[f] and (e < f or cost[later] - cost[pos] > total_ulp):
+                dominated[pos] |= 1 << later
     # cheapest[pos][k]: least cost of k <= need_s more edges once order[:pos] is decided
     cheapest = [
         [math.fsum(cost[pos : pos + k]) for k in range(min(need_s, m - pos) + 1)]
@@ -168,9 +208,10 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
         undecided.append(grown[::-1])
     undecided.reverse()
 
-    def search(pos: int, partial: float, short: tuple, repairable: bool):
-        # repairable: known to pass the repair test (the root, or a child
-        # that included its parent's edge)
+    def search(pos: int, partial: float, short: tuple, banned: int):
+        # a node that included its parent's edge, or the root: it passes
+        # the repair test as its parent did.  banned: the positions of the
+        # edges that an excluded edge dominates
         nonlocal nodes
         nodes += 1
         # edges still missing on the worst cut
@@ -181,21 +222,41 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
             # supersets only add cost or lengthen the id tuple
             consider_candidate()
             return
-        if missing > m - pos or partial + cheapest[pos][missing] > cutoff:
-            return
-        if not repairable and short_after(short, undecided[pos]):
-            return
-        e = order[pos]
-        # include e
-        chosen.append(e)
-        search(pos + 1, partial + cost[pos], add(short, e), True)
-        chosen.pop()
-        # exclude e
-        search(pos + 1, partial, short, False)
+        # this node, then its chain of exclusion children: excluding an
+        # edge passes the planes, and so missing, on unchanged
+        repairable = True
+        while True:
+            # a banned edge is excluded without a node, so the repair
+            # test runs again
+            while banned >> pos & 1:
+                pos += 1
+                repairable = False
+            if missing > m - pos or partial + cheapest[pos][missing] > cutoff:
+                return
+            if not repairable:
+                # short_after(short, undecided[pos]), inlined like add below
+                left = reduce(and_, map(or_, short, undecided[pos]))
+                if left & left >> k_cuts:
+                    return
+            e = order[pos]
+            # include e
+            chosen.append(e)
+            search(
+                pos + 1,
+                partial + cost[pos],
+                (0, *map(and_, short[1:], map(or_, short, repeat(skip[e])))),
+                banned,
+            )
+            chosen.pop()
+            # exclude e
+            banned |= dominated[pos]
+            pos += 1
+            nodes += 1
+            repairable = False
 
     try:
         # the full edge set is feasible, so the root passes the repair test
-        search(0, 0.0, none, True)
+        search(0, 0.0, none, 0)
     finally:
         # search's cell refers to search: clear it, or the closure and its
         # plane tables wait for the cyclic collector

@@ -191,6 +191,23 @@ def test_solve_rejects_a_negative_seed_before_the_lp(inst_file, capsys, monkeypa
     assert "seed must be nonnegative" in capsys.readouterr().err
 
 
+def test_solve_with_exact_refuses_large_instances_before_the_lp(tmp_path, capsys, monkeypatch):
+    # m = 33 > 22: the LP and rounding ran, then exact_opt refused and the
+    # report was lost
+    path = tmp_path / "m33.fgc"
+    assert run(["gen", "--nodes", "12", "--edges", "30", "-p", "2", "-q", "1", "--seed", "1", "-o", str(path)]) == 0
+    assert _single_report(capsys)["edges_final"] == 33
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP ran")
+
+    monkeypatch.setattr("flexconn.cli.solve_relaxation", no_lp)
+    assert run(["solve", str(path), "--with-exact"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too large for exact search (m=33 > 22)" in captured.err
+
+
 def test_pretty_output_is_aligned_not_json(inst_file, capsys):
     assert run(["check", inst_file, "--pretty"]) == 0
     out = capsys.readouterr().out

@@ -178,24 +178,106 @@ def test_exact_opt_matches_full_subset_enumeration():
     assert nodes < unbounded_nodes
 
 
-# (n, m asked, p, q, seed) -> (m after repair, nodes explored, best cost,
-# best selection); K = 2^(n-1) - 1 is 511 to 32,767 cuts, so every cut
-# bitset spans many machine words
+def _dominated_pairs(inst):
+    """(e, f) pairs, e before f in (cost, id) order, of parallel edges with
+    e safe or f unsafe: the pairs the search may ban f by."""
+    order = sorted(range(inst.m), key=lambda e: (inst.cost[e], e))
+    ends = [frozenset(uv) for uv in inst.graph.edges]
+    return [
+        (e, f)
+        for i, e in enumerate(order)
+        for f in order[i + 1 :]
+        if ends[e] == ends[f] and (inst.safe[e] or not inst.safe[f])
+    ]
+
+
+def test_exact_opt_with_parallel_bundles_matches_full_subset_enumeration():
+    # bundles of 2-4 parallel edges with mixed safety, costs in {0, 1, 2, 3}
+    # so that zero costs and cost ties both occur: the ban on edges that an
+    # excluded parallel edge dominates keeps the optimum and its id tie-break
+    rng = random.Random(33)
+    checked = dominated = 0
+    for seed in range(400):
+        n = rng.randint(2, 6)
+        p, q = rng.choice([(1, 0), (1, 1), (2, 0), (2, 1), (1, 2), (2, 2), (3, 1)])
+        links = [(rng.randrange(v), v) for v in range(1, n)]
+        links += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2))]
+        edges = [uv for uv in links for _ in range(rng.randint(2, 4))]
+        if len(edges) > 12:
+            continue
+        rng.shuffle(edges)
+        m = len(edges)
+        inst = FgcInstance(
+            Multigraph(n, tuple(edges)),
+            tuple(rng.random() < 0.5 for _ in range(m)),
+            tuple(float(rng.randint(0, 3)) for _ in range(m)),
+            p,
+            q,
+        )
+        if not is_feasible_direct(inst, range(m)).feasible:
+            continue
+        subsets = sorted(
+            (inst.selection_cost(ids), ids)
+            for size in range(m + 1)
+            for ids in itertools.combinations(range(m), size)
+        )
+        want = next(c for c in subsets if is_feasible_direct(inst, c[1]).feasible)
+        res = exact_opt(inst)
+        assert (res.best_cost, tuple(sorted(res.best_selection))) == want, seed
+        assert res.nodes_explored <= _search_without_count_bound(inst)[2], seed
+        dominated += len(_dominated_pairs(inst))
+        checked += 1
+    assert checked >= 100
+    assert dominated >= 3 * checked
+
+
+def test_exact_opt_bans_dominated_parallel_edges_on_a_bundle_path():
+    # bundles of 4, 3 and 4 parallel edges on the path 0-1-2-3, closed by
+    # one edge (0, 3); nodes before and since the ban
+    g = Multigraph(4, ((0, 1),) * 4 + ((1, 2),) * 3 + ((2, 3),) * 4 + ((0, 3),))
+    safe = (True, False, True, False, False, True, False, True, True, False, False, True)
+    cost = (1.0, 1.0, 2.0, 0.0, 1.0, 1.0, 3.0, 2.0, 2.0, 0.0, 1.0, 3.0)
+    res = exact_opt(FgcInstance(g, safe, cost, 2, 2))
+    assert (res.best_cost, sorted(res.best_selection)) == (7.0, [0, 3, 5, 7, 9, 11])
+    before, nodes = 399, 179
+    assert nodes <= before
+    assert res.nodes_explored == nodes
+
+
+def test_exact_opt_ban_keeps_the_id_tie_break_when_cost_sums_round_together():
+    # edge 2 is cheaper than its parallel twin, edge 1, but with the 2^54
+    # edge both pairs sum to 2^54, so {0, 1} wins on ids; banning edge 1
+    # once edge 2 is excluded returned {0, 2}
+    g = Multigraph(3, ((0, 1), (1, 2), (1, 2)))
+    inst = FgcInstance(g, (True, True, True), (2.0**54, 2.0, 1.0), 1, 0)
+    assert inst.selection_cost((0, 1)) == inst.selection_cost((0, 2)) == 2.0**54
+    res = exact_opt(inst)
+    assert (res.best_cost, sorted(res.best_selection)) == (2.0**54, [0, 1])
+
+
+# (n, m asked, p, q, seed) -> (m after repair, nodes explored before and
+# since dominated parallel edges are banned, best cost, best selection);
+# K = 2^(n-1) - 1 is 511 to 32,767 cuts, so every cut bitset spans many
+# machine words
 SEARCH_TREES = [
-    ((10, 16, 2, 1, 0), (19, 171, 84.65108271426212, (0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18))),
-    ((10, 16, 2, 1, 2), (19, 405, 97.06346809541255, (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 15, 16, 17, 18))),
-    ((12, 18, 1, 2, 0), (21, 1019, 85.45389462698104, (0, 1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 15, 17, 18, 19, 20))),
-    ((16, 20, 1, 1, 0), (22, 407, 92.99662608599827, (1, 3, 4, 5, 6, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20, 21))),
-    ((16, 20, 1, 1, 1), (20, 523, 97.9848880975545, (0, 2, 3, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15, 17, 18, 19))),
+    ((10, 16, 2, 1, 0), (19, (171, 145), 84.65108271426212, (0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 18))),
+    ((10, 16, 2, 1, 2), (19, (405, 313), 97.06346809541255, (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 15, 16, 17, 18))),
+    ((12, 18, 1, 2, 0), (21, (1019, 1019), 85.45389462698104, (0, 1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 15, 17, 18, 19, 20))),
+    ((16, 20, 1, 1, 0), (22, (407, 407), 92.99662608599827, (1, 3, 4, 5, 6, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20, 21))),
+    ((16, 20, 1, 1, 1), (20, (523, 523), 97.9848880975545, (0, 2, 3, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15, 17, 18, 19))),
 ]
 
 
 @pytest.mark.parametrize("args, want", SEARCH_TREES)
 def test_exact_opt_search_tree_is_pinned_on_wide_bitsets(args, want):
     n, m, p, q, seed = args
+    final_m, (before, nodes), cost, selection = want
+    assert nodes <= before
     inst = gen_random(n, m, 0.5, (1.0, 10.0), p, q, seed)
     res = exact_opt(inst)
-    assert (inst.m, res.nodes_explored, res.best_cost, tuple(sorted(res.best_selection))) == want
+    assert (inst.m, res.nodes_explored, res.best_cost, tuple(sorted(res.best_selection))) == (
+        final_m, nodes, cost, selection
+    )
 
 
 def test_exact_opt_matches_full_subset_enumeration_at_every_plane_shift():
@@ -297,13 +379,15 @@ def test_exact_opt_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+    # no parallel edges, so the ban leaves this tree as it was
     assert res.nodes_explored == 51
 
 
 # exact_opt over 60 instances drawn the way perfbench's verify workload
-# draws them, 10 per (cost scale, p, q); pinned before the search moved
-# to one complemented plane tuple
-VERIFY_LIKE_NODES = 37788
+# draws them, 10 per (cost scale, p, q); the costs were pinned before the
+# search moved to one complemented plane tuple, the nodes as (before, since)
+# dominated parallel edges are banned
+VERIFY_LIKE_NODES = (37788, 25782)
 VERIFY_LIKE_COSTS = [
     41.35598255541977, 30.976103694828304, 43.175967867797716,
     21.700548637851703, 24.5773965133888, 20.240647477610537,
@@ -346,34 +430,39 @@ def _verify_like_instances():
 def test_exact_opt_is_pinned_on_verify_like_instances():
     results = [exact_opt(inst) for inst in _verify_like_instances()]
     assert [res.best_cost for res in results] == VERIFY_LIKE_COSTS
-    assert sum(res.nodes_explored for res in results) == VERIFY_LIKE_NODES
+    before, nodes = VERIFY_LIKE_NODES
+    assert nodes <= before
+    assert sum(res.nodes_explored for res in results) == nodes
 
 
 # gen_random(n, m, 0.5, (1, 10), p, q, seed) as (n, m, p, q, seed) ->
-# (m after repair, nodes explored), one search tree per instance, recorded
-# while the repair test still ran at every node
+# (m after repair, (nodes explored before, nodes since)), one search tree
+# per instance; "before" was recorded while the repair test still ran at
+# every node, "since" once dominated parallel edges are banned
 NODES_PINS = [
-    ((5, 9, 1, 0, 0), (9, 79)),
-    ((5, 9, 1, 0, 1), (9, 107)),
-    ((6, 10, 1, 1, 0), (10, 63)),
-    ((6, 10, 1, 1, 1), (10, 41)),
-    ((7, 12, 1, 2, 0), (12, 199)),
-    ((7, 12, 1, 2, 1), (13, 95)),
-    ((7, 12, 2, 1, 0), (13, 69)),
-    ((7, 12, 2, 1, 1), (14, 37)),
-    ((8, 13, 2, 2, 0), (19, 409)),
-    ((8, 13, 2, 2, 1), (16, 197)),
-    ((6, 11, 3, 1, 0), (13, 51)),
-    ((6, 11, 3, 1, 1), (16, 29)),
-    ((8, 14, 2, 3, 0), (21, 177)),
+    ((5, 9, 1, 0, 0), (9, (79, 45))),
+    ((5, 9, 1, 0, 1), (9, (107, 57))),
+    ((6, 10, 1, 1, 0), (10, (63, 55))),
+    ((6, 10, 1, 1, 1), (10, (41, 41))),
+    ((7, 12, 1, 2, 0), (12, (199, 199))),
+    ((7, 12, 1, 2, 1), (13, (95, 91))),
+    ((7, 12, 2, 1, 0), (13, (69, 69))),
+    ((7, 12, 2, 1, 1), (14, (37, 33))),
+    ((8, 13, 2, 2, 0), (19, (409, 175))),
+    ((8, 13, 2, 2, 1), (16, (197, 197))),
+    ((6, 11, 3, 1, 0), (13, (51, 39))),
+    ((6, 11, 3, 1, 1), (16, (29, 29))),
+    ((8, 14, 2, 3, 0), (21, (177, 123))),
 ]
 
 
 @pytest.mark.parametrize("args, want", NODES_PINS)
 def test_exact_opt_nodes_are_pinned(args, want):
     n, m, p, q, seed = args
+    final_m, (before, nodes) = want
+    assert nodes <= before
     inst = gen_random(n, m, 0.5, (1.0, 10.0), p, q, seed)
-    assert (inst.m, exact_opt(inst).nodes_explored) == want
+    assert (inst.m, exact_opt(inst).nodes_explored) == (final_m, nodes)
 
 
 def test_exact_opt_optimum_is_feasible_and_sandwiched():
