@@ -261,10 +261,9 @@ def min_cut(g: Multigraph, caps: Sequence) -> tuple[Cut, float]:
 def enumerate_cuts_below(g: Multigraph, caps: Sequence, threshold) -> list[Cut]:
     """All canonical nontrivial cuts with capacity strictly below ``threshold``.
 
-    Exact at every n.  Up to DEFAULT_EXHAUSTIVE_LIMIT vertices it runs the
-    exhaustive scan (CutScan.blocks); above that, flow-pruned branching
-    (_flow_cuts_below), which takes int and Fraction capacities only and
-    raises TooLargeError for any other.
+    Exact at every n: the cuts of one CutScan.blocks run, which past
+    DEFAULT_EXHAUSTIVE_LIMIT vertices takes int and Fraction capacities
+    only and raises TooLargeError for any other.
 
     Float capacities within CUT_REL_TOL (relative) of the threshold count
     as at the threshold and are excluded.  int, Fraction and mixed
@@ -272,8 +271,6 @@ def enumerate_cuts_below(g: Multigraph, caps: Sequence, threshold) -> list[Cut]:
 
     Results are sorted by (capacity, side_mask) and duplicate-free.
     """
-    if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
-        return _flow_cuts_below(g, caps, threshold)
     cuts = [
         Cut(g.n, mask, capacity=cap)
         for masks, values, _ in CutScan(g).blocks(caps, threshold)
@@ -283,29 +280,18 @@ def enumerate_cuts_below(g: Multigraph, caps: Sequence, threshold) -> list[Cut]:
     return cuts
 
 
-def _check_scan_arguments(g: Multigraph, caps: Sequence, threshold) -> None:
-    check_capacities(caps, g.m)
-    if not 0 < threshold < math.inf:  # also rejects NaN
-        raise ValueError(f"threshold must be positive and finite, got {threshold}")
-
-
 class CutScan:
-    """The exhaustive cut scan of one graph, prepared once and run for any
-    number of capacity vectors.
+    """The cut scan of one graph, prepared once and run for any number of
+    capacity vectors.
 
-    Construction refuses graphs with more than DEFAULT_EXHAUSTIVE_LIMIT
-    vertices.  When all 2^(n-1) - 1 canonical masks fit in one CUT_BLOCK
-    at construction (n <= 13 at 4096), it holds those masks and their
-    crossing matrix, which no capacity changes.  CUT_BLOCK is read at each
-    scan; the stored matrix is sliced into blocks of its current size.
+    When all 2^(n-1) - 1 canonical masks fit in one CUT_BLOCK at
+    construction (n <= 13 at 4096), it holds those masks and their
+    crossing matrix, which no capacity changes.  CUT_BLOCK and
+    DEFAULT_EXHAUSTIVE_LIMIT are read at each scan; the stored matrix is
+    sliced into blocks of the current CUT_BLOCK.
     """
 
     def __init__(self, g: Multigraph):
-        if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
-            raise TooLargeError(
-                f"instance too large for the exhaustive cut scan "
-                f"(n={g.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
-            )
         self.g = g
         self._every: tuple[range, np.ndarray] | None = None
         if (1 << (g.n - 1)) - 1 <= CUT_BLOCK:
@@ -318,9 +304,11 @@ class CutScan:
         ascending mask order; each block comes from at most CUT_BLOCK
         candidate masks.
 
-        Exhaustive candidates are every canonical mask while they fit in one
-        block, and otherwise the masks that a float table of every cut's
-        capacity puts within a rounding margin of the cutoff; the table's
+        Candidates are, past DEFAULT_EXHAUSTIVE_LIMIT vertices, the masks
+        that flow-pruned branching finds below the cutoff (int and Fraction
+        capacities only); else every canonical mask while they fit in one
+        block; else the masks that a float table of every cut's capacity
+        puts within a rounding margin of the cutoff; the table's
         fixed cost per vertex outweighs one block's crossing matrix at small
         n.  Each candidate is re-summed exactly in the capacities' own type
         over its crossing row, adding in edge order from 0 as a plain
@@ -332,11 +320,19 @@ class CutScan:
         (sum() compensates floats on Python 3.12+).
         """
         g = self.g
-        _check_scan_arguments(g, caps, threshold)
+        check_capacities(caps, g.m)
+        if not 0 < threshold < math.inf:  # also rejects NaN
+            raise ValueError(f"threshold must be positive and finite, got {threshold}")
         floats = _are_floats(caps)
         cutoff = threshold - CUT_REL_TOL * threshold if floats else threshold
         every = self._every
-        masks = _table_shortlist(g, caps, cutoff) if every is None else every[0]
+        if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
+            every = None
+            masks = _flow_shortlist(g, caps, cutoff)
+        elif every is None:
+            masks = _table_shortlist(g, caps, cutoff)
+        else:
+            masks = every[0]
 
         if floats:
             values = np.array(caps, dtype=float)
@@ -397,21 +393,21 @@ def _table_shortlist(g, caps, cutoff) -> list[int]:
     return (shortlist << 1).tolist()
 
 
-def _flow_cuts_below(g: Multigraph, caps: Sequence, threshold) -> list[Cut]:
-    """enumerate_cuts_below by flow-pruned branching (Vazirani & Yannakakis,
-    ICALP 1992), for int and Fraction capacities at any n.
+def _flow_shortlist(g: Multigraph, caps: Sequence, cutoff) -> list[int]:
+    """The canonical masks of the cuts below ``cutoff``, ascending, by
+    flow-pruned branching (Vazirani & Yannakakis, ICALP 1992), for int and
+    Fraction capacities at any n.
 
     Vertex 0 is on the source side A; vertices 1..n-1 go to A or to the
     sink side B, depth first.  Once B is not empty, a node is pruned when
     the maximum flow from A to B, with the undecided vertices free,
-    reaches ``threshold``: no completion then has a cut below it, and an
+    reaches ``cutoff``: no completion then has a cut below it, and an
     unpruned node has at least one completion that does.  At a leaf every
     vertex is decided, so the flow is the cut's exact capacity.
     """
-    _check_scan_arguments(g, caps, threshold)
     if not all(isinstance(c, numbers.Rational) for c in caps):
         raise TooLargeError(
-            f"the flow route past n={DEFAULT_EXHAUSTIVE_LIMIT} takes int or Fraction "
+            f"the flow search past n={DEFAULT_EXHAUSTIVE_LIMIT} takes int or Fraction "
             f"capacities only (n={g.n})"
         )
     n = g.n
@@ -420,20 +416,19 @@ def _flow_cuts_below(g: Multigraph, caps: Sequence, threshold) -> list[Cut]:
     for (u, v), c in zip(g.edges, caps):
         if c:
             adj[u][v] = adj[v][u] = adj[u].get(v, 0) + c
-    cuts = []
+    masks = []
     stack = [(1, 1, 0)]  # (next vertex, A mask, B mask)
     while stack:
         k, a, b = stack.pop()
         if b:
-            flow = _max_flow(adj, a, b, threshold)
-            if flow >= threshold:
+            if _max_flow(adj, a, b, cutoff) >= cutoff:
                 continue
             if k == n:
-                cuts.append(Cut(n, b, capacity=flow))
+                masks.append(b)
         if k < n:
             stack += [(k + 1, a | 1 << k, b), (k + 1, a, b | 1 << k)]
-    cuts.sort(key=lambda c: (c.capacity, c.side_mask))
-    return cuts
+    masks.sort()
+    return masks
 
 
 def _max_flow(adj: list[dict], a: int, b: int, limit):

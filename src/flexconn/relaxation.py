@@ -29,8 +29,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import scipy
 
-from .errors import IterationLimitError, LpSolveError
-from .graph import Cut, CutScan, cut_edges
+from .errors import IterationLimitError, LpSolveError, TooLargeError
+from .graph import DEFAULT_EXHAUSTIVE_LIMIT, Cut, CutScan, cut_edges
 
 # Kept only for perfbench/tracing.py, which wraps these bindings by name;
 # their spans read 0 now that separation scores every cut through graph.CutScan.
@@ -230,6 +230,11 @@ class _Separator:
         if 2 * max(p, inst.m) * (p + q) > sys.float_info.max:
             raise LpSolveError(
                 "2.max(p, m).(p+q) is beyond float range, so separation cannot score its cuts"
+            )
+        if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:  # float capacities need the cut table
+            raise TooLargeError(
+                f"instance too large for the exhaustive cut scan "
+                f"(n={inst.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
             )
         self.inst = inst
         self.scan = CutScan(inst.graph)
@@ -466,7 +471,7 @@ def solve_relaxation(
     subsolver fails on an instance whose full edge set is infeasible, the
     error is InvalidInstanceError("infeasible-edges") naming the cut.
     """
-    # the separator's cut scan refuses n > DEFAULT_EXHAUSTIVE_LIMIT before any LP
+    # the separator refuses n > DEFAULT_EXHAUSTIVE_LIMIT before any LP
     separator = _Separator(inst)
     lp = _HighsLp(inst.cost, inst.m)
     cap = ITERATIONS_PER_EDGE_VERTEX * inst.m * inst.n

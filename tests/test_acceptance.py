@@ -30,7 +30,7 @@ from flexconn import (
     solve_relaxation,
     violation,
 )
-from flexconn.graph import _flow_cuts_below
+from flexconn import graph
 
 from instances import (
     basic_lp_value,
@@ -205,7 +205,7 @@ def test_criterion_8_near_min_cut_counts(capsys):
                 assert count_cuts_at_most(g, [1] * g.m, alpha) <= n ** (2 * alpha), (i, alpha)
 
 
-def test_criterion_9_min_cut_and_flow_enumeration(capsys):
+def test_criterion_9_min_cut_and_flow_enumeration(capsys, monkeypatch):
     desc = "min cut is exhaustively exact; flow-pruned enumeration matches exhaustive"
     with _report(capsys, 9, desc):
         for name, inst in named_corpus():
@@ -229,7 +229,9 @@ def test_criterion_9_min_cut_and_flow_enumeration(capsys):
             _, lam = min_cut(g, caps)
             threshold = (1.2 + 0.3 * (trial % 3)) * lam
             plain = enumerate_cuts_below(g, caps, threshold)
-            flow = _flow_cuts_below(g, caps, threshold)
+            with monkeypatch.context() as patch:  # candidates from the flow search
+                patch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", n - 1)
+                flow = enumerate_cuts_below(g, caps, threshold)
             key = [(c.side_mask, c.capacity) for c in plain]
             assert key == [(c.side_mask, c.capacity) for c in flow], trial
 

@@ -16,8 +16,10 @@ from flexconn import (
     GraphStructureError,
     Multigraph,
     TooLargeError,
+    capacities,
     cut_edges,
     enumerate_cuts_below,
+    gen_random,
     min_cut,
 )
 from flexconn import graph
@@ -279,17 +281,19 @@ def test_enumerate_threshold_is_strict_with_relative_slop():
 
 
 def test_enumerate_exhaustive_refuses_large_graphs():
-    # the scan refuses to be built past the limit, and past it the flow
-    # route takes no floats
+    # past the limit a scan is built, but its candidates come from the flow
+    # search, which takes no floats: those would need the exhaustive table
     n = 21
     edges = tuple((v, v + 1) for v in range(n - 1))
     g = Multigraph(n, edges)
-    with pytest.raises(TooLargeError):
-        graph.CutScan(g)
+    scan = graph.CutScan(g)
+    with pytest.raises(TooLargeError, match="n=21"):
+        next(scan.blocks([1.0] * g.m, 2))
     with pytest.raises(TooLargeError):
         enumerate_cuts_below(g, [1.0] * g.m, 2)
     with pytest.raises(TooLargeError):
         enumerate_cuts_below(g, [1] * (g.m - 1) + [1.0], 2)
+    assert len(enumerate_cuts_below(g, [1] * g.m, 2)) == n - 1
 
 
 def test_enumerate_past_the_limit_runs_the_flow_route():
@@ -310,23 +314,25 @@ def test_enumerate_past_the_limit_runs_the_flow_route():
     assert [c.side_mask for c in cuts] == sorted(c.side_mask for c in cuts)
 
 
-def test_enumerate_rejects_bad_arguments():
+def test_enumerate_rejects_bad_arguments(monkeypatch):
     g = cycle_graph(4)
     with pytest.raises(ValueError):
         enumerate_cuts_below(g, [1] * 4, 0)
+    monkeypatch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", 3)  # the flow search's candidates
     with pytest.raises(ValueError):
-        graph._flow_cuts_below(g, [1] * 4, 0)
+        enumerate_cuts_below(g, [1] * 4, 0)
     with pytest.raises(ValueError):
-        graph._flow_cuts_below(g, [1] * 3, 2)
+        enumerate_cuts_below(g, [1] * 3, 2)
 
 
 @pytest.mark.parametrize("route", ["exhaustive", "flow"])
 @pytest.mark.parametrize("threshold", [math.inf, math.nan])
-def test_enumerate_rejects_non_finite_threshold(route, threshold):
+def test_enumerate_rejects_non_finite_threshold(monkeypatch, route, threshold):
     # inf - 1e-9 * inf is NaN, which no capacity is below; a flow never reaches inf
-    enumerate_fn = enumerate_cuts_below if route == "exhaustive" else graph._flow_cuts_below
+    if route == "flow":
+        monkeypatch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", 4)
     with pytest.raises(ValueError, match="threshold"):
-        enumerate_fn(cycle_graph(5), [1] * 5, threshold)
+        enumerate_cuts_below(cycle_graph(5), [1] * 5, threshold)
 
 
 def test_numpy_float_capacities_get_the_float_slop():
@@ -373,9 +379,16 @@ def test_cut_sums_are_left_to_right_in_blocks_of_any_size(cuts):
     )
 
 
+def _flow_cuts_below(g, caps, threshold):
+    # enumerate_cuts_below with its candidates from the flow search
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", g.n - 1)
+        return enumerate_cuts_below(g, caps, threshold)
+
+
 def _flow_against_table(g, caps, threshold):
     expected = sorted((cap, mask) for mask, cap in all_cut_capacities(g, caps) if cap < threshold)
-    cuts = graph._flow_cuts_below(g, caps, threshold)
+    cuts = _flow_cuts_below(g, caps, threshold)
     assert [(c.capacity, c.side_mask) for c in cuts] == expected
     return cuts
 
@@ -405,10 +418,36 @@ def test_flow_agrees_with_all_cut_capacities():
             _flow_against_table(g, caps, threshold)
 
 
+@pytest.mark.parametrize("n", [21, 22])
+@pytest.mark.parametrize("p, q", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_flow_matches_the_table_just_past_the_limit(monkeypatch, n, p, q, kind):
+    # at the limit's default the flow search lists the candidates; lifted to
+    # 22, the float table's shortlist does, at is_feasible's threshold
+    # bound + 1 and separation's 2p(p+q)
+    inst = gen_random(n, 3 * n, 0.4, (1, 10), p, q, 1)
+    rng = random.Random(n)
+    if kind == "int":
+        x = [1] * inst.m
+    else:
+        x = [Fraction(rng.randint(2, 3), 3) for _ in range(inst.m)]
+    caps = capacities(inst, x)
+    for threshold in (p * (p + q - 1) + q * (p - 1) + 1, 2 * p * (p + q)):
+        flow = enumerate_cuts_below(inst.graph, caps, threshold)
+        with monkeypatch.context() as patch:
+            patch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", 22)
+            table = enumerate_cuts_below(inst.graph, caps, threshold)
+        assert flow
+        assert [(c.side_mask, c.capacity) for c in flow] == [
+            (c.side_mask, c.capacity) for c in table
+        ]
+        assert all(type(c.capacity) is type(caps[0]) for c in flow)
+
+
 def test_flow_shortcut_below_min_cut():
     g = cycle_graph(6)
-    assert graph._flow_cuts_below(g, [1] * 6, 2) == []
-    assert len(graph._flow_cuts_below(g, [1] * 6, 3)) == 15
+    assert _flow_cuts_below(g, [1] * 6, 2) == []
+    assert len(_flow_cuts_below(g, [1] * 6, 3)) == 15
 
 
 def _flat_blocks(blocks):
