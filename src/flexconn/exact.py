@@ -278,6 +278,9 @@ def separate_bruteforce(inst: FgcInstance, x: Sequence, eps: float = 0.0) -> lis
         )
     if len(x) != inst.m:
         raise ValueError(f"expected {inst.m} coordinates, got {len(x)}")
+    for e, v in enumerate(x):
+        if not 0 <= v <= 1:  # also rejects NaN
+            raise ValueError(f"x[{e}] = {v} is outside [0, 1]")
     if not 0 <= eps < math.inf:  # also rejects NaN
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     hits = []

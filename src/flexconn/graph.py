@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -20,7 +21,8 @@ import numpy as np
 
 from .errors import GraphStructureError, TooLargeError
 
-# Largest vertex count for which exhaustive bipartition scans are allowed.
+# Largest vertex count whose cut scan takes its candidates from every mask
+# or the float cut table; past it they come from the flow search.
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 
 # Relative slop at enumeration thresholds for float capacities, so that ones
@@ -48,12 +50,18 @@ class Multigraph:
             raise GraphStructureError(f"need at least 2 vertices, got {self.n}")
         if len(self.edges) < self.n - 1:  # before is_connected allocates O(n)
             raise GraphStructureError("graph is not connected")
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        for eid, (u, v) in enumerate(self.edges):
+        edges = []
+        for eid, ends in enumerate(self.edges):
+            try:  # a float endpoint is refused, not truncated
+                u, v = map(operator.index, ends)
+            except TypeError as exc:
+                raise GraphStructureError(f"edge {eid}: {exc}") from None
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphStructureError(f"edge {eid}: endpoint out of range")
             if u == v:
                 raise GraphStructureError(f"edge {eid}: self-loop at vertex {u}")
+            edges.append((u, v))
+        object.__setattr__(self, "edges", tuple(edges))
         if not is_connected(self.n, self.edges):
             raise GraphStructureError("graph is not connected")
 

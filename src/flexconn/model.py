@@ -11,6 +11,7 @@ cut against p(p+q), and then only has to inspect near-minimum cuts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -73,8 +74,9 @@ class FeasibilityVerdict:
     fewer than p safe and fewer than p+q selected edges.  ``mode`` records
     which checking route produced the verdict: "direct" (exhaustive cut
     characterization) or the capacitated route, whose near-minimum cuts
-    come from the "exhaustive" scan (n <= DEFAULT_EXHAUSTIVE_LIMIT) or
-    "flow"-pruned branching (above it).  Every verdict is exact.
+    graph.CutScan lists from "exhaustive" candidates (every mask or the
+    float cut table, n <= DEFAULT_EXHAUSTIVE_LIMIT) or from "flow"-pruned
+    branching (above it).  Every verdict is exact.
     """
 
     feasible: bool
@@ -94,8 +96,12 @@ def capacities(inst: FgcInstance, x: Sequence) -> list:
 
 
 def check_selection(inst: FgcInstance, f: Iterable[int]) -> frozenset[int]:
-    """Validate an edge selection: ids in range, returned as a frozenset."""
-    out = frozenset(int(e) for e in f)
+    """Validate an edge selection: integer ids in range, returned as a
+    frozenset.  A float id is refused, not truncated."""
+    try:
+        out = frozenset(map(operator.index, f))
+    except TypeError as exc:
+        raise ValueError(f"edge ids must be integers: {exc}") from None
     m = inst.m
     for e in out:
         if not 0 <= e < m:
@@ -162,8 +168,8 @@ def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
     the characterization, and none exist when the minimum cut exceeds it
     (always so when q <= 1 or p = 1).  enumerate_cuts_below lists those
     cuts exactly at every n, so the verdict is deterministic and exact;
-    above DEFAULT_EXHAUSTIVE_LIMIT vertices it branches with flow pruning
-    on the integer capacities.
+    above DEFAULT_EXHAUSTIVE_LIMIT vertices its scan's candidates come
+    from flow-pruned branching on the integer capacities.
     """
     f = check_selection(inst, f)
     p, q = inst.p, inst.q

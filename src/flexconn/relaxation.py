@@ -19,6 +19,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -128,7 +129,10 @@ def constraint_row(inst: FgcInstance, r: Cut, j_edges: Iterable[int]) -> Constra
     p.x(delta(R)) + q.x(delta(R)&S) >= p(p+q) after regrouping.
     """
     delta = cut_edges(inst.graph, r)
-    j = frozenset(int(e) for e in j_edges)
+    try:
+        j = frozenset(map(operator.index, j_edges))
+    except TypeError as exc:
+        raise ValueError(f"j_edges must be integer edge ids: {exc}") from None
     if not j <= delta:
         raise ValueError("j_edges must lie inside the cut's edge set")
     return _row(inst, r, sorted(delta), j)

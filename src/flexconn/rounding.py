@@ -69,9 +69,13 @@ class RoundingOutcome:
 
 def inclusion_probabilities(inst: FgcInstance, x, cfg: RoundingConfig) -> tuple[float, ...]:
     """y_e = min(1, C ln(n) x_e) per edge, and 0 where x_e = 0 even when
-    C ln(n) overflows to inf (inf . 0 is nan, which min() reads as 1)."""
+    C ln(n) overflows to inf (inf . 0 is nan, which min() reads as 1).
+    Every x_e must lie in [0, 1]."""
     if len(x) != inst.m:
         raise ValueError(f"expected {inst.m} coordinates, got {len(x)}")
+    for e, v in enumerate(x):
+        if not 0 <= v <= 1:  # also rejects NaN, which min() would read as 1
+            raise ValueError(f"x[{e}] = {v} is outside [0, 1]")
     factor = cfg.scale_constant * math.log(inst.n)
     return tuple(min(1.0, factor * float(v)) if v else 0.0 for v in x)
 

@@ -535,6 +535,17 @@ def test_separate_bruteforce_rejects_bad_eps(eps):
         separate_bruteforce(inst, (0.0,) * inst.m, eps)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), 5.0, -1.0])
+def test_separate_bruteforce_rejects_x_outside_the_box(bad):
+    # NaN and 5.0 once returned [] (no row is violated there), where
+    # separate refuses the point
+    inst = two_vertex()
+    with pytest.raises(ValueError, match=r"x\[0\]"):
+        separate_bruteforce(inst, (bad,) * inst.m, 1e-7)
+    with pytest.raises(ValueError, match=r"x\[2\]"):
+        separate_bruteforce(inst, (0.5, 1.0, bad), 1e-7)
+
+
 def test_separate_bruteforce_refuses_large_graphs():
     g = cycle_graph(14)
     inst = FgcInstance(g, (True,) * 14, (1.0,) * 14, p=1, q=0)

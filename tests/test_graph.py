@@ -61,6 +61,13 @@ def test_multigraph_rejects_bad_endpoint():
         Multigraph(3, ((0, 3),))
 
 
+def test_multigraph_refuses_float_endpoints():
+    # int(1.7) once made (0, 1.7) the edge (0, 1)
+    with pytest.raises(GraphStructureError, match="edge 0"):
+        Multigraph(3, ((0, 1.7), (1, 2)))
+    assert Multigraph(3, ((np.int64(0), 1), (1, np.int32(2)))).edges == ((0, 1), (1, 2))
+
+
 def test_multigraph_allows_parallel_edges():
     g = Multigraph(2, ((0, 1), (0, 1)))
     assert g.m == 2

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,15 @@ def test_direct_refuses_large_instances():
 def test_direct_rejects_unknown_edge_ids():
     with pytest.raises(ValueError):
         is_feasible_direct(two_vertex(), {7})
+
+
+def test_selections_refuse_float_edge_ids():
+    # int(0.9) once made [0.9] a selection of edge 0
+    inst = two_vertex()
+    for check in (is_feasible, is_feasible_direct):
+        with pytest.raises(ValueError, match="integer"):
+            check(inst, [0.9])
+        assert check(inst, [np.int64(0)]) == check(inst, [0])
 
 
 def test_capacitated_two_vertex_safe_edge():

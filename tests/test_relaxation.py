@@ -85,6 +85,15 @@ def test_constraint_row_rejects_outside_edges():
         constraint_row(tri, cut, {1})
 
 
+def test_constraint_row_refuses_float_edge_ids():
+    # int(0.5) once made {0.5} the J of edge 0
+    inst = gadget_f1()
+    cut = Cut.from_vertices(2, {1})
+    with pytest.raises(ValueError, match="integer"):
+        constraint_row(inst, cut, {0.5})
+    assert constraint_row(inst, cut, {np.int64(0)}) == constraint_row(inst, cut, {0})
+
+
 def test_candidate_j_sets_ordering_and_ranges():
     # p=2 q=1; 3 safe at x .9 .5 .2 and 2 unsafe at .7 .3
     g = Multigraph(2, ((0, 1),) * 5)

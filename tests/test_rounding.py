@@ -6,6 +6,7 @@ import pytest
 
 from flexconn import (
     FgcInstance,
+    RelaxationResult,
     RoundingConfig,
     RoundingFailedError,
     gen_random,
@@ -53,6 +54,19 @@ def test_inclusion_probabilities_formula():
     tiny = 1 / (100 * math.log(2)) / 2
     y = inclusion_probabilities(inst, (tiny, 0.0, 0.0), cfg)
     assert y[0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 1.5])
+def test_rounding_rejects_x_outside_the_box(bad):
+    # min(1.0, nan) is 1.0, so a NaN x once drew every edge, and x = -1 gave
+    # a negative probability
+    inst = two_vertex()
+    cfg = RoundingConfig()
+    with pytest.raises(ValueError, match=r"x\[1\]"):
+        round_once(inst, (0.5, bad, 0.5), cfg)
+    relax = RelaxationResult(x=(bad,) * inst.m, value=1.0, active_rows=(), iterations=1)
+    with pytest.raises(ValueError, match=r"x\[0\]"):
+        solve(inst, cfg, relaxation=relax)
 
 
 def test_inclusion_probability_saturation_threshold():
