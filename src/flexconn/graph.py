@@ -50,18 +50,16 @@ class Multigraph:
             raise GraphStructureError(f"need at least 2 vertices, got {self.n}")
         if len(self.edges) < self.n - 1:  # before is_connected allocates O(n)
             raise GraphStructureError("graph is not connected")
-        edges = []
-        for eid, ends in enumerate(self.edges):
-            try:  # a float endpoint is refused, not truncated
-                u, v = map(operator.index, ends)
-            except TypeError as exc:
-                raise GraphStructureError(f"edge {eid}: {exc}") from None
+        try:  # a float endpoint is refused, not truncated
+            edges = tuple((operator.index(u), operator.index(v)) for u, v in self.edges)
+        except TypeError as exc:
+            raise GraphStructureError(f"edge endpoints must be integers: {exc}") from None
+        object.__setattr__(self, "edges", edges)
+        for eid, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphStructureError(f"edge {eid}: endpoint out of range")
             if u == v:
                 raise GraphStructureError(f"edge {eid}: self-loop at vertex {u}")
-            edges.append((u, v))
-        object.__setattr__(self, "edges", tuple(edges))
         if not is_connected(self.n, self.edges):
             raise GraphStructureError("graph is not connected")
 

