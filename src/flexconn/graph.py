@@ -9,17 +9,14 @@ multiple threads.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import add
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import GraphStructureError, TooLargeError
+from .errors import GraphStructureError
 
 # Largest vertex count whose cut scan takes its candidates from every mask
 # or the float cut table; past it they come from the flow search.
@@ -267,9 +264,9 @@ def min_cut(g: Multigraph, caps: Sequence) -> tuple[Cut, float]:
 def enumerate_cuts_below(g: Multigraph, caps: Sequence, threshold) -> list[Cut]:
     """All canonical nontrivial cuts with capacity strictly below ``threshold``.
 
-    Exact at every n: the cuts of one CutScan.blocks run, which past
-    DEFAULT_EXHAUSTIVE_LIMIT vertices takes int and Fraction capacities
-    only and raises TooLargeError for any other.
+    Exact at every n and for int, float, Fraction and mixed capacities:
+    the cuts of one CutScan.blocks run, whose candidates come from
+    flow-pruned branching past DEFAULT_EXHAUSTIVE_LIMIT vertices.
 
     Float capacities within CUT_REL_TOL (relative) of the threshold count
     as at the threshold and are excluded.  int, Fraction and mixed
@@ -311,19 +308,17 @@ class CutScan:
         candidate masks.
 
         Candidates are, past DEFAULT_EXHAUSTIVE_LIMIT vertices, the masks
-        that flow-pruned branching finds below the cutoff (int and Fraction
-        capacities only); else every canonical mask while they fit in one
-        block; else the masks that a float table of every cut's capacity
-        puts within a rounding margin of the cutoff; the table's
-        fixed cost per vertex outweighs one block's crossing matrix at small
-        n.  Each candidate is re-summed exactly in the capacities' own type
-        over its crossing row, adding in edge order from 0 as a plain
-        running total would: floats and ints in one row-by-row numpy
-        reduction over an edges x cuts table, with a 0 (exact for x >= 0)
-        for every edge that does not cross, floats in float64 and ints in
-        int64 while their total is below 2^53 (so the sums, and their
-        comparison with a float cutoff, are exact), the rest by reduce
-        (sum() compensates floats on Python 3.12+).
+        that flow-pruned branching finds below the cutoff; else every
+        canonical mask while they fit in one block; else the masks that a
+        float table of every cut's capacity puts within a rounding margin
+        of the cutoff; the table's fixed cost per vertex outweighs one
+        block's crossing matrix at small n.  Each candidate is re-summed in
+        the capacities' own type over its crossing row, adding in edge
+        order from 0 as a plain running total would, by one row-by-row
+        numpy reduction over an edges x cuts table with a 0 (exact for
+        x >= 0) for every edge that does not cross: floats in float64, ints
+        in int64 while their total is below 2^53 (so the sums, and their
+        comparison with a float cutoff, are exact), the rest as objects.
         """
         g = self.g
         check_capacities(caps, g.m)
@@ -353,17 +348,12 @@ class CutScan:
                 cross = crossing_matrix(g, block)
             else:
                 cross = every[1][start : start + size]
-            if values.dtype == object:
-                sums = np.fromiter(
-                    (reduce(add, values[row].tolist(), 0) for row in cross), object, len(cross)
-                )
-            else:
-                # edges as rows and cuts as columns: numpy adds the rows in
-                # order, and the zero column keeps a one-cut block from
-                # being one contiguous run, which it would sum pairwise
-                table = np.zeros((g.m, len(cross) + 1), dtype=values.dtype)
-                np.copyto(table[:, :-1], values[:, None], where=cross.T)
-                sums = table.sum(axis=0)[:-1]
+            # edges as rows and cuts as columns: numpy adds the rows in
+            # order, and the zero column keeps a one-cut block from being
+            # one contiguous run, which it would sum pairwise
+            table = np.zeros((g.m, len(cross) + 1), dtype=values.dtype)
+            np.copyto(table[:, :-1], values[:, None], where=cross.T)
+            sums = table.sum(axis=0)[:-1]
             keep = np.flatnonzero(sums < cutoff)
             if len(keep):
                 yield [block[i] for i in keep.tolist()], sums[keep].tolist(), cross[keep]
@@ -401,25 +391,29 @@ def _table_shortlist(g, caps, cutoff) -> list[int]:
 
 def _flow_shortlist(g: Multigraph, caps: Sequence, cutoff) -> list[int]:
     """The canonical masks of the cuts below ``cutoff``, ascending, by
-    flow-pruned branching (Vazirani & Yannakakis, ICALP 1992), for int and
-    Fraction capacities at any n.
+    flow-pruned branching (Vazirani & Yannakakis, ICALP 1992), at any n.
+
+    Capacities and cutoff are scaled to integers by one common denominator,
+    exactly (a float is a dyadic rational).  The limit is the cutoff, plus
+    the float table's rounding margin where a float makes blocks' re-sum round.
 
     Vertex 0 is on the source side A; vertices 1..n-1 go to A or to the
     sink side B, depth first.  Once B is not empty, a node is pruned when
     the maximum flow from A to B, with the undecided vertices free,
-    reaches ``cutoff``: no completion then has a cut below it, and an
+    reaches the limit: no completion then has a cut below it, and an
     unpruned node has at least one completion that does.  At a leaf every
     vertex is decided, so the flow is the cut's exact capacity.
     """
-    if not all(isinstance(c, numbers.Rational) for c in caps):
-        raise TooLargeError(
-            f"the flow search past n={DEFAULT_EXHAUSTIVE_LIMIT} takes int or Fraction "
-            f"capacities only (n={g.n})"
-        )
+    exact = [Fraction(c) for c in caps]
+    limit = Fraction(cutoff)
+    if any(isinstance(c, float) for c in caps):
+        limit += Fraction(1e-9) * (sum(exact) + 1)  # _table_shortlist's margin
+    scale = math.lcm(limit.denominator, *(c.denominator for c in exact))
+    limit = int(limit * scale)
     n = g.n
     # summed capacity of each vertex pair, both directions
     adj = [{} for _ in range(n)]
-    for (u, v), c in zip(g.edges, caps):
+    for (u, v), c in zip(g.edges, (int(c * scale) for c in exact)):
         if c:
             adj[u][v] = adj[v][u] = adj[u].get(v, 0) + c
     masks = []
@@ -427,7 +421,7 @@ def _flow_shortlist(g: Multigraph, caps: Sequence, cutoff) -> list[int]:
     while stack:
         k, a, b = stack.pop()
         if b:
-            if _max_flow(adj, a, b, cutoff) >= cutoff:
+            if _max_flow(adj, a, b, limit) >= limit:
                 continue
             if k == n:
                 masks.append(b)

@@ -235,7 +235,9 @@ class _Separator:
             raise LpSolveError(
                 "2.max(p, m).(p+q) is beyond float range, so separation cannot score its cuts"
             )
-        if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:  # float capacities need the cut table
+        # past the table, while the min cut is below p(p+q), Karger's bound
+        # does not hold for the cuts below 2p(p+q): at p = 1 they blow up
+        if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
             raise TooLargeError(
                 f"instance too large for the exhaustive cut scan "
                 f"(n={inst.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"

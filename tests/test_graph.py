@@ -287,19 +287,30 @@ def test_enumerate_threshold_is_strict_with_relative_slop():
     assert len(enumerate_cuts_below(g, [1], 2)) == 1
 
 
-def test_enumerate_exhaustive_refuses_large_graphs():
-    # past the limit a scan is built, but its candidates come from the flow
-    # search, which takes no floats: those would need the exhaustive table
-    n = 21
-    edges = tuple((v, v + 1) for v in range(n - 1))
-    g = Multigraph(n, edges)
-    scan = graph.CutScan(g)
-    with pytest.raises(TooLargeError, match="n=21"):
-        next(scan.blocks([1.0] * g.m, 2))
-    with pytest.raises(TooLargeError):
-        enumerate_cuts_below(g, [1.0] * g.m, 2)
-    with pytest.raises(TooLargeError):
-        enumerate_cuts_below(g, [1] * (g.m - 1) + [1.0], 2)
+@pytest.mark.parametrize("n", [21, 22])
+@pytest.mark.parametrize("kind", ["float", "mixed"])
+def test_enumerate_float_capacities_past_the_limit_match_the_table(monkeypatch, n, kind):
+    # past the limit the flow search takes float and mixed capacities too;
+    # lifted to 22, the float table's shortlist lists the same cuts at
+    # p(p+q) and separation's 2p(p+q)
+    p, q = 2, 2
+    inst = gen_random(n, 3 * n, 0.4, (1, 10), p, q, 1)
+    rng = random.Random(n)
+    if kind == "float":
+        x = [rng.uniform(0.5, 1.0) for _ in range(inst.m)]
+    else:
+        x = [rng.choice([1, rng.uniform(0.5, 1.0)]) for _ in range(inst.m)]
+    caps = capacities(inst, x)
+    assert any(type(c) is int for c in caps) == (kind == "mixed")
+    for threshold in (p * (p + q), 2 * p * (p + q)):
+        flow = enumerate_cuts_below(inst.graph, caps, threshold)
+        with monkeypatch.context() as patch:
+            patch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", 22)
+            table = enumerate_cuts_below(inst.graph, caps, threshold)
+        assert flow
+        assert [(c.side_mask, c.capacity) for c in flow] == [
+            (c.side_mask, c.capacity) for c in table
+        ]
 
 
 def test_enumerate_past_the_limit_runs_the_flow_route():
@@ -422,6 +433,52 @@ def test_flow_agrees_with_all_cut_capacities():
         existing = sorted({cap for _, cap in all_cut_capacities(g, caps)})
         for threshold in (1.6 * lam + 0.1, existing[min(3, len(existing) - 1)], existing[-1] + 1):
             _flow_against_table(g, caps, threshold)
+
+
+# capacity draws for the flow search, which scales every type to integers
+FLOW_DRAWS = {
+    "float": lambda rng: rng.uniform(0.1, 5.0),
+    "tiny": lambda rng: rng.uniform(0.1, 5.0) * 1e-300,
+    "mixed": lambda rng: rng.choice([rng.randint(0, 4), rng.uniform(0.1, 3.0)]),
+    "fraction": lambda rng: Fraction(rng.randint(1, 30), rng.randint(1, 7)),
+    "huge": lambda rng: rng.randint(1, 9) * 2**60 + rng.randint(0, 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FLOW_DRAWS))
+def test_flow_agrees_with_all_cut_capacities_for_every_capacity_type(kind):
+    # the flow search's masks, re-summed by the scan, are the cuts whose sum
+    # in the capacities' own type is below the cutoff, as on the table route
+    rng = random.Random(sorted(FLOW_DRAWS).index(kind))
+    for trial in range(10):
+        n = 6 + trial % 7
+        g = random_connected(rng, n, rng.randint(n + 2, 2 * n + 4))
+        caps = [FLOW_DRAWS[kind](rng) for _ in range(g.m)]
+        table = all_cut_capacities(g, caps)
+        existing = sorted({cap for _, cap in table if cap > 0})
+        rel_tol = CUT_REL_TOL if graph._are_floats(caps) else 0
+        for threshold in (existing[0] * 3 / 2, existing[len(existing) // 3], existing[-1] * 2):
+            cutoff = threshold - rel_tol * threshold
+            expected = sorted((cap, mask) for mask, cap in table if cap < cutoff)
+            flow = _flow_cuts_below(g, caps, threshold)
+            assert [(c.capacity, c.side_mask) for c in flow] == expected, (trial, threshold)
+            assert flow == enumerate_cuts_below(g, caps, threshold)
+
+
+@pytest.mark.parametrize("first", [1.0, 1])
+def test_flow_keeps_a_cut_whose_rounded_sum_is_below_the_cutoff(first):
+    # 1 + 2^-53 + 2^-53 sums to 1.0 in floats but is 1 + 2^-52 exactly, the
+    # cutoff, so the exact flow prunes the cut unless its limit takes the
+    # float table's rounding margin; mixed capacities need it too.  Floats
+    # meet the threshold less CUT_REL_TOL, mixed ones meet it as it is.
+    g = Multigraph(2, ((0, 1),) * 3)
+    caps = [first, 2**-53, 2**-53]
+    threshold = 1.0000000010000003 if type(first) is float else 1 + 2**-52
+    assert threshold - (CUT_REL_TOL * threshold if type(first) is float else 0) == 1 + 2**-52
+    assert all_cut_capacities(g, caps) == [(0b10, 1.0)]
+    table = [(c.side_mask, c.capacity) for c in enumerate_cuts_below(g, caps, threshold)]
+    assert table == [(0b10, 1.0)]
+    assert [(c.side_mask, c.capacity) for c in _flow_cuts_below(g, caps, threshold)] == table
 
 
 @pytest.mark.parametrize("n", [21, 22])

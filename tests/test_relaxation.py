@@ -196,6 +196,22 @@ def test_solve_relaxation_and_separate_refuse_large_graphs_before_any_lp(monkeyp
     assert built == []
 
 
+@pytest.mark.parametrize("n, p, q", [(10, 2, 1), (16, 3, 2), (20, 2, 2)])
+def test_solve_relaxation_through_the_flow_search_matches_the_table(monkeypatch, n, p, q):
+    # graph's limit at 1 sends separation's every scan of float capacities to
+    # the flow search; relaxation's own binding of the limit still admits n
+    inst = gen_random(n, 3 * n, 0.4, (1, 10), p, q, 1)
+    table = solve_relaxation(inst)
+    searched = []
+    shortlist = graph._flow_shortlist
+    monkeypatch.setattr(graph, "_flow_shortlist", lambda *a: searched.append(1) or shortlist(*a))
+    monkeypatch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", 1)
+    flow = solve_relaxation(inst)
+    assert len(searched) == flow.iterations
+    assert (flow.value, flow.iterations, flow.x) == (table.value, table.iterations, table.x)
+    assert [row.key() for row in flow.active_rows] == [row.key() for row in table.active_rows]
+
+
 def test_separate_agrees_with_bruteforce_on_violation_size():
     rng = random.Random(37)
     for trial in range(40):
