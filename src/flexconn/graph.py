@@ -47,10 +47,16 @@ class Multigraph:
             raise GraphStructureError(f"need at least 2 vertices, got {self.n}")
         if len(self.edges) < self.n - 1:  # before is_connected allocates O(n)
             raise GraphStructureError("graph is not connected")
-        try:  # a float endpoint is refused, not truncated
-            edges = tuple((operator.index(u), operator.index(v)) for u, v in self.edges)
+        try:  # a float endpoint is refused, not truncated; a bool is dropped
+            edges = tuple(
+                (operator.index(u), operator.index(v))
+                for u, v in self.edges
+                if type(u) is not bool and type(v) is not bool
+            )
         except TypeError as exc:
             raise GraphStructureError(f"edge endpoints must be integers: {exc}") from None
+        if len(edges) != len(self.edges):  # True is an int but must not read as 1
+            raise GraphStructureError("edge endpoints must be integers, not bools")
         object.__setattr__(self, "edges", edges)
         for eid, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -103,7 +109,7 @@ class Cut:
             raise ValueError("canonical cut side must not contain vertex 0")
 
     @classmethod
-    def from_vertices(cls, n: int, vertices: Iterable[int], capacity=None) -> "Cut":
+    def from_vertices(cls, n: int, vertices: Iterable[int]) -> "Cut":
         mask = 0
         for v in vertices:
             if not 0 <= v < n:
@@ -114,7 +120,7 @@ class Cut:
             raise ValueError("cut must be nontrivial")
         if mask & 1:
             mask ^= full
-        return cls(n, mask, capacity)
+        return cls(n, mask)
 
     @property
     def vertices(self) -> frozenset[int]:

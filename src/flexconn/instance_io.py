@@ -227,6 +227,9 @@ def gen_random(
     it.
     """
     lo, hi = cost_range
+    for name, value in (("n", n), ("m", m), ("p", p), ("q", q)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise GenerationError(f"{name} must be an integer, got {value!r}")
     if n < 2:
         raise GenerationError(f"need at least 2 vertices, got {n}")
     if m < n - 1:

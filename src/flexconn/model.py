@@ -97,11 +97,14 @@ def capacities(inst: FgcInstance, x: Sequence) -> list:
 
 def check_selection(inst: FgcInstance, f: Iterable[int]) -> frozenset[int]:
     """Validate an edge selection: integer ids in range, returned as a
-    frozenset.  A float id is refused, not truncated."""
+    frozenset.  A float or bool id is refused, not truncated or read as 0/1."""
+    ids = tuple(f)
     try:
-        out = frozenset(map(operator.index, f))
+        out = frozenset(map(operator.index, ids))
     except TypeError as exc:
         raise ValueError(f"edge ids must be integers: {exc}") from None
+    if bool in map(type, ids):  # True is an int but must not read as edge 1
+        raise ValueError("edge ids must be integers, not bools")
     m = inst.m
     for e in out:
         if not 0 <= e < m:
@@ -212,6 +215,10 @@ def validate_instance(inst: FgcInstance) -> None:
 def validate_fields(inst: FgcInstance) -> None:
     """validate_instance's checks of p, q and the costs, without the
     feasibility check, for a caller that already holds the verdict."""
+    for name in ("p", "q"):  # True is an int but must not read as 1
+        value = getattr(inst, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidInstanceError("params", f"{name} must be an integer, got {value!r}")
     if inst.p < 1:
         raise InvalidInstanceError("params", f"p must be at least 1, got {inst.p}")
     if inst.q < 0:

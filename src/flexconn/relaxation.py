@@ -129,10 +129,13 @@ def constraint_row(inst: FgcInstance, r: Cut, j_edges: Iterable[int]) -> Constra
     p.x(delta(R)) + q.x(delta(R)&S) >= p(p+q) after regrouping.
     """
     delta = cut_edges(inst.graph, r)
+    ids = tuple(j_edges)
     try:
-        j = frozenset(map(operator.index, j_edges))
+        j = frozenset(map(operator.index, ids))
     except TypeError as exc:
         raise ValueError(f"j_edges must be integer edge ids: {exc}") from None
+    if bool in map(type, ids):  # True is an int but must not read as edge 1
+        raise ValueError("j_edges must be integer edge ids, not bools")
     if not j <= delta:
         raise ValueError("j_edges must lie inside the cut's edge set")
     return _row(inst, r, sorted(delta), j)

@@ -40,7 +40,8 @@ class RoundingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.scale_constant < math.inf:
+        # True is a number but must not read as 1, as for the counts below
+        if isinstance(self.scale_constant, bool) or not 0 < self.scale_constant < math.inf:
             raise ValueError("scale_constant must be positive and finite")
         for name in ("max_attempts", "seed"):  # True is an int but must not read as 1
             value = getattr(self, name)

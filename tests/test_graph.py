@@ -68,6 +68,13 @@ def test_multigraph_refuses_float_endpoints():
     assert Multigraph(3, ((np.int64(0), 1), (1, np.int32(2)))).edges == ((0, 1), (1, 2))
 
 
+@pytest.mark.parametrize("edges", [((False, True),), ((0, 1), (1, True))])
+def test_multigraph_refuses_bool_endpoints(edges):
+    # operator.index(True) is 1, so ((False, True),) once read as the edge (0, 1)
+    with pytest.raises(GraphStructureError, match="bool"):
+        Multigraph(3 if len(edges) > 1 else 2, edges)
+
+
 def test_multigraph_allows_parallel_edges():
     g = Multigraph(2, ((0, 1), (0, 1)))
     assert g.m == 2

@@ -382,6 +382,20 @@ def test_gen_random_rejects_bad_arguments(kwargs):
         gen_random(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, bad", [("n", 6.0), ("m", 12.0), ("p", 2.5), ("q", 0.5), ("p", True), ("q", False)]
+)
+def test_gen_random_refuses_non_integer_sizes_and_parameters(monkeypatch, field, bad):
+    # p = 2.5 once gave an instance with p = 2.5, and m = 12.0 died in range()
+    sampled = []
+    monkeypatch.setattr(instance_io, "is_connected", lambda *a: sampled.append(1) or True)
+    args = dict(n=6, m=12, safe_fraction=0.5, cost_range=(1, 10), p=2, q=1, seed=3)
+    args[field] = bad
+    with pytest.raises(GenerationError, match=f"{field} must be an integer"):
+        gen_random(**args)
+    assert sampled == []
+
+
 def test_all_safe_instance_reduces_to_edge_connectivity():
     # with every edge safe, feasibility of F is just p-edge-connectivity,
     # so a generated all-safe instance must keep p parallel paths

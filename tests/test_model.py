@@ -94,6 +94,14 @@ def test_selections_refuse_float_edge_ids():
         assert check(inst, [np.int64(0)]) == check(inst, [0])
 
 
+def test_selections_refuse_bool_edge_ids():
+    # operator.index(True) is 1, so [True, False] once selected edges {0, 1}
+    inst = two_vertex()
+    for check in (model.check_selection, is_feasible, is_feasible_direct):
+        with pytest.raises(ValueError, match="bool"):
+            check(inst, [True, False])
+
+
 def test_capacitated_two_vertex_safe_edge():
     # min cut 2 = p(p+q); violating-cut bound 1; enumeration below it empty
     inst = two_vertex()
@@ -288,6 +296,16 @@ def test_validate_rejects_bad_parameters():
     assert exc.value.code == "params"
     inst = FgcInstance(g, (True, True), (1.0, 1.0), 1, -1)
     with pytest.raises(InvalidInstanceError) as exc:
+        validate_instance(inst)
+    assert exc.value.code == "params"
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 0), (2, 0.5), (2.0, 1), (True, 0), (1, False)])
+def test_validate_refuses_non_integer_parameters(p, q):
+    # p = 1.5 and q = 0.5 once passed, and True read as 1
+    g = Multigraph(2, ((0, 1), (0, 1)))
+    inst = FgcInstance(g, (True, True), (1.0, 1.0), p, q)
+    with pytest.raises(InvalidInstanceError, match="integer") as exc:
         validate_instance(inst)
     assert exc.value.code == "params"
 

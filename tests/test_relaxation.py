@@ -94,6 +94,12 @@ def test_constraint_row_refuses_float_edge_ids():
     assert constraint_row(inst, cut, {np.int64(0)}) == constraint_row(inst, cut, {0})
 
 
+def test_constraint_row_refuses_bool_edge_ids():
+    # operator.index(True) is 1, so {True} once read as the J of edge 1
+    with pytest.raises(ValueError, match="bool"):
+        constraint_row(gadget_f1(), Cut.from_vertices(2, {1}), {True})
+
+
 def test_candidate_j_sets_ordering_and_ranges():
     # p=2 q=1; 3 safe at x .9 .5 .2 and 2 unsafe at .7 .3
     g = Multigraph(2, ((0, 1),) * 5)
@@ -118,6 +124,51 @@ def test_candidate_j_sets_breaks_x_ties_by_edge_id():
     cands = candidate_j_sets(inst, Cut.from_vertices(2, {1}), (0.5, 0.5, 0.5, 0.5))
     by_ab = {(a, b): j for a, b, j in cands}
     assert by_ab[(0, 2)] == {0, 1}
+
+
+def _largest_violations_by_definition(inst, mask, x, j_sets):
+    # rhs minus lhs of the row (p-a)+ . x(K) + (q-b)+ . x(K&S) >= (p-a)+ .
+    # (p+q-|J|)+ from the module docstring, with a = |J&S|, b = |J&U| and
+    # K = delta(R) minus J, in Fraction: (largest over j_sets, over every J)
+    p, q = inst.p, inst.q
+    delta = [e for e, (u, v) in enumerate(inst.graph.edges) if (mask >> u ^ mask >> v) & 1]
+
+    def slack(j):
+        a = sum(1 for e in j if inst.safe[e])
+        alpha1, alpha2 = max(p - a, 0), max(q - (len(j) - a), 0)
+        k = [e for e in delta if e not in j]
+        lhs = alpha1 * sum(x[e] for e in k) + alpha2 * sum(x[e] for e in k if inst.safe[e])
+        return alpha1 * max(p + q - len(j), 0) - lhs
+
+    every = (
+        [e for i, e in enumerate(delta) if bits >> i & 1] for bits in range(1 << len(delta))
+    )
+    return max(map(slack, j_sets)), max(map(slack, every))
+
+
+def test_the_j_family_holds_the_most_violated_j_of_every_cut():
+    # the separation claim: whenever some J inside delta(R) gives a violated
+    # row, the J_{a,b} family holds one violated as much; rows with rhs = 0
+    # are never violated, so a largest violation of 0 asks nothing
+    rng = random.Random(12)
+    points = violated = 0
+    while points < 200:
+        n = rng.randint(3, 6)
+        p, q = rng.randint(1, 3), rng.randint(0, 3)
+        inst = gen_random(n, rng.randint(n, 11), 0.5, (1, 10), p, q, rng.randrange(10**6))
+        if inst.m > 11:  # repair added edges
+            continue
+        lp_x = [Fraction(v) for v in solve_relaxation(inst).x]
+        grid_x = [Fraction(rng.randint(0, 8), 8) for _ in range(inst.m)]
+        for x in (lp_x, grid_x):
+            points += 1
+            for mask in graph.canonical_masks(n):
+                family = [j for _, _, j in candidate_j_sets(inst, Cut(n, mask), x)]
+                best_family, best = _largest_violations_by_definition(inst, mask, x, family)
+                if best > 0:
+                    violated += 1
+                    assert best_family == best, (inst, mask, x)
+    assert violated > 100
 
 
 def test_violation_f1_gadget():

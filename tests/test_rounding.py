@@ -37,6 +37,12 @@ def test_config_rejects_non_integer_counts(field, bad):
         RoundingConfig(**{field: bad})
 
 
+def test_config_refuses_a_bool_scale_constant():
+    # True once read as C = 1.0, though the counts refuse it
+    with pytest.raises(ValueError, match="scale_constant"):
+        RoundingConfig(scale_constant=True)
+
+
 @pytest.mark.parametrize("field", ["scale_constant"])
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_config_rejects_non_finite(field, bad):
