@@ -169,8 +169,9 @@ def crossing_matrix(g: Multigraph, masks: Sequence[int]) -> np.ndarray:
 
 def _are_floats(caps: Sequence) -> bool:
     """Float capacities sum in float64 and meet thresholds with CUT_REL_TOL
-    slop; int, Fraction and mixed ones sum and compare exactly.  float
-    subclasses such as np.float64 are floats."""
+    slop; int, Fraction and mixed ones meet them exactly, though a mixed
+    sum rounds once a float joins it.  float subclasses such as np.float64
+    are floats."""
     return all(isinstance(c, float) for c in caps)
 
 

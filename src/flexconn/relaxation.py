@@ -19,7 +19,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .graph import DEFAULT_EXHAUSTIVE_LIMIT, Cut, CutScan, cut_edges
 # Kept only for perfbench/tracing.py, which wraps these bindings by name;
 # their spans read 0 now that separation scores every cut through graph.CutScan.
 from .graph import enumerate_cuts_below, min_cut  # noqa: F401
-from .model import FgcInstance, capacities, infeasible_edges_error, is_feasible
+from .model import FgcInstance, capacities, check_selection, infeasible_edges_error, is_feasible
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
@@ -129,13 +128,7 @@ def constraint_row(inst: FgcInstance, r: Cut, j_edges: Iterable[int]) -> Constra
     p.x(delta(R)) + q.x(delta(R)&S) >= p(p+q) after regrouping.
     """
     delta = cut_edges(inst.graph, r)
-    ids = tuple(j_edges)
-    try:
-        j = frozenset(map(operator.index, ids))
-    except TypeError as exc:
-        raise ValueError(f"j_edges must be integer edge ids: {exc}") from None
-    if bool in map(type, ids):  # True is an int but must not read as edge 1
-        raise ValueError("j_edges must be integer edge ids, not bools")
+    j = check_selection(inst, j_edges)
     if not j <= delta:
         raise ValueError("j_edges must lie inside the cut's edge set")
     return _row(inst, r, sorted(delta), j)
