@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -21,10 +22,6 @@ from .errors import GraphStructureError
 # Largest vertex count whose cut scan takes its candidates from every mask
 # or the float cut table; past it they come from the flow search.
 DEFAULT_EXHAUSTIVE_LIMIT = 20
-
-# Relative slop at enumeration thresholds for float capacities, so that ones
-# within floating-point noise of the threshold count as *at* it (strict).
-CUT_REL_TOL = 1e-9
 
 # Cuts per crossing matrix, which bounds its size: at n = 20 up to 2^19
 # cuts can fall below a threshold.
@@ -112,6 +109,12 @@ class Cut:
     def from_vertices(cls, n: int, vertices: Iterable[int]) -> "Cut":
         mask = 0
         for v in vertices:
+            if type(v) is bool:  # True is an int but must not read as vertex 1
+                raise ValueError("vertices must be integers, not bools")
+            try:  # as Multigraph reads endpoints: a float is refused, not truncated
+                v = operator.index(v)
+            except TypeError:
+                raise ValueError(f"vertex {v!r} is not an integer") from None
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} out of range")
             mask |= 1 << v
@@ -132,14 +135,20 @@ class Cut:
 
 
 def check_capacities(caps: Sequence, m: int) -> None:
-    """Validate a per-edge capacity vector: length m, nonnegative, finite."""
+    """Validate a per-edge capacity vector: length m, each an int, float
+    (np.float64 included), Fraction or numpy integer, not a bool,
+    nonnegative and finite."""
     if len(caps) != m:
         raise ValueError(f"expected {m} capacities, got {len(caps)}")
     for eid, c in enumerate(caps):
-        if c < 0:
-            raise ValueError(f"capacity of edge {eid} is negative")
-        if isinstance(c, float) and not math.isfinite(c):
-            raise ValueError(f"capacity of edge {eid} is not finite")
+        kind = type(c)
+        if kind is not int and kind is not float:
+            if kind is bool or not isinstance(c, (int, float, Fraction, np.integer)):
+                raise ValueError(
+                    f"capacity of edge {eid} must be an int, float or Fraction, not {kind.__name__}"
+                )
+        if not 0 <= c < math.inf:  # also refuses NaN
+            raise ValueError(f"capacity of edge {eid} is {'negative' if c < 0 else 'not finite'}")
 
 
 def cut_edges(g: Multigraph, r: Cut) -> frozenset[int]:
@@ -165,14 +174,6 @@ def crossing_matrix(g: Multigraph, masks: Sequence[int]) -> np.ndarray:
     side = np.unpackbits(bits, axis=1, bitorder="little")
     u, v = np.array(g.edges, dtype=np.intp).T
     return side[:, u] != side[:, v]
-
-
-def _are_floats(caps: Sequence) -> bool:
-    """Float capacities sum in float64 and meet thresholds with CUT_REL_TOL
-    slop; int, Fraction and mixed ones meet them exactly, though a mixed
-    sum rounds once a float joins it.  float subclasses such as np.float64
-    are floats."""
-    return all(isinstance(c, float) for c in caps)
 
 
 def canonical_masks(n: int) -> range:
@@ -273,11 +274,9 @@ def enumerate_cuts_below(g: Multigraph, caps: Sequence, threshold) -> list[Cut]:
 
     Exact at every n and for int, float, Fraction and mixed capacities:
     the cuts of one CutScan.blocks run, whose candidates come from
-    flow-pruned branching past DEFAULT_EXHAUSTIVE_LIMIT vertices.
-
-    Float capacities within CUT_REL_TOL (relative) of the threshold count
-    as at the threshold and are excluded.  int, Fraction and mixed
-    capacities are compared with the threshold exactly.
+    flow-pruned branching past DEFAULT_EXHAUSTIVE_LIMIT vertices.  A cut
+    is listed exactly when its capacity, summed in edge order in the
+    capacities' own type, is strictly below the threshold as given.
 
     Results are sorted by (capacity, side_mask) and duplicate-free.
     """
@@ -315,39 +314,45 @@ class CutScan:
         candidate masks.
 
         Candidates are, past DEFAULT_EXHAUSTIVE_LIMIT vertices, the masks
-        that flow-pruned branching finds below the cutoff; else every
+        that flow-pruned branching finds below the threshold; else every
         canonical mask while they fit in one block; else the masks that a
         float table of every cut's capacity puts within a rounding margin
-        of the cutoff; the table's fixed cost per vertex outweighs one
-        block's crossing matrix at small n.  Each candidate is re-summed in
-        the capacities' own type over its crossing row, adding in edge
-        order from 0 as a plain running total would, by one row-by-row
-        numpy reduction over an edges x cuts table with a 0 (exact for
-        x >= 0) for every edge that does not cross: floats in float64, ints
-        in int64 while their total is below 2^53 (so the sums, and their
-        comparison with a float cutoff, are exact), the rest as objects.
+        of the threshold, or the flow search's where the table cannot hold
+        the capacities' sums; the table's fixed cost per vertex outweighs
+        one block's crossing matrix at small n.  Each candidate is re-summed
+        in the capacities' own type over its crossing row, adding in edge
+        order from 0 as a plain running total would (a float sum past float
+        range is inf), by one row-by-row numpy reduction over an edges x
+        cuts table with a 0 (exact for x >= 0) for every edge that does not
+        cross: floats in float64, ints in int64 while their total is below
+        2^53, the rest as objects.  A cut is kept when its sum is strictly
+        below the threshold: float64 and int64 sums (below 2^53, so floats)
+        are compared with the least float at or above the threshold, which
+        a float is below exactly when it is below the threshold.
         """
         g = self.g
         check_capacities(caps, g.m)
         if not 0 < threshold < math.inf:  # also rejects NaN
             raise ValueError(f"threshold must be positive and finite, got {threshold}")
-        floats = _are_floats(caps)
-        cutoff = threshold - CUT_REL_TOL * threshold if floats else threshold
+        ceiling = float(threshold) if threshold <= sys.float_info.max else math.inf
+        if ceiling < threshold:  # rounded down: the next float up is the least above it
+            ceiling = math.nextafter(ceiling, math.inf)
         every = self._every
         if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
             every = None
-            masks = _flow_shortlist(g, caps, cutoff)
+            masks = _flow_shortlist(g, caps, threshold)
         elif every is None:
-            masks = _table_shortlist(g, caps, cutoff)
+            masks = _table_shortlist(g, caps, threshold, ceiling)
         else:
             masks = every[0]
 
-        if floats:
+        if all(isinstance(c, float) for c in caps):  # np.float64 too
             values = np.array(caps, dtype=float)
         elif all(type(c) is int for c in caps) and sum(caps) < 2**53:
             values = np.array(caps, dtype=np.int64)
         else:
             values = np.array(caps, dtype=object)
+        cutoff = threshold if values.dtype == object else ceiling
         size = CUT_BLOCK
         for start in range(0, len(masks), size):
             block = masks[start : start + size]
@@ -360,38 +365,37 @@ class CutScan:
             # one contiguous run, which it would sum pairwise
             table = np.zeros((g.m, len(cross) + 1), dtype=values.dtype)
             np.copyto(table[:, :-1], values[:, None], where=cross.T)
-            sums = table.sum(axis=0)[:-1]
+            with np.errstate(over="ignore"):  # inf, as a Python float sum gives
+                sums = table.sum(axis=0)[:-1]
             keep = np.flatnonzero(sums < cutoff)
             if len(keep):
                 yield [block[i] for i in keep.tolist()], sums[keep].tolist(), cross[keep]
 
 
-def _table_shortlist(g, caps, cutoff) -> list[int]:
+def _table_shortlist(g, caps, threshold, ceiling) -> list[int]:
     """Canonical masks whose float table capacity is within a rounding
-    margin of ``cutoff``: a superset of those strictly below it.
+    margin of ``ceiling``, a float at or above ``threshold``: a superset of
+    those strictly below the threshold.
 
-    Capacities or a cutoff beyond float range (ints or Fractions) are first
-    divided, all by one power of two, exactly as rationals, so that the
-    table's intermediates stay below 2^1000; a mask is below the cutoff
-    exactly when it is below it scaled.
+    The table holds capacities that are finite floats and whose sum, times
+    four, is one too: its intermediates reach twice their sum, and this
+    leaves room for their rounding.  Other capacities get the flow
+    search's masks.
     """
-    try:
-        weights = [float(c) for c in caps]
-        limit = float(cutoff)
+    try:  # a capacity, or their sum, beyond float range raises
+        weights = np.array(caps, dtype=float)
+        total = math.fsum(weights)
     except OverflowError:
-        # every value v has v < 2^(int(v).bit_length()), so the table's
-        # intermediates, at most 2*sum(w), stay below 2^(top + m.bit_length() + 1)
-        top = max(int(c).bit_length() for c in (*caps, cutoff))
-        scale = Fraction(1, 1 << (top + g.m.bit_length() + 1 - 1000))
-        weights = [float(Fraction(c) * scale) for c in caps]
-        limit = float(Fraction(cutoff) * scale)
-    weights = np.array(weights)
-    # Covers float rounding of the capacities, the cutoff and the table.
-    # Table intermediates are at most 2*sum(w). An entry takes at most
-    # n-1 doubling steps; each adds two roundings and carries those of
-    # d(k) and w(k, S), sums of at most m edge weights. So its error is
-    # below n*(3m+4)*eps*sum(w): under 1e-11*sum(w) at n = 20, m = 1000.
-    bound = limit + 1e-9 * (float(weights.sum()) + 1.0)
+        total = math.inf
+    if not 4 * total < math.inf:
+        return _flow_shortlist(g, caps, threshold)
+    # Covers float rounding of the capacities and the table (the ceiling
+    # is not below the threshold). Table intermediates are at most
+    # 2*sum(w). An entry takes at most n-1 doubling steps; each adds two
+    # roundings and carries those of d(k) and w(k, S), sums of at most m
+    # edge weights. So its error is below n*(3m+4)*eps*sum(w): under
+    # 1e-11*sum(w) at n = 20, m = 1000.
+    bound = ceiling + 1e-9 * (total + 1.0)
     shortlist = np.flatnonzero(_cut_capacity_table(g, weights) < bound) + 1
     return (shortlist << 1).tolist()
 

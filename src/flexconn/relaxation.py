@@ -269,8 +269,8 @@ class _Separator:
         first row of largest violation in (a, b) order.
 
         Every cut of u_x capacity below 2p(p+q) is scanned, since no other
-        cut can carry a violation (float x meets that threshold with
-        graph's float slop, Fraction x exactly).  The J_{a,b} candidates of
+        cut can carry a violation (float and Fraction x meet that threshold
+        exactly, in their own sums).  The J_{a,b} candidates of
         each block of the cut scan are scored in closed form in one numpy
         pass over the block's crossing rows, and only the candidates within
         a float error slack of their cut's best score are built as rows and

@@ -24,7 +24,7 @@ from flexconn import (
 )
 from flexconn import graph
 from flexconn.exact import all_cut_capacities
-from flexconn.graph import CUT_REL_TOL, canonical_masks, crossing_matrix
+from flexconn.graph import canonical_masks, crossing_matrix
 
 from instances import cycle_graph
 
@@ -78,6 +78,25 @@ def test_multigraph_refuses_bool_endpoints(edges):
 def test_multigraph_allows_parallel_edges():
     g = Multigraph(2, ((0, 1), (0, 1)))
     assert g.m == 2
+
+
+@pytest.mark.parametrize(
+    "vertex, error", [(True, "bool"), (1.0, "not an integer"), ("1", "not an integer")]
+)
+def test_cut_from_vertices_refuses_non_integers(vertex, error):
+    # True once read as vertex 1, and 1.0 raised an untyped TypeError
+    with pytest.raises(ValueError, match=error):
+        Cut.from_vertices(4, [vertex])
+
+
+def test_cut_from_vertices_reads_numpy_integers_as_ints():
+    # np.int64 once gave an np.int64 side_mask, without the to_bytes that
+    # crossing_matrix reads
+    cut = Cut.from_vertices(4, [np.int64(2)])
+    assert cut.side_mask == 0b100 and type(cut.side_mask) is int
+    assert crossing_matrix(cycle_graph(4), [cut.side_mask]).tolist() == [
+        [False, True, True, False]
+    ]
 
 
 def test_cut_canonical_side_excludes_vertex_zero():
@@ -162,6 +181,45 @@ def test_min_cut_rejects_bad_capacities():
         min_cut(g, [1, 1, 1])
     with pytest.raises(ValueError):
         min_cut(g, [1, 1, 1, -1])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.float32(1.0), "not float32"),
+        (np.float32("nan"), "not float32"),  # once died in list.remove
+        (True, "not bool"),
+        (np.bool_(True), "not bool"),
+        ("1", "not str"),
+        (math.nan, "not finite"),
+        (math.inf, "not finite"),
+        (-1e-300, "negative"),
+    ],
+)
+def test_capacities_of_other_types_or_nan_are_refused(bad, message):
+    # one check for min_cut and every cut scan, naming the edge
+    g = cycle_graph(4)
+    caps = [1, 1.0, bad, Fraction(1, 2)]
+    with pytest.raises(ValueError, match=f"edge 2 .*{message}"):
+        min_cut(g, caps)
+    with pytest.raises(ValueError, match=f"edge 2 .*{message}"):
+        enumerate_cuts_below(g, caps, 3)
+
+
+@pytest.mark.parametrize("n", [6, 21])
+def test_float32_capacities_are_refused_on_every_route(n):
+    # float32 capacities were summed as float32 objects at n <= 20 and
+    # raised an untyped TypeError in the flow search past it
+    g = Multigraph(n, tuple((v, v + 1) for v in range(n - 1)))
+    with pytest.raises(ValueError, match="edge 0 .*float32"):
+        enumerate_cuts_below(g, [np.float32(1.0)] * g.m, 2)
+
+
+def test_numpy_integer_and_float64_capacities_are_taken():
+    g = cycle_graph(4)
+    assert min_cut(g, [np.int64(1)] * 4)[1] == 2
+    cuts = enumerate_cuts_below(g, [np.float64(1.0), 1.0, np.int32(1), 1], 3)
+    assert len(cuts) == 6
 
 
 def test_min_cut_attains_reported_value():
@@ -282,11 +340,12 @@ def test_enumerate_sorted_and_capacity_cached():
         assert c.capacity == sum(caps[e] for e in cut_edges(g, c))
 
 
-def test_enumerate_threshold_is_strict_with_relative_slop():
-    # the slop applies to float capacities only; the rest compare exactly
+def test_enumerate_threshold_is_strict_and_exact():
+    # every capacity type meets the threshold exactly, with no slop
     g = Multigraph(2, ((0, 1),))
     assert enumerate_cuts_below(g, [2.0], 2.0) == []
-    assert enumerate_cuts_below(g, [2.0 * (1 - 1e-12)], 2.0) == []  # within slop
+    assert len(enumerate_cuts_below(g, [2.0 * (1 - 1e-12)], 2.0)) == 1
+    assert len(enumerate_cuts_below(g, [math.nextafter(2.0, 0)], 2.0)) == 1
     assert len(enumerate_cuts_below(g, [2.0], 2.0 + 1e-6)) == 1
     assert len(enumerate_cuts_below(g, [Fraction(2.0 * (1 - 1e-12))], 2.0)) == 1
     assert len(enumerate_cuts_below(g, [Fraction(199, 100)], 2)) == 1
@@ -352,21 +411,21 @@ def test_enumerate_rejects_bad_arguments(monkeypatch):
 @pytest.mark.parametrize("route", ["exhaustive", "flow"])
 @pytest.mark.parametrize("threshold", [math.inf, math.nan])
 def test_enumerate_rejects_non_finite_threshold(monkeypatch, route, threshold):
-    # inf - 1e-9 * inf is NaN, which no capacity is below; a flow never reaches inf
+    # every float capacity is below inf and none below NaN; a flow never reaches inf
     if route == "flow":
         monkeypatch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", 4)
     with pytest.raises(ValueError, match="threshold"):
         enumerate_cuts_below(cycle_graph(5), [1] * 5, threshold)
 
 
-def test_numpy_float_capacities_get_the_float_slop():
-    # np.float64 capacities once compared exactly: on a unit triangle at
-    # 2(1 + 1e-10), within CUT_REL_TOL above every cut, they listed all
-    # three cuts and Python floats none
+def test_numpy_float_capacities_meet_the_threshold_as_floats():
+    # np.float64 and Python float capacities are summed and compared alike:
+    # on a unit triangle at 2(1 + 1e-10), just above every cut, both list
+    # all three cuts, each of capacity 2.0
     g = cycle_graph(3)
     threshold = 2 * (1 + 1e-10)
     cuts = enumerate_cuts_below(g, [1.0] * 3, threshold)
-    assert cuts == []
+    assert len(cuts) == 3 and all(c.capacity == 2.0 for c in cuts)
     assert enumerate_cuts_below(g, [np.float64(1.0)] * 3, threshold) == cuts
 
 
@@ -445,6 +504,7 @@ def test_flow_agrees_with_all_cut_capacities():
 # capacity draws for the flow search, which scales every type to integers
 FLOW_DRAWS = {
     "float": lambda rng: rng.uniform(0.1, 5.0),
+    "float64": lambda rng: np.float64(rng.uniform(0.1, 5.0)),
     "tiny": lambda rng: rng.uniform(0.1, 5.0) * 1e-300,
     "mixed": lambda rng: rng.choice([rng.randint(0, 4), rng.uniform(0.1, 3.0)]),
     "fraction": lambda rng: Fraction(rng.randint(1, 30), rng.randint(1, 7)),
@@ -463,10 +523,8 @@ def test_flow_agrees_with_all_cut_capacities_for_every_capacity_type(kind):
         caps = [FLOW_DRAWS[kind](rng) for _ in range(g.m)]
         table = all_cut_capacities(g, caps)
         existing = sorted({cap for _, cap in table if cap > 0})
-        rel_tol = CUT_REL_TOL if graph._are_floats(caps) else 0
         for threshold in (existing[0] * 3 / 2, existing[len(existing) // 3], existing[-1] * 2):
-            cutoff = threshold - rel_tol * threshold
-            expected = sorted((cap, mask) for mask, cap in table if cap < cutoff)
+            expected = sorted((cap, mask) for mask, cap in table if cap < threshold)
             flow = _flow_cuts_below(g, caps, threshold)
             assert [(c.capacity, c.side_mask) for c in flow] == expected, (trial, threshold)
             assert flow == enumerate_cuts_below(g, caps, threshold)
@@ -475,13 +533,11 @@ def test_flow_agrees_with_all_cut_capacities_for_every_capacity_type(kind):
 @pytest.mark.parametrize("first", [1.0, 1])
 def test_flow_keeps_a_cut_whose_rounded_sum_is_below_the_cutoff(first):
     # 1 + 2^-53 + 2^-53 sums to 1.0 in floats but is 1 + 2^-52 exactly, the
-    # cutoff, so the exact flow prunes the cut unless its limit takes the
-    # float table's rounding margin; mixed capacities need it too.  Floats
-    # meet the threshold less CUT_REL_TOL, mixed ones meet it as it is.
+    # threshold, so the exact flow prunes the cut unless its limit takes the
+    # float table's rounding margin; mixed capacities need it too.
     g = Multigraph(2, ((0, 1),) * 3)
     caps = [first, 2**-53, 2**-53]
-    threshold = 1.0000000010000003 if type(first) is float else 1 + 2**-52
-    assert threshold - (CUT_REL_TOL * threshold if type(first) is float else 0) == 1 + 2**-52
+    threshold = 1 + 2**-52
     assert all_cut_capacities(g, caps) == [(0b10, 1.0)]
     table = [(c.side_mask, c.capacity) for c in enumerate_cuts_below(g, caps, threshold)]
     assert table == [(0b10, 1.0)]
@@ -602,10 +658,10 @@ def test_enumerate_exact_beyond_float_range():
 
 @pytest.mark.parametrize("kind", ["int", "fraction"])
 def test_table_shortlist_beyond_float_range(monkeypatch, kind):
-    # capacities p + q.[safe] at q = 10^400 are scaled into float range for
-    # the cut table, so the shortlist holds the cuts below the cutoff and
-    # not every mask; CUT_BLOCK below 2^(n-1) - 1 sends enumeration through
-    # the table at n <= 12 too
+    # capacities p + q.[safe] at q = 10^400 do not fit the float cut table,
+    # so its shortlist is the flow search's, exactly the cuts below the
+    # threshold and not every mask; CUT_BLOCK below 2^(n-1) - 1 sends
+    # enumeration through the table at n <= 12 too
     rng = random.Random(17)
     q = 10**400
     for n in (4, 9, 12):
@@ -616,17 +672,94 @@ def test_table_shortlist_beyond_float_range(monkeypatch, kind):
         assert max(caps) > sys.float_info.max
         table = all_cut_capacities(g, caps)
         existing = sorted({cap for _, cap in table})
-        for cutoff in (existing[1], existing[len(existing) // 3], existing[-1] + 1):
-            below = {mask for mask, cap in table if cap < cutoff}
-            shortlist = graph._table_shortlist(g, caps, cutoff)
-            assert below <= set(shortlist)
-            if cutoff <= existing[-1]:
-                assert len(shortlist) < len(table)
+        for threshold in (existing[1], existing[len(existing) // 3], existing[-1] + 1):
+            below = sorted(mask for mask, cap in table if cap < threshold)
+            assert graph._table_shortlist(g, caps, threshold, math.inf) == below
             with monkeypatch.context() as patch:
                 patch.setattr(graph, "CUT_BLOCK", 2)
-                cuts = enumerate_cuts_below(g, caps, cutoff)
-            expected = sorted((cap, mask) for mask, cap in table if cap < cutoff)
+                cuts = enumerate_cuts_below(g, caps, threshold)
+            expected = sorted((cap, mask) for mask, cap in table if cap < threshold)
             assert [(c.capacity, c.side_mask) for c in cuts] == expected
+
+
+@pytest.mark.parametrize("kind", ["float", "int"])
+@pytest.mark.parametrize("block", [4096, 2])
+def test_enumerate_keeps_cuts_whose_table_sums_overflow(monkeypatch, kind, block):
+    # each capacity fits a float but their sum does not: the table, forced
+    # by CUT_BLOCK = 2, once lost every cut built from an overflowed
+    # intermediate and listed only masks 4 and 8
+    monkeypatch.setattr(graph, "CUT_BLOCK", block)
+    g = Multigraph(4, ((0, 1), (1, 2), (1, 3), (0, 2), (0, 3)))
+    if kind == "float":
+        caps, threshold = [1.0, 1e308, 1e308, 1.0, 1.0], 1.5e308
+    else:
+        caps, threshold = [1, 10**308, 10**308, 1, 1], 15 * 10**307
+    cuts = enumerate_cuts_below(g, caps, threshold)
+    expected = sorted((cap, mask) for mask, cap in all_cut_capacities(g, caps) if cap < threshold)
+    assert [(c.capacity, c.side_mask) for c in cuts] == expected
+    assert {c.side_mask for c in cuts} == {14, 4, 6, 8, 10}
+    assert cuts[0].capacity == 3
+
+
+# The three candidate sources, each forced at small n: every canonical mask
+# (the default while they fit in one block), the float table (CUT_BLOCK below
+# 2^(n-1) - 1) and the flow search (DEFAULT_EXHAUSTIVE_LIMIT below n).
+SOURCES = {"every": {}, "table": {"CUT_BLOCK": 2}, "flow": {"DEFAULT_EXHAUSTIVE_LIMIT": 3}}
+
+# capacities whose sums pass float range, or which do themselves
+OVERFLOW_DRAWS = {
+    "float": lambda rng: rng.choice([1.0, rng.uniform(0.2, 1.0) * 1e308]),
+    "int": lambda rng: rng.choice([1, rng.randint(2, 9) * 10**307]),
+    "beyond": lambda rng: rng.choice([2, rng.randint(1, 9) * 10**400]),
+    "fraction": lambda rng: Fraction(rng.randint(1, 9) * 10**307, rng.randint(1, 7)),
+}
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+@pytest.mark.parametrize("kind", sorted(OVERFLOW_DRAWS))
+def test_enumerate_exact_where_sums_pass_float_range(monkeypatch, source, kind):
+    # the reference's own sums, in the capacities' type (a float sum past
+    # float range is inf), strictly below thresholds in and beyond float range
+    for name, value in SOURCES[source].items():
+        monkeypatch.setattr(graph, name, value)
+    rng = random.Random(sorted(OVERFLOW_DRAWS).index(kind))
+    for n in (4, 6, 9):
+        g = random_connected(rng, n, 2 * n)
+        caps = [OVERFLOW_DRAWS[kind](rng) for _ in range(g.m)]
+        table = all_cut_capacities(g, caps)
+        existing = sorted({cap for _, cap in table if cap < math.inf})
+        assert kind == "beyond" or not 4 * sum(map(float, caps)) < math.inf
+        for threshold in (
+            existing[len(existing) // 2],
+            existing[-1],
+            10**400,
+            Fraction(10**401, 3),
+        ):
+            expected = sorted((cap, mask) for mask, cap in table if cap < threshold)
+            cuts = enumerate_cuts_below(g, caps, threshold)
+            assert [(c.capacity, c.side_mask) for c in cuts] == expected, (n, threshold)
+
+
+def test_float_capacities_below_a_threshold_beyond_float_range_use_the_table(monkeypatch):
+    # every float sum is below 10^400, so every cut is listed, by the table
+    # and not by the slower flow search
+    monkeypatch.setattr(graph, "_flow_shortlist", None)
+    rng = random.Random(14)
+    g = random_connected(rng, 14, 42)
+    caps = [rng.uniform(0.5, 2.0) for _ in range(g.m)]
+    for threshold in (10**400, Fraction(10**401, 3)):
+        cuts = enumerate_cuts_below(g, caps, threshold)
+        assert sorted(c.side_mask for c in cuts) == list(canonical_masks(14))
+
+
+@pytest.mark.parametrize("threshold", [2**53 + 1, Fraction(2**54 + 1, 2)])
+def test_float_sums_meet_a_threshold_between_floats_exactly(threshold):
+    # 2^53 + 1 and 2^53 + 1/2 round to the float 2^53, which a cut of
+    # capacity 2.0^53 is exactly below
+    g = Multigraph(2, ((0, 1),))
+    assert float(threshold) == 2.0**53
+    assert [c.capacity for c in enumerate_cuts_below(g, [2.0**53], threshold)] == [2.0**53]
+    assert enumerate_cuts_below(g, [2.0**53 + 2], threshold) == []
 
 
 # Exhaustive enumeration re-sums every canonical mask while all 2^(n-1) - 1
@@ -657,16 +790,14 @@ def test_enumerate_matches_reference_scan_across_blocks(monkeypatch, n, kind):
     table = all_cut_capacities(g, caps)
     existing = sorted({cap for _, cap in table})
     mid = existing[len(existing) // 2]
-    near = mid + mid / 10**10  # within CUT_REL_TOL above an existing capacity
-    rel_tol = CUT_REL_TOL if kind == "float" else 0  # exact types get no slop
+    near = mid + mid / 10**10  # just above an existing capacity
     cases = [
         existing[-1] + 1,  # every mask qualifies, so a lost mask shows
         mid,  # equal to an existing capacity: strictly below only
         near,
     ]
     for threshold in cases:
-        cutoff = threshold - rel_tol * threshold
-        expected = sorted((cap, mask) for mask, cap in table if cap < cutoff)
+        expected = sorted((cap, mask) for mask, cap in table if cap < threshold)
         cuts = enumerate_cuts_below(g, caps, threshold)
         assert [(c.side_mask, c.capacity) for c in cuts] == [
             (mask, cap) for cap, mask in expected

@@ -241,9 +241,8 @@ def test_capacitated_past_the_table_matches_the_definition(monkeypatch, n):
 def test_capacitated_at_q_beyond_float_range(n):
     # every cut of a safe cycle crosses 2 = p safe edges, so it is feasible
     # at any q; the cut threshold was bound + 0.5, which raised
-    # OverflowError once q passed float range.  n = 14 shortlists through
-    # the float cut table, which holds these capacities scaled by a power
-    # of two, and n = 24 enumerates by flow
+    # OverflowError once q passed float range.  These capacities do not fit
+    # the float cut table, so n = 14, like n = 24, enumerates by flow
     inst = FgcInstance(cycle_graph(n), (True,) * n, (1.0,) * n, 2, 10**400)
     path = inst.all_edges - {0}
     assert is_feasible(inst, inst.all_edges).feasible
@@ -251,6 +250,19 @@ def test_capacitated_at_q_beyond_float_range(n):
     if n <= 14:
         assert is_feasible_direct(inst, inst.all_edges).feasible
         assert not is_feasible_direct(inst, path).feasible
+
+
+@pytest.mark.parametrize("n", [14, 17, 20])
+def test_capacitated_where_cut_sums_pass_float_range(n):
+    # at q = 10^307 each capacity fits a float but the float cut table's
+    # sums do not: it overflowed, with numpy warnings, and lost cuts; the
+    # flow search now lists them, and the verdicts are the definition's
+    base = gen_random(n, 3 * n, 1.0, (1, 10), 2, 2, 1)
+    inst = FgcInstance(base.graph, base.safe, base.cost, 2, 10**307)
+    for f in (inst.all_edges, range(3, inst.m)):
+        verdict = is_feasible(inst, f)
+        assert verdict.feasible == is_feasible_direct(inst, f).feasible
+    assert is_feasible(inst, inst.all_edges).feasible
 
 
 def test_full_edge_set_feasible_on_corpus():
