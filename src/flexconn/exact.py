@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from operator import and_, or_
@@ -299,7 +300,7 @@ def all_cut_capacities(g: Multigraph, caps: Sequence) -> list[tuple[int, float]]
     """(side_mask, capacity) for every canonical nontrivial cut, by direct
     scan; the oracle other modules' cut routines are checked against, so
     it stays a plain loop that shares no code with the solver's cut table."""
-    check_capacities(caps, g.m)
+    caps = check_capacities(caps, g.m)
     out = []
     for mask in canonical_masks(g.n):
         total = 0
@@ -321,5 +322,6 @@ def count_cuts_at_most(g: Multigraph, caps: Sequence, factor: float) -> int:
         raise ValueError(f"factor must be finite and positive, got {factor}")
     table = all_cut_capacities(g, caps)
     lam = min(cap for _, cap in table)
-    bound = factor * lam * (1 + 1e-9)
+    # exactly, in Fractions; a float sum past float range is inf, and then all are
+    bound = Fraction(factor) * Fraction(lam) if lam < math.inf else lam
     return sum(1 for _, cap in table if cap <= bound)

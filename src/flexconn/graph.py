@@ -97,7 +97,7 @@ class Cut:
 
     n: int
     side_mask: int
-    capacity: float | None = field(default=None, compare=False)
+    capacity: int | float | Fraction | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.side_mask <= 0 or self.side_mask >> self.n:
@@ -134,12 +134,14 @@ class Cut:
         return frozenset(v for v in range(self.n) if not (self.side_mask >> v) & 1)
 
 
-def check_capacities(caps: Sequence, m: int) -> None:
-    """Validate a per-edge capacity vector: length m, each an int, float
-    (np.float64 included), Fraction or numpy integer, not a bool,
-    nonnegative and finite."""
+def check_capacities(caps: Sequence, m: int) -> list:
+    """The per-edge capacities as a list, numpy numbers as int and float: m
+    of them, each an int, float, Fraction or numpy integer, not a bool,
+    nonnegative and finite, and no float beside exact values summing past
+    float range (their Python sums cannot be formed); else ValueError."""
     if len(caps) != m:
         raise ValueError(f"expected {m} capacities, got {len(caps)}")
+    caps = list(caps)
     for eid, c in enumerate(caps):
         kind = type(c)
         if kind is not int and kind is not float:
@@ -147,8 +149,14 @@ def check_capacities(caps: Sequence, m: int) -> None:
                 raise ValueError(
                     f"capacity of edge {eid} must be an int, float or Fraction, not {kind.__name__}"
                 )
+            if not isinstance(c, Fraction):
+                caps[eid] = c = float(c) if isinstance(c, float) else int(c)
         if not 0 <= c < math.inf:  # also refuses NaN
             raise ValueError(f"capacity of edge {eid} is {'negative' if c < 0 else 'not finite'}")
+    exact = [c for c in caps if type(c) is not float]
+    if len(exact) < m and sum(exact) > sys.float_info.max:
+        raise ValueError("capacities mix floats with exact values summing beyond float range")
+    return caps
 
 
 def cut_edges(g: Multigraph, r: Cut) -> frozenset[int]:
@@ -217,7 +225,7 @@ def min_cut(g: Multigraph, caps: Sequence) -> tuple[Cut, float]:
     adds the picked vertex's weights to their scores and keeps the first
     strict maximum as the next pick.
     """
-    check_capacities(caps, g.m)
+    caps = check_capacities(caps, g.m)
     n = g.n
     weight = [[0] * n for _ in range(n)]
     for eid, (u, v) in enumerate(g.edges):
@@ -320,18 +328,18 @@ class CutScan:
         of the threshold, or the flow search's where the table cannot hold
         the capacities' sums; the table's fixed cost per vertex outweighs
         one block's crossing matrix at small n.  Each candidate is re-summed
-        in the capacities' own type over its crossing row, adding in edge
-        order from 0 as a plain running total would (a float sum past float
-        range is inf), by one row-by-row numpy reduction over an edges x
-        cuts table with a 0 (exact for x >= 0) for every edge that does not
-        cross: floats in float64, ints in int64 while their total is below
-        2^53, the rest as objects.  A cut is kept when its sum is strictly
-        below the threshold: float64 and int64 sums (below 2^53, so floats)
-        are compared with the least float at or above the threshold, which
-        a float is below exactly when it is below the threshold.
+        over its crossing row, in edge order as a plain running total would
+        (a float sum past float range is inf), by one row-by-row numpy
+        reduction over an edges x cuts table with a 0 for every edge that
+        does not cross, and kept when strictly below the threshold: floats
+        in float64, against the least float at or above the threshold; ints
+        and Fractions as integers over their common denominator (int64 below
+        a 2^63 total), against ceil(threshold * denominator), then divided
+        once per kept cut (Fractions unless all are ints); floats mixed with
+        exact values as objects, against the threshold.
         """
         g = self.g
-        check_capacities(caps, g.m)
+        caps = check_capacities(caps, g.m)
         if not 0 < threshold < math.inf:  # also rejects NaN
             raise ValueError(f"threshold must be positive and finite, got {threshold}")
         ceiling = float(threshold) if threshold <= sys.float_info.max else math.inf
@@ -346,13 +354,16 @@ class CutScan:
         else:
             masks = every[0]
 
-        if all(isinstance(c, float) for c in caps):  # np.float64 too
-            values = np.array(caps, dtype=float)
-        elif all(type(c) is int for c in caps) and sum(caps) < 2**53:
-            values = np.array(caps, dtype=np.int64)
-        else:
-            values = np.array(caps, dtype=object)
-        cutoff = threshold if values.dtype == object else ceiling
+        kinds = set(map(type, caps))
+        scale = 0  # float and mixed sums are not divided
+        if kinds == {float}:
+            values, cutoff = np.array(caps), ceiling
+        elif float in kinds:
+            values, cutoff = np.array(caps, dtype=object), threshold
+        else:  # ints and Fractions as integers over their common denominator
+            ints, scale = _scaled(caps)
+            values = np.array(ints, dtype=np.int64 if sum(ints) < 2**63 else object)
+            cutoff = math.ceil(Fraction(threshold) * scale)
         size = CUT_BLOCK
         for start in range(0, len(masks), size):
             block = masks[start : start + size]
@@ -369,7 +380,10 @@ class CutScan:
                 sums = table.sum(axis=0)[:-1]
             keep = np.flatnonzero(sums < cutoff)
             if len(keep):
-                yield [block[i] for i in keep.tolist()], sums[keep].tolist(), cross[keep]
+                kept = sums[keep].tolist()
+                if scale and kinds != {int}:
+                    kept = [Fraction(s, scale) for s in kept]
+                yield [block[i] for i in keep.tolist()], kept, cross[keep]
 
 
 def _table_shortlist(g, caps, threshold, ceiling) -> list[int]:
@@ -415,16 +429,14 @@ def _flow_shortlist(g: Multigraph, caps: Sequence, cutoff) -> list[int]:
     unpruned node has at least one completion that does.  At a leaf every
     vertex is decided, so the flow is the cut's exact capacity.
     """
-    exact = [Fraction(c) for c in caps]
     limit = Fraction(cutoff)
-    if any(isinstance(c, float) for c in caps):
-        limit += Fraction(1e-9) * (sum(exact) + 1)  # _table_shortlist's margin
-    scale = math.lcm(limit.denominator, *(c.denominator for c in exact))
-    limit = int(limit * scale)
+    if float in map(type, caps):
+        limit += Fraction(1e-9) * (sum(map(Fraction, caps)) + 1)  # _table_shortlist's margin
+    *ints, limit = _scaled([*caps, limit])[0]
     n = g.n
     # summed capacity of each vertex pair, both directions
     adj = [{} for _ in range(n)]
-    for (u, v), c in zip(g.edges, (int(c * scale) for c in exact)):
+    for (u, v), c in zip(g.edges, ints):
         if c:
             adj[u][v] = adj[v][u] = adj[u].get(v, 0) + c
     masks = []
@@ -440,6 +452,13 @@ def _flow_shortlist(g: Multigraph, caps: Sequence, cutoff) -> list[int]:
             stack += [(k + 1, a | 1 << k, b), (k + 1, a, b | 1 << k)]
     masks.sort()
     return masks
+
+
+def _scaled(values: Sequence) -> tuple[list[int], int]:
+    """Ints, floats and Fractions as exact integers over one common denominator, and it."""
+    exact = [Fraction(v) if type(v) is float else v for v in values]
+    scale = math.lcm(*(v.denominator for v in exact))
+    return [v.numerator * (scale // v.denominator) for v in exact], scale
 
 
 def _max_flow(adj: list[dict], a: int, b: int, limit):

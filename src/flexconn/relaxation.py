@@ -6,12 +6,23 @@ nontrivial cut R and every J inside delta(R),
     (p-|J&S|)+ . x(K) + (q-|J&U|)+ . x(K&S)  >=  (p-|J&S|)+ . (p+q-|J|)+
 
 with K = delta(R) minus J.  Separation works on the capacitated view
-u_x(e) = (p + q.[e safe]) . x_e: only cuts of capacity below 2p(p+q) can
+u_x(e) = (p + q.[e safe]) . x_e: only cuts of capacity below p(p+2q) can
 carry a violated row, and each is checked against the J_{a,b} candidate
 family (top-a safe and top-b unsafe edges by x value), which is enough
 to certify all J; its J-empty corner, violated exactly when the cut is
 below p(p+q), is the basic LP's row.  A cutting-plane loop drives the LP
 to optimality.
+
+The bound: let J hold a safe and b unsafe edges, with a < p (else the row
+is trivial), alpha1 = p - a and alpha2 = (q - b)+; the row is violated
+when (alpha1 + alpha2).x(K&S) + alpha1.x(K&U) < alpha1.(p+q-a-b)+.  With
+x <= 1 on J, u_x(delta(R)) <= (p+q)a + pb + (p+q).x(K&S) + p.x(K&U), and
+the last two terms are at most c = max((p+q)/(alpha1+alpha2), p/alpha1)
+times that left-hand side.  So a violated cut has u_x(delta(R)) <
+(p+q)a + pb + c.alpha1.(p+q-a-b)+, which is p(p+q) + max(pb, qa) when
+b <= q, and (p+q)(p+q-b) + pb = (p+q)^2 - qb when b > q (the row is
+trivial once p+q-a-b <= 0).  Both are at most p(p+2q), reached at b = q:
+the paper's 2p(p+q) less pq.
 """
 
 from __future__ import annotations
@@ -224,15 +235,15 @@ class _Separator:
 
     def __init__(self, inst: FgcInstance):
         p, q = inst.p, inst.q
-        # The grid, the scan and the LP's rows are floats.  The largest values
-        # separation forms are the scan threshold 2p(p+q) and the float cut
-        # table's entries, up to twice the m(p+q) all capacities can sum to.
-        if 2 * max(p, inst.m) * (p + q) > sys.float_info.max:
-            raise LpSolveError(
-                "2.max(p, m).(p+q) is beyond float range, so separation cannot score its cuts"
-            )
+        # The (a, b) grid and the LP's rows are floats: rhs up to p(p+q) and
+        # coefficients up to p+q.  The scan takes any threshold and hands
+        # sums that overflow the float cut table to the flow search, and a
+        # cut that carries a violation has x(S) < p on its safe edges, so
+        # u_x below p(p+q) + pm: in float range, up to rounding, where p(p+q) is.
+        if p * (p + q) > sys.float_info.max:
+            raise LpSolveError("p.(p+q) is beyond float range, so separation cannot score its cuts")
         # past the table, while the min cut is below p(p+q), Karger's bound
-        # does not hold for the cuts below 2p(p+q): at p = 1 they blow up
+        # does not hold for the cuts below p(p+2q): at p = 1 they blow up
         if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
             raise TooLargeError(
                 f"instance too large for the exhaustive cut scan "
@@ -268,14 +279,14 @@ class _Separator:
         each cut whose most violated row beats eps; the row is the cut's
         first row of largest violation in (a, b) order.
 
-        Every cut of u_x capacity below 2p(p+q) is scanned, since no other
-        cut can carry a violation (float and Fraction x meet that threshold
-        exactly, in their own sums).  The J_{a,b} candidates of
-        each block of the cut scan are scored in closed form in one numpy
-        pass over the block's crossing rows, and only the candidates within
-        a float error slack of their cut's best score are built as rows and
-        re-checked with violation().  x must lie in the box and eps be
-        finite and nonnegative.
+        Every cut of u_x capacity below p(p+2q) is scanned, since no other
+        cut can carry a violation (module docstring; float and Fraction x
+        meet that threshold exactly, in their own sums).  The J_{a,b}
+        candidates of each block of the cut scan are scored in closed form
+        in one numpy pass over the block's crossing rows, and only the
+        candidates within a float error slack of their cut's best score are
+        built as rows and re-checked with violation().  x must lie in the
+        box and eps be finite and nonnegative.
         """
         inst = self.inst
         p, q = inst.p, inst.q
@@ -301,7 +312,7 @@ class _Separator:
         xf = np.array(x, dtype=float)
         x_safe, x_unsafe = xf[self.safe.cols], xf[self.unsafe.cols]
         by_x = None  # the safe and unsafe edges in candidate_j_sets' order
-        for masks, cut_caps, cross in self.scan.blocks(ux, 2 * p * (p + q)):
+        for masks, cut_caps, cross in self.scan.blocks(ux, p * (p + 2 * q)):
             tail_s = self.safe.tail_sums(cross, x_safe)
             tail_u = self.unsafe.tail_sums(cross, x_unsafe)
             # an infinite tail (a J with too few edges) or rhs gives -inf

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -581,6 +582,16 @@ def test_count_cuts_four_cycle_doubled_threshold():
     # capacities 2 and 4 only; alpha = 2 admits every one of the 7 cuts
     assert count_cuts_at_most(g, [1] * 4, 2.0) == 7
     assert count_cuts_at_most(g, [1] * 4, 1.5) == 6
+
+
+def test_count_cuts_compares_with_factor_times_the_minimum_exactly():
+    # the 15 two-edge cuts of a unit 6-cycle have capacity 2 and the 15
+    # four-edge ones 4; a slack of 1e-9 once counted all 30 just below 2
+    g = cycle_graph(6)
+    assert count_cuts_at_most(g, [1] * 6, 1.9999999999) == 15
+    assert count_cuts_at_most(g, [1] * 6, 2) == 30
+    assert count_cuts_at_most(g, [Fraction(1, 3)] * 6, Fraction(2)) == 30
+    assert count_cuts_at_most(g, [0.1] * 6, 2.0) == 30
 
 
 @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])

@@ -222,6 +222,66 @@ def test_numpy_integer_and_float64_capacities_are_taken():
     assert len(cuts) == 6
 
 
+@pytest.mark.parametrize("route", ["min_cut", "enumerate_cuts_below", "all_cut_capacities"])
+def test_numpy_int64_capacities_past_2_63_do_not_wrap(route):
+    # np.int64 capacities were summed as np.int64 and wrapped past 2^63: the
+    # scan listed all three cuts at -2^63, and min_cut and the reference
+    # scan died on a numpy overflow warning (min_cut then in list.remove)
+    g = cycle_graph(3)
+    caps = [np.int64(2**62)] * 3
+    if route == "min_cut":
+        cut, value = min_cut(g, caps)
+        pairs = [(cut.side_mask, value)]
+    elif route == "enumerate_cuts_below":
+        pairs = [(c.side_mask, c.capacity) for c in enumerate_cuts_below(g, caps, 2**64)]
+        assert enumerate_cuts_below(g, caps, 2**63) == []
+    else:
+        pairs = all_cut_capacities(g, caps)
+    assert pairs and all(cap == 2**63 and type(cap) is int for _, cap in pairs)
+    assert len(pairs) == (1 if route == "min_cut" else 3)
+
+
+@pytest.mark.parametrize(
+    "huge", [10**400, Fraction(10**400, 3), 10**308], ids=["int", "fraction", "two_in_range"]
+)
+def test_floats_beside_exact_capacities_beyond_float_range_are_refused(huge):
+    # 1.0 + 10^400 has no float value: the scans raised an untyped
+    # OverflowError("int too large to convert to float"), while min_cut
+    # happened to return; 10^308 fits a float, but two of them do not
+    g = cycle_graph(3)
+    caps = [1.0, huge, huge if huge == 10**308 else 1]
+    for route in (min_cut, all_cut_capacities, lambda g, c: enumerate_cuts_below(g, c, 2)):
+        with pytest.raises(ValueError, match="mix floats with exact values"):
+            route(g, caps)
+    # exact capacities alone, and floats beside exact ones in float range, are summed
+    assert min_cut(g, [1, huge, huge])[1] == 1 + huge
+    assert min_cut(g, [1.0, 2**1000, Fraction(1, 3)])[1] == 1.0 + Fraction(1, 3)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "int_fraction"])
+def test_exact_capacities_are_summed_as_integers_past_2_63(monkeypatch, kind):
+    # ints and Fractions are re-summed as integers over their common
+    # denominator: in int64 while the total is below 2^63, as Python ints
+    # above; each kept cut's capacity is an int for ints, else a Fraction
+    monkeypatch.setattr(graph, "CUT_BLOCK", 2)  # the table's shortlist too
+    rng = random.Random(63)
+    g = random_connected(rng, 7, 14)
+    draw = {
+        "int": lambda: rng.randint(1, 9) * 2**60,
+        "fraction": lambda: Fraction(rng.randint(1, 9), 2**30 + rng.randint(0, 2)),
+        "int_fraction": lambda: rng.choice([rng.randint(0, 3), Fraction(rng.randint(1, 5), 3)]),
+    }[kind]
+    caps = [draw() for _ in range(g.m)]
+    table = all_cut_capacities(g, caps)
+    existing = sorted({cap for _, cap in table})
+    for threshold in (existing[len(existing) // 2], existing[-1] + 1, float(existing[3])):
+        cuts = enumerate_cuts_below(g, caps, threshold)
+        expected = sorted((cap, mask) for mask, cap in table if cap < threshold)
+        assert [(c.capacity, c.side_mask) for c in cuts] == expected
+        want = int if kind == "int" else Fraction
+        assert cuts and all(type(c.capacity) is want for c in cuts)
+
+
 def test_min_cut_attains_reported_value():
     rng = random.Random(7)
     for _ in range(50):

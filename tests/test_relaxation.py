@@ -26,7 +26,7 @@ from flexconn.exact import separate_bruteforce
 from flexconn import model
 from flexconn.model import FgcInstance
 from flexconn.errors import InvalidInstanceError, LpSolveError, TooLargeError
-from flexconn.graph import CUT_BLOCK, Multigraph, enumerate_cuts_below
+from flexconn.graph import CUT_BLOCK, Multigraph, cut_edges, enumerate_cuts_below
 from flexconn.instance_io import gen_random
 from flexconn.relaxation import DEFAULT_EPS
 
@@ -169,6 +169,42 @@ def test_the_j_family_holds_the_most_violated_j_of_every_cut():
                     violated += 1
                     assert best_family == best, (inst, mask, x)
     assert violated > 100
+
+
+def test_no_row_is_violated_on_a_cut_of_capacity_p_p_plus_2q_or_more():
+    # separation's scan threshold (relaxation's module docstring), from the
+    # row definition: every J inside delta(R), x on a 1/8 grid, in Fractions.
+    # Cuts between p(p+q) and p(p+2q) do carry violated rows, so the bound
+    # is not the basic LP's p(p+q), and it is tight: with q unsafe edges and
+    # p safe ones at x = 1 but one safe edge at 1 - 1/64, J = the unsafe
+    # edges is violated on a cut of p(p+2q) - (p+q)/64, which separate finds.
+    for p, q in [(1, 1), (2, 1), (2, 3), (4, 2)]:
+        g = Multigraph(2, ((0, 1),) * (p + q))
+        inst = FgcInstance(g, (False,) * q + (True,) * p, (1.0,) * g.m, p, q)
+        x = [Fraction(1)] * (g.m - 1) + [Fraction(63, 64)]
+        assert sum(capacities(inst, x)) == p * (p + 2 * q) - Fraction(p + q, 64)
+        row = separate(inst, x)
+        assert row.j_edges == frozenset(range(q)) and violation(row, x) == Fraction(p, 64)
+    rng = random.Random(15)
+    rows = above_basic = 0
+    for _ in range(150):
+        n = rng.randint(3, 5)
+        p, q = rng.randint(1, 4), rng.randint(0, 4)
+        inst = gen_random(n, rng.randint(n, 2 * n), 0.5, (1, 10), p, q, rng.randrange(10**6))
+        x = [Fraction(rng.randint(0, 8), 8) for _ in range(inst.m)]
+        ux = capacities(inst, x)
+        for mask in graph.canonical_masks(n):
+            delta = cut_edges(inst.graph, Cut(n, mask))
+            cap = sum(ux[e] for e in delta)
+            if len(delta) > 10 or cap < p * (p + q):
+                continue
+            worst = _largest_violations_by_definition(inst, mask, x, [()])[1]
+            if cap >= p * (p + 2 * q):
+                rows += 1 << len(delta)
+                assert worst <= 0, (inst, mask, x)
+            elif worst > 0:
+                above_basic += 1
+    assert rows > 10_000 and above_basic > 10
 
 
 def test_violation_f1_gadget():
@@ -523,19 +559,24 @@ def test_solve_relaxation_at_huge_q():
 
 
 def test_separate_at_the_largest_q_the_float_guard_admits():
-    # Cut capacities reach m(p+q), beyond 2p(p+q) when m > 2p: they too
-    # must stay finite, or the scan's sums overflow (a RuntimeWarning, an
-    # error under this suite).  Just below the guard every sum fits and
-    # separation matches the brute-force reference; at 4q a cut's capacity
-    # at x = 1 would pass float range, and the instance is refused.
+    # The guard is on what separation turns into floats, the (a, b) grid's
+    # rhs up to p(p+q).  Cut capacities reach m(p+q), far beyond it, and
+    # once refused the instance at the first q below (guard
+    # 2.max(p, m).(p+q)); the scan leaves out a cut whose float sum is inf,
+    # with no numpy overflow warning (an error under this suite), so
+    # separation matches the brute-force reference up to p(p+q) just below
+    # float max, and refuses one q past it.
     g, safe, p = Multigraph(2, ((0, 1),) * 20), (True,) * 20, 2
-    q = int(sys.float_info.max) // (2 * g.m) - p
-    inst = FgcInstance(g, safe, (1.0,) * g.m, p, q)
-    for x in [(1.0,) * g.m, (0.5,) * g.m, (0.0,) * g.m]:
-        want = separate_bruteforce(inst, x, DEFAULT_EPS)
-        assert separate(inst, x) == (want[0] if want else None)
+    edge = int(sys.float_info.max) // p - p
+    for q in (4 * (int(sys.float_info.max) // (2 * g.m) - p), edge):
+        inst = FgcInstance(g, safe, (1.0,) * g.m, p, q)
+        for value in (1.0, 0.5, 0.25, 0.0):
+            x = (value,) * g.m
+            want = separate_bruteforce(inst, x, DEFAULT_EPS)
+            assert separate(inst, x) == (want[0] if want else None)
+    assert p * (p + edge) <= sys.float_info.max < p * (p + edge + 1)
     with pytest.raises(LpSolveError, match="float range"):
-        separate(FgcInstance(g, safe, (1.0,) * g.m, p, 4 * q), (1.0,) * g.m)
+        separate(FgcInstance(g, safe, (1.0,) * g.m, p, edge + 1), (1.0,) * g.m)
 
 
 def test_solve_relaxation_names_the_cut_of_an_infeasible_edge_set():
