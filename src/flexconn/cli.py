@@ -159,8 +159,8 @@ def cmd_counts(args) -> int:
             f"--alpha {args.alpha} puts the Karger bound n^(2 alpha) out of float range"
         ) from None
     caps = [1] * inst.m
+    count = count_cuts_at_most(inst.graph, caps, args.alpha)  # refuses n > 20 first
     _, lam = min_cut(inst.graph, caps)
-    count = count_cuts_at_most(inst.graph, caps, args.alpha)
     report = {
         "command": "counts",
         "alpha": args.alpha,

@@ -13,6 +13,13 @@ class TooLargeError(FlexconnError):
     """Raised when an exhaustive operation is asked to run above its size limit."""
 
 
+def check_size(what: str, size: int, limit: int, name: str = "n") -> None:
+    """The one size refusal: TooLargeError("instance too large for WHAT
+    (NAME=SIZE > LIMIT)") when size is above limit."""
+    if size > limit:
+        raise TooLargeError(f"instance too large for {what} ({name}={size} > {limit})")
+
+
 class InvalidInstanceError(FlexconnError, ValueError):
     """An instance violates one of its invariants.
 

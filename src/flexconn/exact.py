@@ -15,8 +15,15 @@ from itertools import repeat
 from operator import and_, or_
 from typing import Sequence
 
-from .errors import TooLargeError
-from .graph import DEFAULT_EXHAUSTIVE_LIMIT, Cut, Multigraph, canonical_masks, check_capacities
+from .errors import check_size
+from .graph import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
+    Cut,
+    Multigraph,
+    canonical_masks,
+    check_capacities,
+    check_number,
+)
 from .model import FgcInstance, infeasible_edges_error, is_feasible_direct
 from .relaxation import ConstraintRow, candidate_j_sets, constraint_row, violation
 
@@ -41,14 +48,8 @@ def check_exact_size(inst: FgcInstance) -> None:
     """Raise TooLargeError unless exact_opt takes an instance of this size:
     n <= DEFAULT_EXHAUSTIVE_LIMIT and m <= DEFAULT_EDGE_LIMIT.  A caller
     that does other work before exact_opt calls it first."""
-    if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
-        raise TooLargeError(
-            f"instance too large for exact search (n={inst.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
-        )
-    if inst.m > DEFAULT_EDGE_LIMIT:
-        raise TooLargeError(
-            f"instance too large for exact search (m={inst.m} > {DEFAULT_EDGE_LIMIT})"
-        )
+    check_size("exact search", inst.n, DEFAULT_EXHAUSTIVE_LIMIT)
+    check_size("exact search", inst.m, DEFAULT_EDGE_LIMIT, "m")
 
 
 def exact_opt(inst: FgcInstance) -> ExactResult:
@@ -273,17 +274,13 @@ def separate_bruteforce(inst: FgcInstance, x: Sequence, eps: float = 0.0) -> lis
     so the order is deterministic.  A plain per-mask loop on purpose: it is
     the reference that criterion 2 checks ``separate`` against.
     """
-    if inst.n > DEFAULT_VERTEX_LIMIT:
-        raise TooLargeError(
-            f"instance too large for brute-force separation (n={inst.n} > {DEFAULT_VERTEX_LIMIT})"
-        )
+    check_size("brute-force separation", inst.n, DEFAULT_VERTEX_LIMIT)
     if len(x) != inst.m:
         raise ValueError(f"expected {inst.m} coordinates, got {len(x)}")
     for e, v in enumerate(x):
         if not 0 <= v <= 1:  # also rejects NaN
             raise ValueError(f"x[{e}] = {v} is outside [0, 1]")
-    if not 0 <= eps < math.inf:  # also rejects NaN
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    eps = check_number(eps, "eps")
     hits = []
     for mask in canonical_masks(inst.n):
         r = Cut(inst.n, mask)
@@ -300,6 +297,7 @@ def all_cut_capacities(g: Multigraph, caps: Sequence) -> list[tuple[int, float]]
     """(side_mask, capacity) for every canonical nontrivial cut, by direct
     scan; the oracle other modules' cut routines are checked against, so
     it stays a plain loop that shares no code with the solver's cut table."""
+    check_size("all cut capacities", g.n, DEFAULT_EXHAUSTIVE_LIMIT)
     caps = check_capacities(caps, g.m)
     out = []
     for mask in canonical_masks(g.n):
@@ -314,12 +312,10 @@ def all_cut_capacities(g: Multigraph, caps: Sequence) -> list[tuple[int, float]]
 def count_cuts_at_most(g: Multigraph, caps: Sequence, factor: float) -> int:
     """Exact number of canonical nontrivial cuts with capacity at most
     factor times the minimum, by exhaustive scan."""
-    if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
-        raise TooLargeError(
-            f"instance too large for exact counting (n={g.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
-        )
-    if not 0 < factor < math.inf:  # also rejects NaN
-        raise ValueError(f"factor must be finite and positive, got {factor}")
+    check_size("exact counting", g.n, DEFAULT_EXHAUSTIVE_LIMIT)
+    factor = check_number(factor, "factor")
+    if not factor:
+        raise ValueError("factor must be positive, got 0")
     table = all_cut_capacities(g, caps)
     lam = min(cap for _, cap in table)
     # exactly, in Fractions; a float sum past float range is inf, and then all are

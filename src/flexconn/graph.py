@@ -129,30 +129,34 @@ class Cut:
     def vertices(self) -> frozenset[int]:
         return frozenset(v for v in range(self.n) if (self.side_mask >> v) & 1)
 
-    @property
-    def complement(self) -> frozenset[int]:
-        return frozenset(v for v in range(self.n) if not (self.side_mask >> v) & 1)
+
+def check_number(value, what: str):
+    """``value``, numpy numbers as int or float, if it is an int, float,
+    Fraction or numpy integer, not a bool, nonnegative and finite; else
+    ValueError naming ``what``.  The one rule for capacities, thresholds,
+    factors and eps."""
+    kind = type(value)
+    if kind is not int and kind is not float:
+        if kind is bool or not isinstance(value, (int, float, Fraction, np.integer)):
+            raise ValueError(f"{what} must be an int, float or Fraction, not {kind.__name__}")
+        if not isinstance(value, Fraction):
+            value = float(value) if isinstance(value, float) else int(value)
+    if not 0 <= value < math.inf:  # also refuses NaN
+        raise ValueError(f"{what} is {'negative' if value < 0 else 'not finite'}")
+    return value
 
 
 def check_capacities(caps: Sequence, m: int) -> list:
-    """The per-edge capacities as a list, numpy numbers as int and float: m
-    of them, each an int, float, Fraction or numpy integer, not a bool,
-    nonnegative and finite, and no float beside exact values summing past
-    float range (their Python sums cannot be formed); else ValueError."""
+    """The per-edge capacities as a list, each read by check_number, and
+    no float beside exact values summing past float range (their Python
+    sums cannot be formed); else ValueError."""
     if len(caps) != m:
         raise ValueError(f"expected {m} capacities, got {len(caps)}")
     caps = list(caps)
     for eid, c in enumerate(caps):
-        kind = type(c)
-        if kind is not int and kind is not float:
-            if kind is bool or not isinstance(c, (int, float, Fraction, np.integer)):
-                raise ValueError(
-                    f"capacity of edge {eid} must be an int, float or Fraction, not {kind.__name__}"
-                )
-            if not isinstance(c, Fraction):
-                caps[eid] = c = float(c) if isinstance(c, float) else int(c)
-        if not 0 <= c < math.inf:  # also refuses NaN
-            raise ValueError(f"capacity of edge {eid} is {'negative' if c < 0 else 'not finite'}")
+        kind = type(c)  # plain ints and floats in range skip the call
+        if (kind is not int and kind is not float) or not 0 <= c < math.inf:
+            caps[eid] = check_number(c, f"capacity of edge {eid}")
     exact = [c for c in caps if type(c) is not float]
     if len(exact) < m and sum(exact) > sys.float_info.max:
         raise ValueError("capacities mix floats with exact values summing beyond float range")
@@ -340,8 +344,9 @@ class CutScan:
         """
         g = self.g
         caps = check_capacities(caps, g.m)
-        if not 0 < threshold < math.inf:  # also rejects NaN
-            raise ValueError(f"threshold must be positive and finite, got {threshold}")
+        threshold = check_number(threshold, "threshold")
+        if not threshold:
+            raise ValueError("threshold must be positive, got 0")
         ceiling = float(threshold) if threshold <= sys.float_info.max else math.inf
         if ceiling < threshold:  # rounded down: the next float up is the least above it
             ceiling = math.nextafter(ceiling, math.inf)

@@ -265,10 +265,8 @@ def gen_random(
         verdict = is_feasible(inst, inst.all_edges)
         if verdict:
             break
-        side = verdict.witness.vertices
-        u = min(side)
-        v = min(verdict.witness.complement)
-        edges.append((min(u, v), max(u, v)))
+        # a canonical side never holds vertex 0: join the side to it
+        edges.append((0, min(verdict.witness.vertices)))
         safety.append(False)
         costs.append(rng.uniform(lo, hi))
         inst = FgcInstance(Multigraph(n, tuple(edges)), tuple(safety), tuple(costs), p, q)

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidInstanceError, TooLargeError
+from .errors import InvalidInstanceError, check_size
 from .graph import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     Cut,
@@ -73,10 +73,11 @@ class FeasibilityVerdict:
     ``witness`` is present exactly when infeasible and names a cut with
     fewer than p safe and fewer than p+q selected edges.  ``mode`` records
     which checking route produced the verdict: "direct" (exhaustive cut
-    characterization) or the capacitated route, whose near-minimum cuts
-    graph.CutScan lists from "exhaustive" candidates (every mask or the
-    float cut table, n <= DEFAULT_EXHAUSTIVE_LIMIT) or from "flow"-pruned
-    branching (above it).  Every verdict is exact.
+    characterization) or the capacitated route, chosen by size alone:
+    "exhaustive" at n <= DEFAULT_EXHAUSTIVE_LIMIT, "flow" above it.  It
+    does not name the cut scan's candidate source: below the limit, sums
+    the float cut table cannot hold go to the flow search too.  Every
+    verdict is exact.
     """
 
     feasible: bool
@@ -135,10 +136,7 @@ def is_feasible_direct(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdic
     edges apart from unsafe ones, and a cut already crossed by p safe
     edges is not counted further.
     """
-    if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
-        raise TooLargeError(
-            f"instance too large for the direct check (n={inst.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
-        )
+    check_size("the direct check", inst.n, DEFAULT_EXHAUSTIVE_LIMIT)
     f = check_selection(inst, f)
     p, q = inst.p, inst.q
     edges = inst.graph.edges

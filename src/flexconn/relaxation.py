@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -40,8 +39,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import scipy
 
-from .errors import IterationLimitError, LpSolveError, TooLargeError
-from .graph import DEFAULT_EXHAUSTIVE_LIMIT, Cut, CutScan, cut_edges
+from .errors import IterationLimitError, LpSolveError, check_size
+from .graph import DEFAULT_EXHAUSTIVE_LIMIT, Cut, CutScan, check_number, cut_edges
 
 # Kept only for perfbench/tracing.py, which wraps these bindings by name;
 # their spans read 0 now that separation scores every cut through graph.CutScan.
@@ -216,8 +215,7 @@ def separate(inst: FgcInstance, x: Sequence, eps: float = DEFAULT_EPS) -> Constr
     violation matches a brute-force scan.  Only the best row so far and one
     block's rows are held at a time.
     """
-    if not 0 <= eps < math.inf:  # also rejects NaN
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    eps = check_number(eps, "eps")
     blocks = _Separator(inst).violated_blocks(_check_box(x), eps)
     hits = (hit for block in blocks for hit in block)
     best = min(hits, key=lambda hit: (-hit[1], hit[0]), default=None)
@@ -244,11 +242,7 @@ class _Separator:
             raise LpSolveError("p.(p+q) is beyond float range, so separation cannot score its cuts")
         # past the table, while the min cut is below p(p+q), Karger's bound
         # does not hold for the cuts below p(p+2q): at p = 1 they blow up
-        if inst.n > DEFAULT_EXHAUSTIVE_LIMIT:
-            raise TooLargeError(
-                f"instance too large for the exhaustive cut scan "
-                f"(n={inst.n} > {DEFAULT_EXHAUSTIVE_LIMIT})"
-            )
+        check_size("the exhaustive cut scan", inst.n, DEFAULT_EXHAUSTIVE_LIMIT)
         self.inst = inst
         self.scan = CutScan(inst.graph)
         # No cut has more than m edges, so a and b stop at m.  They are

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from flexconn import FgcInstance, exact, relaxation, save_instance
+from flexconn import FgcInstance, cli, exact, relaxation, save_instance
 from flexconn.cli import run
 
 from instances import cycle_graph, gadget_f1, triangle_p1q0, two_vertex
@@ -119,6 +119,19 @@ def test_counts_refuses_large_graphs_before_any_cut_scan(tmp_path, capsys, monke
     monkeypatch.setattr(exact, "canonical_masks", no_scan)
     assert run(["counts", str(path), "--alpha", "1"]) == 3
     assert "too large" in capsys.readouterr().err
+
+
+def test_counts_refuses_large_graphs_before_its_min_cut(tmp_path, capsys, monkeypatch):
+    # the min cut once ran first, only for count_cuts_at_most to refuse n > 20
+    path = tmp_path / "cycle21.fgc"
+    save_instance(FgcInstance(cycle_graph(21), (True,) * 21, (1.0,) * 21, 1, 0), path)
+
+    def no_min_cut(g, caps):
+        raise AssertionError("ran the min cut before the size gate")
+
+    monkeypatch.setattr(cli, "min_cut", no_min_cut)
+    assert run(["counts", str(path), "--alpha", "1"]) == 3
+    assert "too large for exact counting (n=21 > 20)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["lp", "solve"])

@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from flexconn import (
@@ -527,10 +528,11 @@ def test_separate_bruteforce_respects_eps():
     ]
 
 
-@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0, True, np.float32(0.5), "0"])
 def test_separate_bruteforce_rejects_bad_eps(eps):
     # NaN once returned [] at a point every row violates, so the reference
-    # reported no violation
+    # reported no violation; True was read as 1, and np.float32 and
+    # strings went unchecked
     inst = two_vertex()
     with pytest.raises(ValueError, match="eps"):
         separate_bruteforce(inst, (0.0,) * inst.m, eps)
@@ -592,12 +594,24 @@ def test_count_cuts_compares_with_factor_times_the_minimum_exactly():
     assert count_cuts_at_most(g, [1] * 6, 2) == 30
     assert count_cuts_at_most(g, [Fraction(1, 3)] * 6, Fraction(2)) == 30
     assert count_cuts_at_most(g, [0.1] * 6, 2.0) == 30
+    assert count_cuts_at_most(g, [1] * 6, np.int64(2)) == 30
 
 
-@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
+# np.float32 raised an untyped TypeError and True was read as 1
+@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf"), np.float32(1.5), True])
 def test_count_cuts_rejects_bad_factors(factor):
     with pytest.raises(ValueError, match="factor"):
         count_cuts_at_most(cycle_graph(4), [1] * 4, factor)
+
+
+def test_all_cut_capacities_refuses_large_graphs_before_any_scan(monkeypatch):
+    # it had no size gate: at n = 40 it started a loop over 2^39 masks
+    def no_scan(n):
+        raise AssertionError("scanned every cut before the size gate")
+
+    monkeypatch.setattr(exact, "canonical_masks", no_scan)
+    with pytest.raises(TooLargeError, match=r"all cut capacities \(n=21 > 20\)"):
+        all_cut_capacities(cycle_graph(21), [1] * 21)
 
 
 def test_count_cuts_at_least_one():

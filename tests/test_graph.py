@@ -478,6 +478,28 @@ def test_enumerate_rejects_non_finite_threshold(monkeypatch, route, threshold):
         enumerate_cuts_below(cycle_graph(5), [1] * 5, threshold)
 
 
+# every mask at n = 6, the float cut table at n = 14, the flow search at n = 21
+@pytest.mark.parametrize("n", [6, 14, 21])
+@pytest.mark.parametrize("threshold", [np.float32(2.5), True, "3"])
+def test_thresholds_of_other_types_are_refused_on_every_route(n, threshold):
+    # np.float32 overflowed a cast or raised an untyped TypeError, True was
+    # read as 1 and "3" raised an untyped TypeError; the capacities' rule
+    # now reads the threshold too
+    g = cycle_graph(n)
+    for caps in ([1] * n, [1.0] * n, [Fraction(1)] * n):
+        with pytest.raises(ValueError, match="threshold must be an int, float or Fraction"):
+            enumerate_cuts_below(g, caps, threshold)
+
+
+def test_numpy_thresholds_are_read_as_int_and_float():
+    g = cycle_graph(6)
+    for caps in ([1] * 6, [1.0] * 6, [Fraction(1)] * 6):
+        assert enumerate_cuts_below(g, caps, np.int64(3)) == enumerate_cuts_below(g, caps, 3)
+        assert enumerate_cuts_below(g, caps, np.float64(2.5)) == enumerate_cuts_below(g, caps, 2.5)
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        enumerate_cuts_below(g, [1] * 6, np.int64(0))
+
+
 def test_numpy_float_capacities_meet_the_threshold_as_floats():
     # np.float64 and Python float capacities are summed and compared alike:
     # on a unit triangle at 2(1 + 1e-10), just above every cut, both list

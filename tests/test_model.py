@@ -19,7 +19,7 @@ from flexconn import (
     min_cut,
     validate_instance,
 )
-from flexconn import model
+from flexconn import graph, model
 from flexconn.graph import canonical_masks
 from flexconn.model import cut_tallies
 
@@ -108,6 +108,20 @@ def test_capacitated_two_vertex_safe_edge():
     verdict = is_feasible(inst, {0})
     assert verdict.feasible
     assert verdict.mode == "exhaustive"
+
+
+def test_mode_is_the_route_chosen_by_size_not_the_candidate_source(monkeypatch):
+    # at q = 10^307 the float cut table cannot hold the sums, so at n = 16
+    # the scan takes the flow search's candidates; mode still reads the
+    # route chosen by size
+    inst = gen_random(16, 48, 1.0, (1, 10), 2, 10**307, 1)
+    sizes, flow = [], graph._flow_shortlist
+    monkeypatch.setattr(
+        graph, "_flow_shortlist", lambda *args: sizes.append(args[0].n) or flow(*args)
+    )
+    verdict = is_feasible(inst, range(3, 48))
+    assert sizes == [16] and verdict.mode == "exhaustive"
+    assert verdict.feasible == is_feasible_direct(inst, range(3, 48)).feasible
 
 
 def test_capacitated_f1_style_selection_infeasible():

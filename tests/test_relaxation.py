@@ -264,9 +264,10 @@ def test_separate_rejects_nan_x():
         separate(two_vertex(), (0.0, float("nan"), 0.0))
 
 
-@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0, True, np.float32(0.5), "0"])
 def test_separate_rejects_bad_eps(eps):
-    # NaN and inf made every row look satisfied; a negative eps re-added pool rows
+    # NaN and inf made every row look satisfied; a negative eps re-added pool
+    # rows; True was read as 1, and np.float32 and strings went unchecked
     with pytest.raises(ValueError, match="eps"):
         separate(two_vertex(), (0.0, 0.0, 0.0), eps)
 
