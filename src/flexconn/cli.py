@@ -22,8 +22,8 @@ from .errors import (
     ParseError,
 )
 from .exact import check_exact_size, count_cuts_at_most, exact_opt
-from .graph import min_cut
-from .instance_io import gen_random, json_int, json_number, load_instance, save_instance
+from .graph import check_int, min_cut
+from .instance_io import gen_random, json_number, load_instance, save_instance
 from .model import is_feasible
 from .relaxation import solve_relaxation
 from .rounding import RoundingConfig, solve as rounding_solve
@@ -179,15 +179,15 @@ _BENCH_FIELDS = (
 
 
 def _bench_item(index: int, item: dict) -> dict:
-    try:  # no coercion, as in instance_from_json
-        n, m, p, q, seed = (json_int(item[key], key) for key in ("n", "m", "p", "q", "seed"))
+    try:  # no coercion, as in instance_from_json; gen_random checks n, m, p, q and seed
+        n, m, p, q, seed = (item[key] for key in ("n", "m", "p", "q", "seed"))
         for key in item:  # a misspelt optional field would run at its default
             if key not in _BENCH_FIELDS:
                 raise ParseError(f"unknown field {key!r}")
         lo, hi = (json_number(c, "cost_range") for c in item.get("cost_range", (1.0, 10.0)))
         safe_fraction = json_number(item.get("safe_fraction", 0.5), "safe_fraction")
         scale_constant = json_number(item.get("scale_constant", 100.0), "scale_constant")
-        solve_seed = json_int(item.get("solve_seed", 0), "solve_seed")
+        solve_seed = check_int(item.get("solve_seed", 0), "solve_seed")
         cfg = RoundingConfig(  # checks max_attempts itself
             scale_constant=scale_constant,
             max_attempts=item.get("max_attempts", 64),

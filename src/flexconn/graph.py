@@ -40,27 +40,27 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise GraphStructureError(f"need at least 2 vertices, got {self.n}")
-        if len(self.edges) < self.n - 1:  # before is_connected allocates O(n)
-            raise GraphStructureError("graph is not connected")
-        try:  # a float endpoint is refused, not truncated; a bool is dropped
-            edges = tuple(
-                (operator.index(u), operator.index(v))
+        try:  # a float is refused, not truncated, and a bool not read as 0 or 1
+            n = check_int(self.n, "n")
+            edges = tuple(  # plain ints skip the call
+                (u, v) if type(u) is int and type(v) is int
+                else (check_int(u, "endpoint"), check_int(v, "endpoint"))
                 for u, v in self.edges
-                if type(u) is not bool and type(v) is not bool
             )
-        except TypeError as exc:
-            raise GraphStructureError(f"edge endpoints must be integers: {exc}") from None
-        if len(edges) != len(self.edges):  # True is an int but must not read as 1
-            raise GraphStructureError("edge endpoints must be integers, not bools")
+        except (TypeError, ValueError) as exc:
+            raise GraphStructureError(f"n and edge endpoints must be integers ({exc})") from None
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
-        for eid, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.n and 0 <= v < self.n):
+        if n < 2:
+            raise GraphStructureError(f"need at least 2 vertices, got {n}")
+        if len(edges) < n - 1:  # before is_connected allocates O(n)
+            raise GraphStructureError("graph is not connected")
+        for eid, (u, v) in enumerate(edges):
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphStructureError(f"edge {eid}: endpoint out of range")
             if u == v:
                 raise GraphStructureError(f"edge {eid}: self-loop at vertex {u}")
-        if not is_connected(self.n, self.edges):
+        if not is_connected(n, edges):
             raise GraphStructureError("graph is not connected")
 
     @property
@@ -107,14 +107,9 @@ class Cut:
 
     @classmethod
     def from_vertices(cls, n: int, vertices: Iterable[int]) -> "Cut":
-        mask = 0
+        n, mask = check_int(n, "n"), 0
         for v in vertices:
-            if type(v) is bool:  # True is an int but must not read as vertex 1
-                raise ValueError("vertices must be integers, not bools")
-            try:  # as Multigraph reads endpoints: a float is refused, not truncated
-                v = operator.index(v)
-            except TypeError:
-                raise ValueError(f"vertex {v!r} is not an integer") from None
+            v = check_int(v, "vertex")
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} out of range")
             mask |= 1 << v
@@ -128,6 +123,20 @@ class Cut:
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(v for v in range(self.n) if (self.side_mask >> v) & 1)
+
+
+def check_int(value, what: str) -> int:
+    """``value`` as a Python int if it is an int or numpy integer, not a
+    bool (True is an int but must not read as 1); else ValueError naming
+    ``what``.  The one rule for vertex counts, endpoints, vertices, edge
+    ids, p, q, counts and seeds: a float is refused, not truncated."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    kind = type(value).__name__
+    raise ValueError(f"{what} must be an integer: {value!r} is a {kind}, not an integer")
 
 
 def check_number(value, what: str):

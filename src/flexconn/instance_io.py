@@ -22,8 +22,8 @@ import random
 from pathlib import Path
 
 from .errors import FieldRangeError, GenerationError, ParseError
-from .graph import Multigraph, is_connected
-from .model import FgcInstance, is_feasible, validate_fields, validate_instance
+from .graph import Multigraph, check_int, is_connected
+from .model import FgcInstance, is_feasible, validate_instance
 
 HEADER = "fgc"
 VERSION = 1
@@ -147,13 +147,6 @@ def instance_to_json(inst: FgcInstance) -> dict:
     }
 
 
-def json_int(value, what: str) -> int:
-    # bool is an int subclass; JSON true must not read as 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def json_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{what} must be a number, got {value!r}")
@@ -169,17 +162,17 @@ def instance_from_json(obj: dict) -> FgcInstance:
         is_fgc = isinstance(obj, dict) and obj.get("format") == HEADER
         if not is_fgc or obj.get("version") != VERSION:
             raise ParseError("not a fgc/1 JSON object")
-        n = json_int(obj["nodes"], "nodes")
+        n = check_int(obj["nodes"], "nodes")
         edges = []
         safety = []
         costs = []
         for u, v, flag, cost in obj["edges"]:
             if flag not in ("S", "U"):
                 raise ParseError(f"safety flag must be S or U, got {flag!r}")
-            edges.append((json_int(u, "endpoint"), json_int(v, "endpoint"), None))
+            edges.append((check_int(u, "endpoint"), check_int(v, "endpoint"), None))
             safety.append(flag == "S")
             costs.append(json_number(cost, "cost"))
-        p, q = json_int(obj["p"], "p"), json_int(obj["q"], "q")
+        p, q = check_int(obj["p"], "p"), check_int(obj["q"], "q")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed JSON instance: {exc}") from None
     return _checked_instance(n, edges, safety, costs, p, q)
@@ -227,9 +220,10 @@ def gen_random(
     it.
     """
     lo, hi = cost_range
-    for name, value in (("n", n), ("m", m), ("p", p), ("q", q)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise GenerationError(f"{name} must be an integer, got {value!r}")
+    try:
+        n, m, p, q, seed = map(check_int, (n, m, p, q, seed), ("n", "m", "p", "q", "seed"))
+    except ValueError as exc:
+        raise GenerationError(str(exc)) from None
     if n < 2:
         raise GenerationError(f"need at least 2 vertices, got {n}")
     if m < n - 1:
@@ -273,5 +267,4 @@ def gen_random(
     else:
         raise GenerationError("feasibility repair did not converge")
     # the loop's last verdict found the full edge set feasible
-    validate_fields(inst)
     return inst

@@ -11,9 +11,10 @@ cut against p(p+q), and then only has to inspect near-minimum cuts.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvalidInstanceError, check_size
 from .graph import (
@@ -21,6 +22,8 @@ from .graph import (
     Cut,
     Multigraph,
     canonical_masks,
+    check_int,
+    check_number,
     enumerate_cuts_below,
     min_cut,
 )
@@ -30,9 +33,12 @@ from .graph import (
 class FgcInstance:
     """(p,q)-FGC instance: labeled multigraph, costs, connectivity targets.
 
-    ``safe[eid]`` and ``cost[eid]`` are indexed by dense edge id.  Parameter
-    and cost ranges are checked by validate_instance, not here, so that a
-    malformed instance can still be constructed and diagnosed.
+    ``safe[eid]`` and ``cost[eid]`` are indexed by dense edge id.  Fields
+    are checked when built: p >= 1 and q >= 0 are ints, numpy integers
+    read as ints (else InvalidInstanceError "params"); safety flags are
+    bools or numpy bools (else ValueError); costs are read by check_number
+    and stored as floats with a total in float range (else "costs").
+    validate_instance adds only the full edge set's feasibility.
     """
 
     graph: Multigraph
@@ -42,12 +48,36 @@ class FgcInstance:
     q: int
 
     def __post_init__(self):
-        object.__setattr__(self, "safe", tuple(bool(s) for s in self.safe))
-        object.__setattr__(self, "cost", tuple(float(c) for c in self.cost))
-        if len(self.safe) != self.graph.m:
-            raise ValueError(f"expected {self.graph.m} safety flags, got {len(self.safe)}")
-        if len(self.cost) != self.graph.m:
-            raise ValueError(f"expected {self.graph.m} costs, got {len(self.cost)}")
+        try:
+            p, q = check_int(self.p, "p"), check_int(self.q, "q")
+        except ValueError as exc:
+            raise InvalidInstanceError("params", str(exc)) from None
+        if p < 1:
+            raise InvalidInstanceError("params", f"p must be at least 1, got {p}")
+        if q < 0:
+            raise InvalidInstanceError("params", f"q must be nonnegative, got {q}")
+        m = self.graph.m
+        safe, cost = tuple(self.safe), list(self.cost)
+        if len(safe) != m:
+            raise ValueError(f"expected {m} safety flags, got {len(safe)}")
+        if len(cost) != m:
+            raise ValueError(f"expected {m} costs, got {len(cost)}")
+        if not set(map(type, safe)) <= {bool, np.bool_}:  # numpy bools read as bools
+            raise ValueError("safety flags must be bools")
+        try:  # plain in-range floats skip the call
+            for e, c in enumerate(cost):
+                if type(c) is not float or not 0 <= c < math.inf:
+                    cost[e] = float(check_number(c, f"cost of edge {e}"))
+            math.fsum(cost)  # selection_cost's sum, which raises when it leaves float range
+        except ValueError as exc:
+            raise InvalidInstanceError("costs", str(exc)) from None
+        except OverflowError:  # from float() or fsum
+            message = "a cost or the total cost is beyond float range"
+            raise InvalidInstanceError("costs", message) from None
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "safe", tuple(map(bool, safe)))
+        object.__setattr__(self, "cost", tuple(cost))
 
     @property
     def n(self) -> int:
@@ -99,13 +129,7 @@ def capacities(inst: FgcInstance, x: Sequence) -> list:
 def check_selection(inst: FgcInstance, f: Iterable[int]) -> frozenset[int]:
     """Validate an edge selection: integer ids in range, returned as a
     frozenset.  A float or bool id is refused, not truncated or read as 0/1."""
-    ids = tuple(f)
-    try:
-        out = frozenset(map(operator.index, ids))
-    except TypeError as exc:
-        raise ValueError(f"edge ids must be integers: {exc}") from None
-    if bool in map(type, ids):  # True is an int but must not read as edge 1
-        raise ValueError("edge ids must be integers, not bools")
+    out = frozenset(e if type(e) is int else check_int(e, "edge id") for e in f)
     m = inst.m
     for e in out:
         if not 0 <= e < m:
@@ -196,40 +220,11 @@ def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
 
 
 def validate_instance(inst: FgcInstance) -> None:
-    """Raise InvalidInstanceError unless the instance satisfies every invariant.
-
-    Checks, with distinct error codes: parameter ranges ("params"),
-    nonnegative finite costs with a finite total ("costs"), both by
-    validate_fields, and feasibility of the full edge set
-    ("infeasible-edges").  Graph structure (connectivity, no self-loops)
-    is already enforced by the Multigraph constructor.
-    """
-    validate_fields(inst)
+    """InvalidInstanceError("infeasible-edges") unless the full edge set is
+    feasible; Multigraph and FgcInstance check the rest when built."""
     verdict = is_feasible(inst, inst.all_edges)
     if not verdict:
         raise infeasible_edges_error(inst, verdict.witness)
-
-
-def validate_fields(inst: FgcInstance) -> None:
-    """validate_instance's checks of p, q and the costs, without the
-    feasibility check, for a caller that already holds the verdict."""
-    for name in ("p", "q"):  # True is an int but must not read as 1
-        value = getattr(inst, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidInstanceError("params", f"{name} must be an integer, got {value!r}")
-    if inst.p < 1:
-        raise InvalidInstanceError("params", f"p must be at least 1, got {inst.p}")
-    if inst.q < 0:
-        raise InvalidInstanceError("params", f"q must be nonnegative, got {inst.q}")
-    for e, c in enumerate(inst.cost):
-        if not math.isfinite(c):
-            raise InvalidInstanceError("costs", f"cost of edge {e} is not finite")
-        if c < 0:
-            raise InvalidInstanceError("costs", f"cost of edge {e} is negative")
-    try:  # selection_cost's sum, which raises when it leaves float range
-        math.fsum(inst.cost)
-    except OverflowError:
-        raise InvalidInstanceError("costs", "the total cost is beyond float range") from None
 
 
 def infeasible_edges_error(inst: FgcInstance, witness: Cut) -> InvalidInstanceError:

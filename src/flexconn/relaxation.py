@@ -216,6 +216,8 @@ def separate(inst: FgcInstance, x: Sequence, eps: float = DEFAULT_EPS) -> Constr
     block's rows are held at a time.
     """
     eps = check_number(eps, "eps")
+    if eps > sys.float_info.max:  # above every violation, which is at most p(p+q)
+        eps = np.inf
     blocks = _Separator(inst).violated_blocks(_check_box(x), eps)
     hits = (hit for block in blocks for hit in block)
     best = min(hits, key=lambda hit: (-hit[1], hit[0]), default=None)

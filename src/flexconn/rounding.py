@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RoundingFailedError
+from .graph import check_int, check_number
 from .model import FgcInstance, is_feasible
 from .relaxation import RelaxationResult, solve_relaxation
 
@@ -40,13 +41,12 @@ class RoundingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # True is a number but must not read as 1, as for the counts below
-        if isinstance(self.scale_constant, bool) or not 0 < self.scale_constant < math.inf:
-            raise ValueError("scale_constant must be positive and finite")
-        for name in ("max_attempts", "seed"):  # True is an int but must not read as 1
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        scale = check_number(self.scale_constant, "scale_constant")
+        if not 0 < scale <= sys.float_info.max:  # C ln(n) is taken in floats
+            raise ValueError("scale_constant must be positive and within float range")
+        object.__setattr__(self, "scale_constant", float(scale))
+        for name in ("max_attempts", "seed"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if self.seed < 0:  # numpy would refuse it only after the LP

@@ -75,6 +75,32 @@ def test_multigraph_refuses_bool_endpoints(edges):
         Multigraph(3 if len(edges) > 1 else 2, edges)
 
 
+@pytest.mark.parametrize("value", [np.int64(3), np.int8(-3), 2**70])
+def test_check_int_reads_ints_and_numpy_integers_as_ints(value):
+    assert graph.check_int(value, "x") == int(value)
+    assert type(graph.check_int(value, "x")) is int
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 3.0, np.float64(3), "3", None])
+def test_check_int_refuses_everything_else(value):
+    with pytest.raises(ValueError, match="x must be an integer"):
+        graph.check_int(value, "x")
+
+
+def test_multigraph_reads_a_numpy_vertex_count_as_an_int():
+    # n was stored as np.int64, and 1 << (n - 1) overflowed in the cut scan
+    g = Multigraph(np.int64(70), cycle_graph(70).edges)
+    assert type(g.n) is int
+    assert len(enumerate_cuts_below(g, [1] * 70, 3)) == 70 * 69 // 2
+
+
+@pytest.mark.parametrize("n", [3.0, "3"])
+def test_multigraph_refuses_a_non_integer_vertex_count(n):
+    # 3.0 and "3" raised an untyped TypeError
+    with pytest.raises(GraphStructureError, match="n must be an integer"):
+        Multigraph(n, ((0, 1), (1, 2)))
+
+
 def test_multigraph_allows_parallel_edges():
     g = Multigraph(2, ((0, 1), (0, 1)))
     assert g.m == 2
@@ -94,6 +120,8 @@ def test_cut_from_vertices_reads_numpy_integers_as_ints():
     # crossing_matrix reads
     cut = Cut.from_vertices(4, [np.int64(2)])
     assert cut.side_mask == 0b100 and type(cut.side_mask) is int
+    # an np.int64 n made 1 << n wrap, so the side {0} was not complemented
+    assert Cut.from_vertices(np.int64(70), [0]).side_mask == (1 << 70) - 2
     assert crossing_matrix(cycle_graph(4), [cut.side_mask]).tolist() == [
         [False, True, True, False]
     ]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -383,10 +384,15 @@ def test_gen_random_rejects_bad_arguments(kwargs):
 
 
 @pytest.mark.parametrize(
-    "field, bad", [("n", 6.0), ("m", 12.0), ("p", 2.5), ("q", 0.5), ("p", True), ("q", False)]
+    "field, bad",
+    [
+        ("n", 6.0), ("m", 12.0), ("p", 2.5), ("q", 0.5), ("p", True), ("q", False),
+        ("seed", 0.5), ("seed", "a"),
+    ],
 )
 def test_gen_random_refuses_non_integer_sizes_and_parameters(monkeypatch, field, bad):
-    # p = 2.5 once gave an instance with p = 2.5, and m = 12.0 died in range()
+    # p = 2.5 once gave an instance with p = 2.5, and m = 12.0 died in range();
+    # seeds 0.5 and "a" were hashed by random.Random
     sampled = []
     monkeypatch.setattr(instance_io, "is_connected", lambda *a: sampled.append(1) or True)
     args = dict(n=6, m=12, safe_fraction=0.5, cost_range=(1, 10), p=2, q=1, seed=3)
@@ -394,6 +400,12 @@ def test_gen_random_refuses_non_integer_sizes_and_parameters(monkeypatch, field,
     with pytest.raises(GenerationError, match=f"{field} must be an integer"):
         gen_random(**args)
     assert sampled == []
+
+
+def test_gen_random_reads_numpy_integers_as_ints():
+    # np.int64(3) as the seed raised an untyped TypeError
+    args = (6, 12, 0.5, (1, 10), 2, 1)
+    assert gen_random(*map(np.int64, args[:2]), *args[2:], np.int64(3)) == gen_random(*args, 3)
 
 
 def test_all_safe_instance_reduces_to_edge_connectivity():

@@ -315,14 +315,13 @@ def test_feasibility_is_monotone(seed, data):
 
 
 def test_validate_rejects_bad_parameters():
+    # FgcInstance checks p and q when it is built
     g = Multigraph(2, ((0, 1), (0, 1)))
-    inst = FgcInstance(g, (True, True), (1.0, 1.0), 0, 0)
     with pytest.raises(InvalidInstanceError) as exc:
-        validate_instance(inst)
+        FgcInstance(g, (True, True), (1.0, 1.0), 0, 0)
     assert exc.value.code == "params"
-    inst = FgcInstance(g, (True, True), (1.0, 1.0), 1, -1)
     with pytest.raises(InvalidInstanceError) as exc:
-        validate_instance(inst)
+        FgcInstance(g, (True, True), (1.0, 1.0), 1, -1)
     assert exc.value.code == "params"
 
 
@@ -330,26 +329,23 @@ def test_validate_rejects_bad_parameters():
 def test_validate_refuses_non_integer_parameters(p, q):
     # p = 1.5 and q = 0.5 once passed, and True read as 1
     g = Multigraph(2, ((0, 1), (0, 1)))
-    inst = FgcInstance(g, (True, True), (1.0, 1.0), p, q)
     with pytest.raises(InvalidInstanceError, match="integer") as exc:
-        validate_instance(inst)
+        FgcInstance(g, (True, True), (1.0, 1.0), p, q)
     assert exc.value.code == "params"
 
 
 def test_validate_rejects_bad_costs():
+    # FgcInstance checks the costs when it is built
     g = Multigraph(2, ((0, 1), (0, 1)))
-    inst = FgcInstance(g, (True, True), (1.0, -2.0), 1, 0)
     with pytest.raises(InvalidInstanceError) as exc:
-        validate_instance(inst)
+        FgcInstance(g, (True, True), (1.0, -2.0), 1, 0)
     assert exc.value.code == "costs"
-    inst = FgcInstance(g, (True, True), (float("inf"), 1.0), 1, 0)
     with pytest.raises(InvalidInstanceError) as exc:
-        validate_instance(inst)
+        FgcInstance(g, (True, True), (float("inf"), 1.0), 1, 0)
     assert exc.value.code == "costs"
     # finite costs whose total is beyond float range
-    inst = FgcInstance(g, (True, True), (1e308, 1e308), 1, 0)
     with pytest.raises(InvalidInstanceError) as exc:
-        validate_instance(inst)
+        FgcInstance(g, (True, True), (1e308, 1e308), 1, 0)
     assert exc.value.code == "costs"
 
 
@@ -363,6 +359,33 @@ def test_validate_rejects_infeasible_edge_set():
     # the F1 gadget's edge set is likewise infeasible for p=2 q=4
     with pytest.raises(InvalidInstanceError):
         validate_instance(gadget_f1())
+
+
+@pytest.mark.parametrize(
+    "safe, cost, error, code",
+    [
+        (("no", True), (1.0, 1.0), "safety flag", None),
+        ((0.5, True), (1.0, 1.0), "safety flag", None),
+        ((True, True), ("3", 1.0), "cost of edge 0", "costs"),
+        ((True, True), (1.0, True), "cost of edge 1", "costs"),
+        ((True, True), (10**400, 1.0), "beyond float range", "costs"),
+    ],
+)
+def test_instance_refuses_bad_fields_when_built(safe, cost, error, code):
+    # "no" and 0.5 read as True, and "3" and True as costs 3.0 and 1.0
+    # (test_validate_rejects_bad_parameters covers p = 0, which only
+    # validate_instance caught, and library calls skip it)
+    g = Multigraph(2, ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match=error) as exc:
+        FgcInstance(g, safe, cost, 1, 0)
+    assert getattr(exc.value, "code", None) == code
+
+
+def test_instance_reads_numpy_integers_and_bools():
+    g = Multigraph(2, ((0, 1), (0, 1)))
+    inst = FgcInstance(g, (np.bool_(True), False), (1, 2.5), np.int64(2), np.int32(1))
+    assert (inst.p, inst.q, inst.safe, inst.cost) == (2, 1, (True, False), (1.0, 2.5))
+    assert type(inst.p) is int and type(inst.q) is int and type(inst.safe[0]) is bool
 
 
 def test_validate_accepts_one_safe_edge_when_p_is_one():

@@ -272,6 +272,14 @@ def test_separate_rejects_bad_eps(eps):
         separate(two_vertex(), (0.0, 0.0, 0.0), eps)
 
 
+@pytest.mark.parametrize("eps", [10**400, Fraction(10**400, 3)], ids=["int", "Fraction"])
+def test_separate_takes_an_eps_beyond_float_range(eps):
+    # it raised OverflowError where separate_bruteforce returned []
+    x = (0.0, 0.0, 0.0)
+    assert separate_bruteforce(two_vertex(), x, eps) == []
+    assert separate(two_vertex(), x, eps) is None
+
+
 def test_solve_relaxation_and_separate_refuse_large_graphs_before_any_lp(monkeypatch):
     # the cut scan's size check once ran only at its first scan, after one LP solve
     built = []

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from flexconn import (
@@ -50,6 +51,20 @@ def test_config_rejects_non_finite(field, bad):
     # x_e = 0 edge would be drawn
     with pytest.raises(ValueError):
         RoundingConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [np.float32(2), "2", 10**400], ids=["float32", "str", "1e400"])
+def test_config_refuses_other_scale_constants(bad):
+    # np.float32 was taken, "2" raised an untyped TypeError, and 10**400
+    # raised OverflowError at C ln(n)
+    with pytest.raises(ValueError, match="scale_constant"):
+        RoundingConfig(scale_constant=bad)
+
+
+def test_config_reads_numpy_integers_as_ints():
+    cfg = RoundingConfig(scale_constant=np.int64(3), max_attempts=np.int64(5), seed=np.int64(3))
+    assert cfg == RoundingConfig(scale_constant=3.0, max_attempts=5, seed=3)
+    assert type(cfg.seed) is int and type(cfg.max_attempts) is int
 
 
 def test_inclusion_probabilities_formula():
