@@ -23,7 +23,7 @@ from .errors import (
 )
 from .exact import check_exact_size, count_cuts_at_most, exact_opt
 from .graph import check_int, min_cut
-from .instance_io import gen_random, json_number, load_instance, save_instance
+from .instance_io import gen_random, load_instance, save_instance
 from .model import is_feasible
 from .relaxation import solve_relaxation
 from .rounding import RoundingConfig, solve as rounding_solve
@@ -179,21 +179,18 @@ _BENCH_FIELDS = (
 
 
 def _bench_item(index: int, item: dict) -> dict:
-    try:  # no coercion, as in instance_from_json; gen_random checks n, m, p, q and seed
+    try:  # no coercion, as in instance_from_json; gen_random checks its arguments
         n, m, p, q, seed = (item[key] for key in ("n", "m", "p", "q", "seed"))
         for key in item:  # a misspelt optional field would run at its default
             if key not in _BENCH_FIELDS:
                 raise ParseError(f"unknown field {key!r}")
-        lo, hi = (json_number(c, "cost_range") for c in item.get("cost_range", (1.0, 10.0)))
-        safe_fraction = json_number(item.get("safe_fraction", 0.5), "safe_fraction")
-        scale_constant = json_number(item.get("scale_constant", 100.0), "scale_constant")
-        solve_seed = check_int(item.get("solve_seed", 0), "solve_seed")
-        cfg = RoundingConfig(  # checks max_attempts itself
-            scale_constant=scale_constant,
+        cfg = RoundingConfig(  # checks scale_constant and max_attempts itself
+            scale_constant=item.get("scale_constant", 100.0),
             max_attempts=item.get("max_attempts", 64),
-            seed=solve_seed,
+            seed=check_int(item.get("solve_seed", 0), "solve_seed"),
         )
-        inst = gen_random(n, m, safe_fraction, (lo, hi), p, q, seed)
+        cost_range = item.get("cost_range", (1.0, 10.0))
+        inst = gen_random(n, m, item.get("safe_fraction", 0.5), cost_range, p, q, seed)
     except KeyError as exc:
         raise ParseError(f"suite item {index}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:  # ValueError includes ParseError, GenerationError

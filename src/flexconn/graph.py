@@ -155,6 +155,16 @@ def check_number(value, what: str):
     return value
 
 
+def check_float(value, what: str) -> float:
+    """``value`` read by check_number and returned as a float; else
+    ValueError naming ``what``, "WHAT is out of float range" beyond it.
+    The one reader of costs, safe_fraction, cost_range and scale_constant."""
+    try:
+        return float(check_number(value, what))
+    except OverflowError:
+        raise ValueError(f"{what} is out of float range") from None
+
+
 def check_capacities(caps: Sequence, m: int) -> list:
     """The per-edge capacities as a list, each read by check_number, and
     no float beside exact values summing past float range (their Python

@@ -17,12 +17,11 @@ in .json carry the same data as a JSON object.
 from __future__ import annotations
 
 import json
-import math
 import random
 from pathlib import Path
 
 from .errors import FieldRangeError, GenerationError, ParseError
-from .graph import Multigraph, check_int, is_connected
+from .graph import Multigraph, check_float, check_int, is_connected
 from .model import FgcInstance, is_feasible, validate_instance
 
 HEADER = "fgc"
@@ -52,11 +51,13 @@ def _checked_instance(n, edges, safety, costs, p, q) -> FgcInstance:
     build and validate.  ``edges`` holds (u, v, text line or None)."""
     if n < 2:
         raise FieldRangeError(f"nodes must be at least 2, got {n}")
-    for (u, v, line), c in zip(edges, costs):
+    for e, (u, v, line) in enumerate(edges):
         if not (0 <= u < n and 0 <= v < n):
             raise FieldRangeError(f"endpoint out of range 0..{n - 1}", line)
-        if not 0 <= c < math.inf:  # also rejects NaN
-            raise FieldRangeError(f"cost must be finite and nonnegative, got {c}", line)
+        try:
+            costs[e] = check_float(costs[e], "cost")
+        except ValueError as exc:
+            raise FieldRangeError(str(exc), line) from None
     graph = Multigraph(n, tuple((u, v) for u, v, _ in edges))
     inst = FgcInstance(graph, tuple(safety), tuple(costs), p, q)
     validate_instance(inst)
@@ -147,15 +148,6 @@ def instance_to_json(inst: FgcInstance) -> dict:
     }
 
 
-def json_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ParseError(f"{what} is out of float range") from None
-
-
 def instance_from_json(obj: dict) -> FgcInstance:
     """Parse and fully validate a JSON instance; coerces no field (see parse_instance)."""
     try:
@@ -171,7 +163,7 @@ def instance_from_json(obj: dict) -> FgcInstance:
                 raise ParseError(f"safety flag must be S or U, got {flag!r}")
             edges.append((check_int(u, "endpoint"), check_int(v, "endpoint"), None))
             safety.append(flag == "S")
-            costs.append(json_number(cost, "cost"))
+            costs.append(cost)
         p, q = check_int(obj["p"], "p"), check_int(obj["q"], "q")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed JSON instance: {exc}") from None
@@ -219,18 +211,19 @@ def gen_random(
     GenerationError: gen_random(12, 30, 0.7, (1, 10), 2, 10**5, 1) raises
     it.
     """
-    lo, hi = cost_range
     try:
         n, m, p, q, seed = map(check_int, (n, m, p, q, seed), ("n", "m", "p", "q", "seed"))
+        safe_fraction = check_float(safe_fraction, "safe_fraction")
+        lo, hi = (check_float(c, "cost_range") for c in cost_range)
     except ValueError as exc:
         raise GenerationError(str(exc)) from None
     if n < 2:
         raise GenerationError(f"need at least 2 vertices, got {n}")
     if m < n - 1:
         raise GenerationError(f"{m} edges cannot connect {n} vertices")
-    if not 0 <= safe_fraction <= 1:
+    if safe_fraction > 1:
         raise GenerationError(f"safe_fraction must be in [0, 1], got {safe_fraction}")
-    if not 0 <= lo <= hi < math.inf:  # also rejects NaN
+    if lo > hi:
         raise GenerationError(f"cost range must satisfy 0 <= lo <= hi < inf, got {cost_range}")
     if p < 1 or q < 0:
         raise GenerationError(f"need p >= 1 and q >= 0, got p={p}, q={q}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RoundingFailedError
-from .graph import check_int, check_number
+from .graph import check_float, check_int
 from .model import FgcInstance, is_feasible
 from .relaxation import RelaxationResult, solve_relaxation
 
@@ -41,10 +41,10 @@ class RoundingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        scale = check_number(self.scale_constant, "scale_constant")
-        if not 0 < scale <= sys.float_info.max:  # C ln(n) is taken in floats
-            raise ValueError("scale_constant must be positive and within float range")
-        object.__setattr__(self, "scale_constant", float(scale))
+        scale = check_float(self.scale_constant, "scale_constant")  # C ln(n) is taken in floats
+        if scale <= 0:
+            raise ValueError("scale_constant must be positive")
+        object.__setattr__(self, "scale_constant", scale)
         for name in ("max_attempts", "seed"):
             object.__setattr__(self, name, check_int(getattr(self, name), name))
         if self.max_attempts < 1:
