@@ -278,7 +278,7 @@ def separate_bruteforce(inst: FgcInstance, x: Sequence, eps: float = 0.0) -> lis
     if len(x) != inst.m:
         raise ValueError(f"expected {inst.m} coordinates, got {len(x)}")
     for e, v in enumerate(x):
-        if not 0 <= v <= 1:  # also rejects NaN
+        if check_number(v, f"x[{e}]") > 1:
             raise ValueError(f"x[{e}] = {v} is outside [0, 1]")
     eps = check_number(eps, "eps")
     hits = []

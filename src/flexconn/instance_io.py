@@ -20,7 +20,7 @@ import json
 import random
 from pathlib import Path
 
-from .errors import FieldRangeError, GenerationError, ParseError
+from .errors import FieldRangeError, GenerationError, InvalidInstanceError, ParseError
 from .graph import Multigraph, check_float, check_int, is_connected
 from .model import FgcInstance, is_feasible, validate_instance
 
@@ -49,6 +49,9 @@ def _parse_cost(token: str, line: int) -> float:
 def _checked_instance(n, edges, safety, costs, p, q) -> FgcInstance:
     """Both parsers' last step: range-check n, endpoints and costs, then
     build and validate.  ``edges`` holds (u, v, text line or None)."""
+    # Multigraph refuses n < 2 and endpoints out of range too, but with a
+    # GraphStructureError (exit 1) and no line; here they are a
+    # FieldRangeError with the edge's line (exit 2), and tests pin both
     if n < 2:
         raise FieldRangeError(f"nodes must be at least 2, got {n}")
     for e, (u, v, line) in enumerate(edges):
@@ -210,6 +213,13 @@ def gen_random(
     repair gives up after MAX_AUGMENTATIONS = 1000 edges with
     GenerationError: gen_random(12, 30, 0.7, (1, 10), 2, 10**5, 1) raises
     it.
+
+    n, m, p, q and seed are read by check_int; safe_fraction and both ends
+    of cost_range by check_float, so bools and strings are refused, ints,
+    numpy numbers and Fractions are read as floats, and a value beyond
+    float range is refused with its field named.  Every refused argument,
+    and drawn costs whose total is beyond float range, raise
+    GenerationError.
     """
     try:
         n, m, p, q, seed = map(check_int, (n, m, p, q, seed), ("n", "m", "p", "q", "seed"))
@@ -247,7 +257,13 @@ def gen_random(
     safety = [rng.random() < safe_fraction for _ in range(m)]
     costs = [rng.uniform(lo, hi) for _ in range(m)]
 
-    inst = FgcInstance(Multigraph(n, tuple(edges)), tuple(safety), tuple(costs), p, q)
+    def build() -> FgcInstance:
+        try:
+            return FgcInstance(Multigraph(n, tuple(edges)), tuple(safety), tuple(costs), p, q)
+        except InvalidInstanceError as exc:  # p and q were checked above: the costs' total
+            raise GenerationError(str(exc)) from None
+
+    inst = build()
     for _ in range(MAX_AUGMENTATIONS):
         verdict = is_feasible(inst, inst.all_edges)
         if verdict:
@@ -256,7 +272,7 @@ def gen_random(
         edges.append((0, min(verdict.witness.vertices)))
         safety.append(False)
         costs.append(rng.uniform(lo, hi))
-        inst = FgcInstance(Multigraph(n, tuple(edges)), tuple(safety), tuple(costs), p, q)
+        inst = build()
     else:
         raise GenerationError("feasibility repair did not converge")
     # the loop's last verdict found the full edge set feasible

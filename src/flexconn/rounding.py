@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RoundingFailedError
-from .graph import check_float, check_int
+from .graph import check_float, check_int, check_number
 from .model import FgcInstance, is_feasible
 from .relaxation import RelaxationResult, solve_relaxation
 
@@ -74,8 +74,8 @@ def inclusion_probabilities(inst: FgcInstance, x, cfg: RoundingConfig) -> tuple[
     Every x_e must lie in [0, 1]."""
     if len(x) != inst.m:
         raise ValueError(f"expected {inst.m} coordinates, got {len(x)}")
-    for e, v in enumerate(x):
-        if not 0 <= v <= 1:  # also rejects NaN, which min() would read as 1
+    for e, v in enumerate(x):  # check_number also refuses NaN, which min() would read as 1
+        if check_number(v, f"x[{e}]") > 1:
             raise ValueError(f"x[{e}] = {v} is outside [0, 1]")
     factor = cfg.scale_constant * math.log(inst.n)
     return tuple(min(1.0, factor * float(v)) if v else 0.0 for v in x)

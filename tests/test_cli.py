@@ -204,6 +204,15 @@ def test_solve_rejects_a_negative_seed_before_the_lp(inst_file, capsys, monkeypa
     assert "seed must be nonnegative" in capsys.readouterr().err
 
 
+def test_gen_refuses_costs_summing_beyond_float_range(tmp_path, capsys):
+    # the draw's InvalidInstanceError exited 1, as an invalid file does
+    path = tmp_path / "huge.fgc"
+    argv = ["gen", "--nodes", "6", "--edges", "12", "-p", "1", "-q", "1"]
+    assert run(argv + ["--cost-min", "1e308", "--cost-max", "1.7e308", "-o", str(path)]) == 2
+    assert "beyond float range" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_solve_with_exact_refuses_large_instances_before_the_lp(tmp_path, capsys, monkeypatch):
     # m = 33 > 22: the LP and rounding ran, then exact_opt refused and the
     # report was lost

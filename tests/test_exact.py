@@ -538,10 +538,11 @@ def test_separate_bruteforce_rejects_bad_eps(eps):
         separate_bruteforce(inst, (0.0,) * inst.m, eps)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), 5.0, -1.0])
+@pytest.mark.parametrize("bad", [float("nan"), 5.0, -1.0, False, "0.5", np.float32(0.5)])
 def test_separate_bruteforce_rejects_x_outside_the_box(bad):
     # NaN and 5.0 once returned [] (no row is violated there), where
-    # separate refuses the point
+    # separate refuses the point; x = False read as 0 and "0.5" raised an
+    # untyped TypeError
     inst = two_vertex()
     with pytest.raises(ValueError, match=r"x\[0\]"):
         separate_bruteforce(inst, (bad,) * inst.m, 1e-7)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -360,9 +361,10 @@ def test_gen_random_checks_each_instance_once(monkeypatch):
 
 
 def test_gen_random_checks_the_cost_total():
-    with pytest.raises(InvalidInstanceError) as exc:
+    # drawn costs summing beyond float range raised FgcInstance's
+    # InvalidInstanceError, so `flexconn gen` exited 1 as for a bad file
+    with pytest.raises(GenerationError, match="total cost is beyond float range"):
         gen_random(2, 3, 1.0, (1e308, 1.5e308), 1, 0, 0)
-    assert exc.value.code == "costs"
 
 
 @pytest.mark.parametrize(
@@ -376,6 +378,12 @@ def test_gen_random_checks_the_cost_total():
         dict(n=4, m=5, safe_fraction=0.5, cost_range=(0, 1), p=0, q=1, seed=0),
         dict(n=4, m=5, safe_fraction=0.5, cost_range=(0, float("inf")), p=1, q=0, seed=0),
         dict(n=4, m=5, safe_fraction=0.5, cost_range=(float("nan"), 1), p=1, q=0, seed=0),
+        # "0.5" and ("1", 10) raised an untyped TypeError, True was read as 1.0,
+        # and 10**400 passed the range test and died in rng.uniform
+        dict(n=4, m=5, safe_fraction="0.5", cost_range=(0, 1), p=1, q=0, seed=0),
+        dict(n=4, m=5, safe_fraction=True, cost_range=(0, 1), p=1, q=0, seed=0),
+        dict(n=4, m=5, safe_fraction=0.5, cost_range=("1", 10), p=1, q=0, seed=0),
+        dict(n=4, m=5, safe_fraction=0.5, cost_range=(1, 10**400), p=1, q=0, seed=0),
     ],
 )
 def test_gen_random_rejects_bad_arguments(kwargs):
@@ -406,6 +414,12 @@ def test_gen_random_reads_numpy_integers_as_ints():
     # np.int64(3) as the seed raised an untyped TypeError
     args = (6, 12, 0.5, (1, 10), 2, 1)
     assert gen_random(*map(np.int64, args[:2]), *args[2:], np.int64(3)) == gen_random(*args, 3)
+
+
+def test_gen_random_reads_numpy_floats_and_fractions_as_floats():
+    want = gen_random(6, 12, 0.5, (1.0, 10.0), 2, 1, 3)
+    assert gen_random(6, 12, np.float64(0.5), (np.float64(1), np.float64(10)), 2, 1, 3) == want
+    assert gen_random(6, 12, Fraction(1, 2), (Fraction(1), Fraction(10)), 2, 1, 3) == want
 
 
 def test_all_safe_instance_reduces_to_edge_connectivity():

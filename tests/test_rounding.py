@@ -77,10 +77,11 @@ def test_inclusion_probabilities_formula():
     assert y[0] == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("bad", [math.nan, -1.0, 1.5])
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 1.5, True, "0.5", np.float32(0.5)])
 def test_rounding_rejects_x_outside_the_box(bad):
     # min(1.0, nan) is 1.0, so a NaN x once drew every edge, and x = -1 gave
-    # a negative probability
+    # a negative probability; x = True read as 1 and "0.5" raised an
+    # untyped TypeError
     inst = two_vertex()
     cfg = RoundingConfig()
     with pytest.raises(ValueError, match=r"x\[1\]"):
