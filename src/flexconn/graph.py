@@ -158,7 +158,10 @@ def check_number(value, what: str):
 def check_float(value, what: str) -> float:
     """``value`` read by check_number and returned as a float; else
     ValueError naming ``what``, "WHAT is out of float range" beyond it.
-    The one reader of costs, safe_fraction, cost_range and scale_constant."""
+    The one reader of parsed costs, safe_fraction, cost_range and
+    scale_constant."""
+    if type(value) is float and 0 <= value < math.inf:  # parsed costs skip the call
+        return value
     try:
         return float(check_number(value, what))
     except OverflowError:

@@ -257,14 +257,11 @@ def gen_random(
     safety = [rng.random() < safe_fraction for _ in range(m)]
     costs = [rng.uniform(lo, hi) for _ in range(m)]
 
-    def build() -> FgcInstance:
+    for _ in range(MAX_AUGMENTATIONS):
         try:
-            return FgcInstance(Multigraph(n, tuple(edges)), tuple(safety), tuple(costs), p, q)
+            inst = FgcInstance(Multigraph(n, tuple(edges)), tuple(safety), tuple(costs), p, q)
         except InvalidInstanceError as exc:  # p and q were checked above: the costs' total
             raise GenerationError(str(exc)) from None
-
-    inst = build()
-    for _ in range(MAX_AUGMENTATIONS):
         verdict = is_feasible(inst, inst.all_edges)
         if verdict:
             break
@@ -272,7 +269,6 @@ def gen_random(
         edges.append((0, min(verdict.witness.vertices)))
         safety.append(False)
         costs.append(rng.uniform(lo, hi))
-        inst = build()
     else:
         raise GenerationError("feasibility repair did not converge")
     # the loop's last verdict found the full edge set feasible
