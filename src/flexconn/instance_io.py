@@ -216,7 +216,7 @@ def gen_random(
 
     n, m, p, q and seed are read by check_int; safe_fraction and both ends
     of cost_range by check_float, so bools and strings are refused, ints,
-    numpy numbers and Fractions are read as floats, and a value beyond
+    numpy integers and Fractions are read as floats, and a value beyond
     float range is refused with its field named.  Every refused argument,
     and drawn costs whose total is beyond float range, raise
     GenerationError.
