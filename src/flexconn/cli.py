@@ -55,7 +55,6 @@ def cmd_check(args) -> int:
     report = {
         "command": "check",
         "feasible": verdict.feasible,
-        "mode": verdict.mode,
         "selection_size": len(selection),
     }
     if verdict.witness is not None:

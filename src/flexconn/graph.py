@@ -100,6 +100,9 @@ class Cut:
     capacity: int | float | Fraction | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.side_mask) is not int:  # plain ints skip the calls
+            object.__setattr__(self, "n", check_int(self.n, "n"))
+            object.__setattr__(self, "side_mask", check_int(self.side_mask, "side_mask"))
         if self.side_mask <= 0 or self.side_mask >> self.n:
             raise ValueError("cut side must be a nonempty proper vertex subset")
         if self.side_mask & 1:

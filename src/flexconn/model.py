@@ -100,19 +100,16 @@ class FgcInstance:
 class FeasibilityVerdict:
     """Result of a feasibility check.
 
-    ``witness`` is present exactly when infeasible and names a cut with
-    fewer than p safe and fewer than p+q selected edges.  ``mode`` records
-    which checking route produced the verdict: "direct" (exhaustive cut
-    characterization) or the capacitated route, chosen by size alone:
-    "exhaustive" at n <= DEFAULT_EXHAUSTIVE_LIMIT, "flow" above it.  It
-    does not name the cut scan's candidate source: below the limit, sums
-    the float cut table cannot hold go to the flow search too.  Every
-    verdict is exact.
+    ``witness`` is None exactly when the selection is feasible; otherwise
+    it names a cut with fewer than p safe and fewer than p+q selected
+    edges.  Every verdict is exact.
     """
 
-    feasible: bool
     witness: Cut | None
-    mode: str
+
+    @property
+    def feasible(self) -> bool:
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -178,8 +175,8 @@ def is_feasible_direct(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdic
             if ((mask >> u) ^ (mask >> v)) & 1:
                 t += 1
         if t < p + q:
-            return FeasibilityVerdict(False, Cut(inst.n, mask), "direct")
-    return FeasibilityVerdict(True, None, "direct")
+            return FeasibilityVerdict(Cut(inst.n, mask))
+    return FeasibilityVerdict(None)
 
 
 def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
@@ -200,23 +197,22 @@ def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
     p, q = inst.p, inst.q
     need = p * (p + q)
     caps = capacities(inst, [1 if e in f else 0 for e in range(inst.m)])
-    mode = "exhaustive" if inst.n <= DEFAULT_EXHAUSTIVE_LIMIT else "flow"
 
     witness, lam = min_cut(inst.graph, caps)
     if lam < need:
         # capacity p*t + q*s below p(p+q) forces s < p and t < p+q
-        return FeasibilityVerdict(False, witness, mode)
+        return FeasibilityVerdict(witness)
 
     bound = p * (p + q - 1) + q * (p - 1)
     if lam > bound:
-        return FeasibilityVerdict(True, None, mode)
+        return FeasibilityVerdict(None)
     # integer capacities: cap <= bound is cap < bound + 1, exactly at any size
     cuts = enumerate_cuts_below(inst.graph, caps, bound + 1)
     for r in cuts:
         s, t = cut_tallies(inst, f, r.side_mask)
         if s < p and t < p + q:
-            return FeasibilityVerdict(False, r, mode)
-    return FeasibilityVerdict(True, None, mode)
+            return FeasibilityVerdict(r)
+    return FeasibilityVerdict(None)
 
 
 def validate_instance(inst: FgcInstance) -> None:

@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import ModuleType
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy
@@ -193,8 +193,13 @@ def candidate_j_sets(
 
 
 def _check_box(x: Sequence) -> tuple:
+    """x clipped to [0, 1], each coordinate a float or Fraction within
+    BOX_SLACK of the box or a number check_number reads inside it; else
+    ValueError naming x[e]."""
     cleaned = []
     for e, v in enumerate(x):
+        if not isinstance(v, (float, Fraction)):  # check_number refuses their noise below 0
+            v = check_number(v, f"x[{e}]")
         if not -BOX_SLACK <= v <= 1 + BOX_SLACK:  # also rejects NaN
             raise ValueError(f"x[{e}] = {v} is outside [0, 1]")
         if isinstance(v, Fraction):
@@ -212,21 +217,19 @@ def separate(inst: FgcInstance, x: Sequence, eps: float = DEFAULT_EPS) -> Constr
     row of largest violation in (a, b) order, this is the first row of
     largest violation in (cut, a, b) order, as building every candidate row
     gives.  Every cut that can carry a violation is scanned, so the
-    violation matches a brute-force scan.  Only the best row so far and one
-    block's rows are held at a time.
+    violation matches a brute-force scan.
     """
     eps = check_number(eps, "eps")
     if eps > sys.float_info.max:  # above every violation, which is at most p(p+q)
         eps = np.inf
-    blocks = _Separator(inst).violated_blocks(_check_box(x), eps)
-    hits = (hit for block in blocks for hit in block)
+    hits = _Separator(inst).hits(_check_box(x), eps)
     best = min(hits, key=lambda hit: (-hit[1], hit[0]), default=None)
     return None if best is None else best[2]
 
 
 class _Separator:
     """Separation at one instance, split into what no x changes, built here
-    once per solve or call, and the round run at each x by violated_blocks.
+    once per solve or call, and the round run at each x by hits.
 
     Built once: the graph's prepared cut scan (graph.CutScan), the J_{a,b}
     grid (rhs, -inf where it is 0, and the coefficients of the safe and
@@ -257,23 +260,20 @@ class _Separator:
         self.safe_coef = p - a + np.maximum(q - b, 0)
         self.unsafe_coef = p - a
         self.is_safe = np.array(inst.safe, dtype=bool)
-        self.safe = _Family(np.flatnonzero(self.is_safe), len(a))
-        self.unsafe = _Family(np.flatnonzero(~self.is_safe), len(b))
+        self.safe_cols = np.flatnonzero(self.is_safe)
+        self.unsafe_cols = np.flatnonzero(~self.is_safe)
 
     def rows(self, x: Sequence, eps) -> list[ConstraintRow]:
         """The most violated row of every cut that carries a violation beyond
         eps, in cut order (capacity, then side mask); each is its cut's first
         row of largest violation in (a, b) order."""
-        hits = [hit for block in self.violated_blocks(x, eps) for hit in block]
-        hits.sort(key=lambda hit: hit[0])
+        hits = sorted(self.hits(x, eps), key=lambda hit: hit[0])
         return [row for _, _, row in hits]
 
-    def violated_blocks(
-        self, x: Sequence, eps
-    ) -> Iterator[list[tuple[tuple, float, ConstraintRow]]]:
-        """Per block of cuts, ``((capacity, side mask), violation, row)`` for
-        each cut whose most violated row beats eps; the row is the cut's
-        first row of largest violation in (a, b) order.
+    def hits(self, x: Sequence, eps) -> list[tuple[tuple, float, ConstraintRow]]:
+        """``((capacity, side mask), violation, row)`` for each cut whose most
+        violated row beats eps, block by block of the cut scan; the row is
+        the cut's first row of largest violation in (a, b) order.
 
         Every cut of u_x capacity below p(p+2q) is scanned, since no other
         cut can carry a violation (module docstring; float and Fraction x
@@ -306,11 +306,13 @@ class _Separator:
         # V - slack > M - 2.slack, so it is built.
         slack = 1e-14 * (p + q) * (inst.m + p) ** 2
         xf = np.array(x, dtype=float)
-        x_safe, x_unsafe = xf[self.safe.cols], xf[self.unsafe.cols]
+        x_safe, x_unsafe = xf[self.safe_cols], xf[self.unsafe_cols]
+        ka, kb = self.rhs.shape
         by_x = None  # the safe and unsafe edges in candidate_j_sets' order
+        hits = []
         for masks, cut_caps, cross in self.scan.blocks(ux, p * (p + 2 * q)):
-            tail_s = self.safe.tail_sums(cross, x_safe)
-            tail_u = self.unsafe.tail_sums(cross, x_unsafe)
+            tail_s = _tail_sums(cross[:, self.safe_cols], x_safe, ka)
+            tail_u = _tail_sums(cross[:, self.unsafe_cols], x_unsafe, kb)
             # an infinite tail (a J with too few edges) or rhs gives -inf
             score = self.rhs - (
                 self.safe_coef * tail_s[:, :, None] + self.unsafe_coef * tail_u[:, None, :]
@@ -334,33 +336,26 @@ class _Separator:
                 v = violation(row, x)
                 if v > best.get(i, (eps,))[0]:
                     best[i] = (v, row)
-            yield [((cut_caps[i], masks[i]), v, row) for i, (v, row) in best.items()]
+            hits += [((cut_caps[i], masks[i]), v, row) for i, (v, row) in best.items()]
+        return hits
 
 
-class _Family:
-    """One edge family (safe or unsafe) of the J_{a,b} grid, for a < k."""
+def _tail_sums(cross_cols: np.ndarray, xs: np.ndarray, k: int) -> np.ndarray:
+    """Per cut (row of ``cross_cols``, the crossing matrix's columns of one
+    edge family, safe or unsafe), x summed over the family's crossing edges
+    after the a largest, for a < k; inf where the cut has fewer than a of
+    them.  ``xs`` is x over the family's columns.
 
-    def __init__(self, cols: np.ndarray, k: int):
-        self.cols = cols
-        self.k = k
-        self.ranks = np.arange(k)
-
-    def tail_sums(self, cross: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Per cut (row of ``cross``), x summed over the family's crossing
-        edges after the a largest, for a < k; inf where the cut has fewer
-        than a of them.  ``xs`` is x over the family's columns.
-
-        The head sums, over the a largest, add up the top of each cut's x
-        values sorted along the row, 0 where an edge does not cross.
-        """
-        cross = cross[:, self.cols]
-        values = np.where(cross, xs, 0.0)
-        values.sort(axis=1)
-        top = values[:, : -self.k : -1]  # the k - 1 largest, in descending order
-        heads = np.zeros((len(cross), self.k))
-        np.cumsum(top, axis=1, out=heads[:, 1 : 1 + top.shape[1]])
-        tails = values.sum(axis=1)[:, None] - heads
-        return np.where(self.ranks > cross.sum(axis=1)[:, None], np.inf, tails)
+    The head sums, over the a largest, add up the top of each cut's x
+    values sorted along the row, 0 where an edge does not cross.
+    """
+    values = np.where(cross_cols, xs, 0.0)
+    values.sort(axis=1)
+    top = values[:, : -k : -1]  # the k - 1 largest, in descending order
+    heads = np.zeros((len(cross_cols), k))
+    np.cumsum(top, axis=1, out=heads[:, 1 : 1 + top.shape[1]])
+    tails = values.sum(axis=1)[:, None] - heads
+    return np.where(np.arange(k) > cross_cols.sum(axis=1)[:, None], np.inf, tails)
 
 
 class _HighsLp:

@@ -86,6 +86,9 @@ def round_once(inst: FgcInstance, x, cfg: RoundingConfig, attempt: int = 0) -> f
 
     Edges with y_e = 1 are always included, edges with y_e = 0 never.
     """
+    attempt = check_int(attempt, "attempt")
+    if attempt < 0:  # numpy's own refusal names no argument
+        raise ValueError(f"attempt must be nonnegative, got {attempt}")
     y = inclusion_probabilities(inst, x, cfg)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(attempt,)))
     draws = rng.random(inst.m)

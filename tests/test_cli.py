@@ -32,7 +32,7 @@ def test_check_full_edge_set(inst_file, capsys):
     report = _single_report(capsys)
     assert report["feasible"] is True
     assert report["selection_size"] == 3
-    assert "witness" not in report
+    assert report.keys() == {"command", "feasible", "selection_size"}
 
 
 def test_check_infeasible_selection_exits_one(inst_file, capsys):
@@ -40,6 +40,7 @@ def test_check_infeasible_selection_exits_one(inst_file, capsys):
     report = _single_report(capsys)
     assert report["feasible"] is False
     assert report["witness"] == [1]
+    assert report.keys() == {"command", "feasible", "selection_size", "witness"}
 
 
 def test_check_safe_edge_alone_is_feasible(inst_file, capsys):

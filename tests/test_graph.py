@@ -127,6 +127,22 @@ def test_cut_from_vertices_reads_numpy_integers_as_ints():
     ]
 
 
+@pytest.mark.parametrize(
+    "n, side_mask, error",
+    [(3, 2.0, "side_mask"), (3.0, 2, "n must"), ("3", 2, "n must"), (3, True, "side_mask")],
+)
+def test_cut_refuses_non_integer_fields(n, side_mask, error):
+    # 2.0, 3.0 and "3" raised an untyped TypeError from >>
+    with pytest.raises(ValueError, match=error):
+        Cut(n, side_mask)
+
+
+def test_cut_reads_numpy_integers_as_ints():
+    cut = Cut(np.int64(3), np.int64(2))
+    assert (type(cut.n), type(cut.side_mask)) == (int, int)
+    assert cut == Cut(3, 2) and hash(cut) == hash(Cut(3, 2))
+
+
 def test_cut_canonical_side_excludes_vertex_zero():
     c = Cut.from_vertices(4, {0, 2})
     assert c.vertices == frozenset({1, 3})

@@ -1,5 +1,6 @@
 """Instance model and the two feasibility checkers."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from flexconn import (
     Cut,
+    FeasibilityVerdict,
     FgcInstance,
     InvalidInstanceError,
     Multigraph,
@@ -107,20 +109,18 @@ def test_capacitated_two_vertex_safe_edge():
     inst = two_vertex()
     verdict = is_feasible(inst, {0})
     assert verdict.feasible
-    assert verdict.mode == "exhaustive"
 
 
-def test_mode_is_the_route_chosen_by_size_not_the_candidate_source(monkeypatch):
+def test_sums_beyond_the_float_table_take_the_flow_candidates_below_the_limit(monkeypatch):
     # at q = 10^307 the float cut table cannot hold the sums, so at n = 16
-    # the scan takes the flow search's candidates; mode still reads the
-    # route chosen by size
+    # the scan takes the flow search's candidates
     inst = gen_random(16, 48, 1.0, (1, 10), 2, 10**307, 1)
     sizes, flow = [], graph._flow_shortlist
     monkeypatch.setattr(
         graph, "_flow_shortlist", lambda *args: sizes.append(args[0].n) or flow(*args)
     )
     verdict = is_feasible(inst, range(3, 48))
-    assert sizes == [16] and verdict.mode == "exhaustive"
+    assert sizes == [16]
     assert verdict.feasible == is_feasible_direct(inst, range(3, 48)).feasible
 
 
@@ -193,7 +193,7 @@ def test_capacitated_past_the_exhaustive_limit_enumerates_by_flow(monkeypatch):
     sizes = _record_scans(monkeypatch)
     verdict = is_feasible(inst, inst.all_edges)
     assert verdict.feasible
-    assert verdict.mode == "flow" and sizes == [21]
+    assert sizes == [21]
 
 
 def test_capacitated_flow_route_finds_a_witness_at_the_min_cut(monkeypatch):
@@ -203,7 +203,7 @@ def test_capacitated_flow_route_finds_a_witness_at_the_min_cut(monkeypatch):
     sizes = _record_scans(monkeypatch)
     verdict = is_feasible(inst, inst.all_edges)
     assert not verdict.feasible
-    assert verdict.mode == "flow" and sizes == [21]
+    assert sizes == [21]
     assert verdict.witness.vertices == frozenset({1})
     assert cut_tallies(inst, inst.all_edges, verdict.witness.side_mask) == (1, 3)
 
@@ -243,7 +243,6 @@ def test_capacitated_past_the_table_matches_the_definition(monkeypatch, n):
             before = len(sizes)
             verdict = is_feasible(inst, f)
             scanned += len(sizes) > before
-            assert verdict.mode == "flow"
             assert verdict.feasible == _survives_every_q_failure(inst, f), (n, p, q, f)
             verdicts.append(verdict.feasible)
     # both verdicts occur, and some came from the flow enumeration
@@ -399,3 +398,14 @@ def test_verdict_is_truthy_only_when_feasible():
     inst = two_vertex()
     assert is_feasible(inst, {0})
     assert not is_feasible(inst, {1})
+
+
+def test_a_verdict_is_its_witness():
+    # feasible was a copy of witness is None, and mode a label of n alone
+    assert [field.name for field in dataclasses.fields(FeasibilityVerdict)] == ["witness"]
+    rng = random.Random(45)
+    for _, inst in named_corpus():
+        for _ in range(8):
+            f = {e for e in range(inst.m) if rng.random() < 0.6}
+            for verdict in (is_feasible(inst, f), is_feasible_direct(inst, f)):
+                assert bool(verdict) == verdict.feasible == (verdict.witness is None)

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -485,6 +486,17 @@ def test_x_is_checked_once_at_the_public_entry(monkeypatch):
     checks.clear()
     solve_relaxation(inst)  # its x comes clipped from the LP
     assert checks == []
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", np.float32(0.5), Decimal("0.5")])
+def test_both_separations_refuse_x_of_other_types(bad):
+    # separate read True as 1.0 (so (True,) * m returned None), took
+    # np.float32 and Decimal, and raised an untyped TypeError on strings
+    inst = random_instance(812, n=5, m=9, p=2, q=1)
+    x = (0.5,) * 3 + (bad,) + (0.5,) * (inst.m - 4)
+    for separation in (separate, separate_bruteforce):
+        with pytest.raises(ValueError, match=r"x\[3\]"):
+            separation(inst, x, 1e-7)
 
 
 def test_separate_none_when_capacitated_min_cut_is_large():

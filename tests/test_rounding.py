@@ -91,6 +91,18 @@ def test_rounding_rejects_x_outside_the_box(bad):
         solve(inst, cfg, relaxation=relax)
 
 
+@pytest.mark.parametrize(
+    "attempt, error",
+    [(True, "bool"), ("1", "not an integer"), (1.0, "not an integer"), (-1, "nonnegative")],
+)
+def test_round_once_reads_attempt_as_an_integer(attempt, error):
+    # True and "1" drew attempt 1's sample; numpy refused 1.0 with an
+    # untyped TypeError and -1 with a message naming no argument
+    inst = two_vertex()
+    with pytest.raises(ValueError, match=f"attempt.*{error}"):
+        round_once(inst, (0.5,) * inst.m, RoundingConfig(), attempt)
+
+
 def test_inclusion_probability_saturation_threshold():
     # with n = 8 and C = 100 anything above ~0.00481 saturates
     inst = two_vertex()
