@@ -23,6 +23,7 @@ from .exact import (
     all_cut_capacities,
     count_cuts_at_most,
     exact_opt,
+    is_feasible_direct,
     separate_bruteforce,
 )
 from .graph import Cut, Multigraph, cut_edges, enumerate_cuts_below, min_cut
@@ -40,7 +41,6 @@ from .model import (
     FgcInstance,
     capacities,
     is_feasible,
-    is_feasible_direct,
     validate_instance,
 )
 from .relaxation import (

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .exact import check_exact_size, count_cuts_at_most, exact_opt
 from .graph import check_int, min_cut
-from .instance_io import gen_random, load_instance, save_instance
+from .instance_io import gen_random, load_instance, plain_token, save_instance
 from .model import is_feasible
 from .relaxation import solve_relaxation
 from .rounding import RoundingConfig, solve as rounding_solve
@@ -43,7 +43,7 @@ def _parse_edge_list(raw: str | None, m: int) -> frozenset[int]:
         return frozenset(range(m))
     parts = [tok for chunk in raw.split(",") for tok in chunk.split()]
     try:
-        return frozenset(int(tok) for tok in parts)
+        return frozenset(int(plain_token(tok)) for tok in parts)
     except ValueError:
         raise ValueError(f"--edges must be a comma-separated id list, got {raw!r}") from None
 

@@ -1,8 +1,10 @@
 """Brute-force baselines that verify the other modules at desk scale:
-exact optimum by branch and bound, full-scan separation, and exact
-near-minimum-cut counting.  Everything here trades speed for being an
-independent implementation path: exact_opt builds its own crossing table
-and shares no cut-scan code with the solver's graph module.
+exact optimum by branch and bound, full-scan feasibility, full-scan
+separation, and exact near-minimum-cut counting.  Everything here trades
+speed for being an independent implementation path: exact_opt builds its
+own crossing table and shares no cut-scan code with the solver's graph
+module.  The size limits are this module's own, set by the cost of the
+references' loops, not by where the solver's cut scan changes method.
 """
 
 from __future__ import annotations
@@ -13,20 +15,17 @@ from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from operator import and_, or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import check_size
-from .graph import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
-    Cut,
-    Multigraph,
-    canonical_masks,
-    check_capacities,
-    check_number,
-)
-from .model import FgcInstance, infeasible_edges_error, is_feasible_direct
+from .graph import Cut, Multigraph, canonical_masks, check_capacities, check_number
+from .model import FeasibilityVerdict, FgcInstance, check_selection, infeasible_edges_error
 from .relaxation import ConstraintRow, candidate_j_sets, constraint_row, violation
 
+# Largest n of the references that loop over all 2^(n-1) - 1 cuts in pure
+# Python: is_feasible_direct, exact_opt, all_cut_capacities and
+# count_cuts_at_most.
+ORACLE_LIMIT = 20
 DEFAULT_EDGE_LIMIT = 22
 DEFAULT_VERTEX_LIMIT = 12
 # relative room for float error when a running cost sum of at most 22
@@ -46,9 +45,9 @@ class ExactResult:
 
 def check_exact_size(inst: FgcInstance) -> None:
     """Raise TooLargeError unless exact_opt takes an instance of this size:
-    n <= DEFAULT_EXHAUSTIVE_LIMIT and m <= DEFAULT_EDGE_LIMIT.  A caller
+    n <= ORACLE_LIMIT and m <= DEFAULT_EDGE_LIMIT.  A caller
     that does other work before exact_opt calls it first."""
-    check_size("exact search", inst.n, DEFAULT_EXHAUSTIVE_LIMIT)
+    check_size("exact search", inst.n, ORACLE_LIMIT)
     check_size("exact search", inst.m, DEFAULT_EDGE_LIMIT, "m")
 
 
@@ -266,6 +265,38 @@ def exact_opt(inst: FgcInstance) -> ExactResult:
     return ExactResult(best_selection=frozenset(best_ids), best_cost=best_cost, nodes_explored=nodes)
 
 
+def is_feasible_direct(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
+    """Exhaustive feasibility check over every nontrivial cut.
+
+    The witness, when infeasible, is the first violated cut in canonical
+    iteration order.  Deliberately a plain per-mask loop that shares no
+    code with the solver's cut table: it is the reference that is_feasible
+    and exact_opt are checked against.  F's endpoints are read once, safe
+    edges apart from unsafe ones, and a cut already crossed by p safe
+    edges is not counted further.
+    """
+    check_size("the direct check", inst.n, ORACLE_LIMIT)
+    f = check_selection(inst, f)
+    p, q = inst.p, inst.q
+    edges = inst.graph.edges
+    safe_ends = [edges[e] for e in f if inst.safe[e]]
+    unsafe_ends = [edges[e] for e in f if not inst.safe[e]]
+    for mask in canonical_masks(inst.n):
+        s = 0
+        for u, v in safe_ends:
+            if ((mask >> u) ^ (mask >> v)) & 1:
+                s += 1
+        if s >= p:
+            continue
+        t = s
+        for u, v in unsafe_ends:
+            if ((mask >> u) ^ (mask >> v)) & 1:
+                t += 1
+        if t < p + q:
+            return FeasibilityVerdict(Cut(inst.n, mask))
+    return FeasibilityVerdict(None)
+
+
 def separate_bruteforce(inst: FgcInstance, x: Sequence, eps: float = 0.0) -> list[ConstraintRow]:
     """Every covering row violated by more than eps, by scanning all
     2^(n-1) - 1 cuts and their full candidate families.
@@ -297,7 +328,7 @@ def all_cut_capacities(g: Multigraph, caps: Sequence) -> list[tuple[int, float]]
     """(side_mask, capacity) for every canonical nontrivial cut, by direct
     scan; the oracle other modules' cut routines are checked against, so
     it stays a plain loop that shares no code with the solver's cut table."""
-    check_size("all cut capacities", g.n, DEFAULT_EXHAUSTIVE_LIMIT)
+    check_size("all cut capacities", g.n, ORACLE_LIMIT)
     caps = check_capacities(caps, g.m)
     out = []
     for mask in canonical_masks(g.n):
@@ -312,7 +343,7 @@ def all_cut_capacities(g: Multigraph, caps: Sequence) -> list[tuple[int, float]]
 def count_cuts_at_most(g: Multigraph, caps: Sequence, factor: float) -> int:
     """Exact number of canonical nontrivial cuts with capacity at most
     factor times the minimum, by exhaustive scan."""
-    check_size("exact counting", g.n, DEFAULT_EXHAUSTIVE_LIMIT)
+    check_size("exact counting", g.n, ORACLE_LIMIT)
     factor = check_number(factor, "factor")
     if not factor:
         raise ValueError("factor must be positive, got 0")

@@ -20,8 +20,10 @@ import numpy as np
 from .errors import GraphStructureError
 
 # Largest vertex count whose cut scan takes its candidates from every mask
-# or the float cut table; past it they come from the flow search.
-DEFAULT_EXHAUSTIVE_LIMIT = 20
+# or the float cut table; past it they come from the flow search.  Only
+# this module reads it: the references in exact and separation's refusal
+# keep limits of their own.
+TABLE_LIMIT = 20
 
 # Cuts per crossing matrix, which bounds its size: at n = 20 up to 2^19
 # cuts can fall below a threshold.
@@ -103,6 +105,8 @@ class Cut:
         if type(self.n) is not int or type(self.side_mask) is not int:  # plain ints skip the calls
             object.__setattr__(self, "n", check_int(self.n, "n"))
             object.__setattr__(self, "side_mask", check_int(self.side_mask, "side_mask"))
+        if self.n < 2:  # before the shift, which a negative n would fail untyped
+            raise ValueError(f"n must be at least 2, got {self.n}")
         if self.side_mask <= 0 or self.side_mask >> self.n:
             raise ValueError("cut side must be a nonempty proper vertex subset")
         if self.side_mask & 1:
@@ -311,9 +315,10 @@ def enumerate_cuts_below(g: Multigraph, caps: Sequence, threshold) -> list[Cut]:
 
     Exact at every n and for int, float, Fraction and mixed capacities:
     the cuts of one CutScan.blocks run, whose candidates come from
-    flow-pruned branching past DEFAULT_EXHAUSTIVE_LIMIT vertices.  A cut
-    is listed exactly when its capacity, summed in edge order in the
-    capacities' own type, is strictly below the threshold as given.
+    flow-pruned branching past TABLE_LIMIT vertices, the crossover from
+    the float cut table.  A cut is listed exactly when its capacity,
+    summed in edge order in the capacities' own type, is strictly below
+    the threshold as given.
 
     Results are sorted by (capacity, side_mask) and duplicate-free.
     """
@@ -333,8 +338,9 @@ class CutScan:
     When all 2^(n-1) - 1 canonical masks fit in one CUT_BLOCK at
     construction (n <= 13 at 4096), it holds those masks and their
     crossing matrix, which no capacity changes.  CUT_BLOCK and
-    DEFAULT_EXHAUSTIVE_LIMIT are read at each scan; the stored matrix is
-    sliced into blocks of the current CUT_BLOCK.
+    TABLE_LIMIT, the largest n whose candidates come from every mask or
+    the float table, are read at each scan; the stored matrix is sliced
+    into blocks of the current CUT_BLOCK.
     """
 
     def __init__(self, g: Multigraph):
@@ -350,8 +356,8 @@ class CutScan:
         ascending mask order; each block comes from at most CUT_BLOCK
         candidate masks.
 
-        Candidates are, past DEFAULT_EXHAUSTIVE_LIMIT vertices, the masks
-        that flow-pruned branching finds below the threshold; else every
+        Candidates are, past TABLE_LIMIT vertices, the masks that
+        flow-pruned branching finds below the threshold; else every
         canonical mask while they fit in one block; else the masks that a
         float table of every cut's capacity puts within a rounding margin
         of the threshold, or the flow search's where the table cannot hold
@@ -376,7 +382,7 @@ class CutScan:
         if ceiling < threshold:  # rounded down: the next float up is the least above it
             ceiling = math.nextafter(ceiling, math.inf)
         every = self._every
-        if g.n > DEFAULT_EXHAUSTIVE_LIMIT:
+        if g.n > TABLE_LIMIT:
             every = None
             masks = _flow_shortlist(g, caps, threshold)
         elif every is None:

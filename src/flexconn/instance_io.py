@@ -32,16 +32,25 @@ MAX_SAMPLING_ATTEMPTS = 1000
 MAX_AUGMENTATIONS = 1000
 
 
+def plain_token(token: str) -> str:
+    """``token`` if it holds no underscore and no non-ASCII character, else
+    ValueError.  int() and float() also read "1_0" as 10 and non-ASCII
+    digits, spellings that neither the format nor --edges defines."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"{token!r} is not plain ASCII without underscores")
+    return token
+
+
 def _parse_int(token: str, what: str, line: int) -> int:
     try:
-        return int(token)
+        return int(plain_token(token))
     except ValueError:
         raise ParseError(f"{what} must be an integer, got {token!r}", line) from None
 
 
 def _parse_cost(token: str, line: int) -> float:
     try:
-        return float(token)
+        return float(plain_token(token))
     except ValueError:
         raise ParseError(f"cost must be a number, got {token!r}", line) from None
 
@@ -155,7 +164,7 @@ def instance_from_json(obj: dict) -> FgcInstance:
     """Parse and fully validate a JSON instance; coerces no field (see parse_instance)."""
     try:
         is_fgc = isinstance(obj, dict) and obj.get("format") == HEADER
-        if not is_fgc or obj.get("version") != VERSION:
+        if not is_fgc or check_int(obj.get("version"), "version") != VERSION:
             raise ParseError("not a fgc/1 JSON object")
         n = check_int(obj["nodes"], "nodes")
         edges = []

@@ -1,11 +1,12 @@
-"""Flexible-connectivity instance model and both feasibility checkers.
+"""Flexible-connectivity instance model and the solver's feasibility check.
 
 An instance asks for a cheap edge set F that keeps the graph p-edge-connected
 after any q unsafe edges of F fail.  Cut characterization: F works iff every
 nontrivial cut contains at least p safe F-edges or at least p+q F-edges total.
-The direct checker tests that on every bipartition; the capacitated checker
-gives safe F-edges weight p+q and unsafe ones weight p, compares the minimum
-cut against p(p+q), and then only has to inspect near-minimum cuts.
+is_feasible gives safe F-edges weight p+q and unsafe ones weight p, compares
+the minimum cut against p(p+q), and then only has to inspect near-minimum
+cuts.  The reference that tests the characterization on every bipartition,
+is_feasible_direct, lives with the other references in exact.
 """
 
 from __future__ import annotations
@@ -16,17 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInstanceError, check_size
-from .graph import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
-    Cut,
-    Multigraph,
-    canonical_masks,
-    check_int,
-    check_number,
-    enumerate_cuts_below,
-    min_cut,
-)
+from .errors import InvalidInstanceError
+from .graph import Cut, Multigraph, check_int, check_number, enumerate_cuts_below, min_cut
 
 
 @dataclass(frozen=True)
@@ -147,38 +139,6 @@ def cut_tallies(inst: FgcInstance, f: Iterable[int], side_mask: int) -> tuple[in
     return s, t
 
 
-def is_feasible_direct(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
-    """Exhaustive feasibility check over every nontrivial cut.
-
-    The witness, when infeasible, is the first violated cut in canonical
-    iteration order.  Deliberately a plain per-mask loop that shares no
-    code with the solver's cut table: it is the reference that is_feasible
-    and exact_opt are checked against.  F's endpoints are read once, safe
-    edges apart from unsafe ones, and a cut already crossed by p safe
-    edges is not counted further.
-    """
-    check_size("the direct check", inst.n, DEFAULT_EXHAUSTIVE_LIMIT)
-    f = check_selection(inst, f)
-    p, q = inst.p, inst.q
-    edges = inst.graph.edges
-    safe_ends = [edges[e] for e in f if inst.safe[e]]
-    unsafe_ends = [edges[e] for e in f if not inst.safe[e]]
-    for mask in canonical_masks(inst.n):
-        s = 0
-        for u, v in safe_ends:
-            if ((mask >> u) ^ (mask >> v)) & 1:
-                s += 1
-        if s >= p:
-            continue
-        t = s
-        for u, v in unsafe_ends:
-            if ((mask >> u) ^ (mask >> v)) & 1:
-                t += 1
-        if t < p + q:
-            return FeasibilityVerdict(Cut(inst.n, mask))
-    return FeasibilityVerdict(None)
-
-
 def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
     """Capacitated feasibility check without full bipartition iteration.
 
@@ -190,8 +150,8 @@ def is_feasible(inst: FgcInstance, f: Iterable[int]) -> FeasibilityVerdict:
     the characterization, and none exist when the minimum cut exceeds it
     (always so when q <= 1 or p = 1).  enumerate_cuts_below lists those
     cuts exactly at every n, so the verdict is deterministic and exact;
-    above DEFAULT_EXHAUSTIVE_LIMIT vertices its scan's candidates come
-    from flow-pruned branching on the integer capacities.
+    past graph's crossover from the float cut table its scan's candidates
+    come from flow-pruned branching on the integer capacities.
     """
     f = check_selection(inst, f)
     p, q = inst.p, inst.q

@@ -40,7 +40,7 @@ import numpy as np
 import scipy
 
 from .errors import IterationLimitError, LpSolveError, check_size
-from .graph import DEFAULT_EXHAUSTIVE_LIMIT, Cut, CutScan, check_number, cut_edges
+from .graph import Cut, CutScan, check_number, cut_edges
 
 # Kept only for perfbench/tracing.py, which wraps these bindings by name;
 # their spans read 0 now that separation scores every cut through graph.CutScan.
@@ -48,6 +48,11 @@ from .graph import enumerate_cuts_below, min_cut  # noqa: F401
 from .model import FgcInstance, capacities, check_selection, infeasible_edges_error, is_feasible
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
+
+# Largest n that separation takes.  Past the float cut table, while the min
+# cut is below p(p+q), Karger's bound does not hold for the cuts below
+# p(p+2q): at p = 1 they blow up.
+SEPARATION_LIMIT = 20
 
 
 def _load_highs_core(roots: Iterable[str]) -> ModuleType:
@@ -245,9 +250,7 @@ class _Separator:
         # u_x below p(p+q) + pm: in float range, up to rounding, where p(p+q) is.
         if p * (p + q) > sys.float_info.max:
             raise LpSolveError("p.(p+q) is beyond float range, so separation cannot score its cuts")
-        # past the table, while the min cut is below p(p+q), Karger's bound
-        # does not hold for the cuts below p(p+2q): at p = 1 they blow up
-        check_size("the exhaustive cut scan", inst.n, DEFAULT_EXHAUSTIVE_LIMIT)
+        check_size("the exhaustive cut scan", inst.n, SEPARATION_LIMIT)
         self.inst = inst
         self.scan = CutScan(inst.graph)
         # No cut has more than m edges, so a and b stop at m.  They are
@@ -475,7 +478,7 @@ def solve_relaxation(
     subsolver fails on an instance whose full edge set is infeasible, the
     error is InvalidInstanceError("infeasible-edges") naming the cut.
     """
-    # the separator refuses n > DEFAULT_EXHAUSTIVE_LIMIT before any LP
+    # the separator refuses n > SEPARATION_LIMIT before any LP
     separator = _Separator(inst)
     lp = _HighsLp(inst.cost, inst.m)
     cap = ITERATIONS_PER_EDGE_VERTEX * inst.m * inst.n

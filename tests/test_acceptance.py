@@ -230,7 +230,7 @@ def test_criterion_9_min_cut_and_flow_enumeration(capsys, monkeypatch):
             threshold = (1.2 + 0.3 * (trial % 3)) * lam
             plain = enumerate_cuts_below(g, caps, threshold)
             with monkeypatch.context() as patch:  # candidates from the flow search
-                patch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", n - 1)
+                patch.setattr(graph, "TABLE_LIMIT", n - 1)
                 flow = enumerate_cuts_below(g, caps, threshold)
             key = [(c.side_mask, c.capacity) for c in plain]
             assert key == [(c.side_mask, c.capacity) for c in flow], trial

@@ -318,6 +318,15 @@ def test_bad_edges_argument_exit_code(inst_file, capsys):
     assert run(["check", inst_file, "--edges", "zero"]) == 2
 
 
+@pytest.mark.parametrize("edges", ["0_0", "\u0660", "0,\uff11", "1_"])
+def test_edges_argument_refuses_underscores_and_non_ascii_digits(inst_file, capsys, edges):
+    # int() read "0_0" as edge 0 and the Arabic-Indic or fullwidth digit as 0 or 1
+    assert run(["check", inst_file, "--edges", edges]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--edges must be a comma-separated id list" in captured.err
+
+
 def test_bench_deterministic(tmp_path, capsys):
     suite = {
         "items": [

@@ -26,7 +26,7 @@ from flexconn import (
     solve_relaxation,
     violation,
 )
-from flexconn import exact
+from flexconn import exact, graph, relaxation
 
 from instances import (
     cycle_graph,
@@ -84,6 +84,25 @@ def test_exact_opt_refuses_many_vertices_before_building_its_table():
     inst = FgcInstance(g, (True,) * 20, (1.0,) * 20, p=1, q=0)
     with pytest.raises(TooLargeError, match=r"exact search \(n=21 > 20\)"):
         exact_opt(inst)
+
+
+def test_references_and_separation_keep_their_limits_when_the_crossover_moves(monkeypatch):
+    # graph's table crossover, exact's references and separation's refusal
+    # each have their own limit: raising the first moves neither of the others
+    monkeypatch.setattr(graph, "TABLE_LIMIT", 22)
+    g = cycle_graph(21)
+    inst = FgcInstance(g, (True,) * 21, (1.0,) * 21, p=1, q=0)
+    refusals = [
+        (lambda: is_feasible_direct(inst, inst.all_edges), "the direct check"),
+        (lambda: all_cut_capacities(g, [1] * 21), "all cut capacities"),
+        (lambda: count_cuts_at_most(g, [1] * 21, 1.0), "exact counting"),
+        (lambda: exact.check_exact_size(inst), "exact search"),
+        (lambda: relaxation._Separator(inst), "the exhaustive cut scan"),
+    ]
+    for call, what in refusals:
+        with pytest.raises(TooLargeError) as exc:
+            call()
+        assert str(exc.value) == f"instance too large for {what} (n=21 > 20)"
 
 
 def test_exact_opt_reports_the_selection_cost_of_non_dyadic_costs():

@@ -137,6 +137,13 @@ def test_cut_refuses_non_integer_fields(n, side_mask, error):
         Cut(n, side_mask)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, np.int64(-1)])
+def test_cut_refuses_fewer_than_two_vertices_by_name(n):
+    # Cut(-1, 2) raised "negative shift count", naming no field
+    with pytest.raises(ValueError, match=f"n must be at least 2, got {int(n)}"):
+        Cut(n, 2)
+
+
 def test_cut_reads_numpy_integers_as_ints():
     cut = Cut(np.int64(3), np.int64(2))
     assert (type(cut.n), type(cut.side_mask)) == (int, int)
@@ -475,7 +482,7 @@ def test_enumerate_float_capacities_past_the_limit_match_the_table(monkeypatch, 
     for threshold in (p * (p + q), 2 * p * (p + q)):
         flow = enumerate_cuts_below(inst.graph, caps, threshold)
         with monkeypatch.context() as patch:
-            patch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", 22)
+            patch.setattr(graph, "TABLE_LIMIT", 22)
             table = enumerate_cuts_below(inst.graph, caps, threshold)
         assert flow
         assert [(c.side_mask, c.capacity) for c in flow] == [
@@ -505,7 +512,7 @@ def test_enumerate_rejects_bad_arguments(monkeypatch):
     g = cycle_graph(4)
     with pytest.raises(ValueError):
         enumerate_cuts_below(g, [1] * 4, 0)
-    monkeypatch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", 3)  # the flow search's candidates
+    monkeypatch.setattr(graph, "TABLE_LIMIT", 3)  # the flow search's candidates
     with pytest.raises(ValueError):
         enumerate_cuts_below(g, [1] * 4, 0)
     with pytest.raises(ValueError):
@@ -517,7 +524,7 @@ def test_enumerate_rejects_bad_arguments(monkeypatch):
 def test_enumerate_rejects_non_finite_threshold(monkeypatch, route, threshold):
     # every float capacity is below inf and none below NaN; a flow never reaches inf
     if route == "flow":
-        monkeypatch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", 4)
+        monkeypatch.setattr(graph, "TABLE_LIMIT", 4)
     with pytest.raises(ValueError, match="threshold"):
         enumerate_cuts_below(cycle_graph(5), [1] * 5, threshold)
 
@@ -591,7 +598,7 @@ def test_cut_sums_are_left_to_right_in_blocks_of_any_size(cuts):
 def _flow_cuts_below(g, caps, threshold):
     # enumerate_cuts_below with its candidates from the flow search
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", g.n - 1)
+        patch.setattr(graph, "TABLE_LIMIT", g.n - 1)
         return enumerate_cuts_below(g, caps, threshold)
 
 
@@ -687,7 +694,7 @@ def test_flow_matches_the_table_just_past_the_limit(monkeypatch, n, p, q, kind):
     for threshold in (p * (p + q - 1) + q * (p - 1) + 1, 2 * p * (p + q)):
         flow = enumerate_cuts_below(inst.graph, caps, threshold)
         with monkeypatch.context() as patch:
-            patch.setattr(graph, "DEFAULT_EXHAUSTIVE_LIMIT", 22)
+            patch.setattr(graph, "TABLE_LIMIT", 22)
             table = enumerate_cuts_below(inst.graph, caps, threshold)
         assert flow
         assert [(c.side_mask, c.capacity) for c in flow] == [
@@ -829,8 +836,8 @@ def test_enumerate_keeps_cuts_whose_table_sums_overflow(monkeypatch, kind, block
 
 # The three candidate sources, each forced at small n: every canonical mask
 # (the default while they fit in one block), the float table (CUT_BLOCK below
-# 2^(n-1) - 1) and the flow search (DEFAULT_EXHAUSTIVE_LIMIT below n).
-SOURCES = {"every": {}, "table": {"CUT_BLOCK": 2}, "flow": {"DEFAULT_EXHAUSTIVE_LIMIT": 3}}
+# 2^(n-1) - 1) and the flow search (TABLE_LIMIT below n).
+SOURCES = {"every": {}, "table": {"CUT_BLOCK": 2}, "flow": {"TABLE_LIMIT": 3}}
 
 # capacities whose sums pass float range, or which do themselves
 OVERFLOW_DRAWS = {

@@ -99,6 +99,28 @@ def test_parse_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "line, fragment",
+    [
+        ("nodes 1_0", "nodes must be an integer, got '1_0'"),
+        ("nodes \u0662", "nodes must be an integer"),
+        ("edge 0 \uff11 S 1", "endpoint must be an integer"),
+        ("edge 0 1 S \u0661", "cost must be a number"),
+        ("edge 0 1 S 1_0.5", "cost must be a number, got '1_0.5'"),
+    ],
+)
+def test_parse_refuses_underscores_and_non_ascii_digits(line, fragment):
+    # int() and float() read "1_0" as 10 and the Arabic-Indic digit one as 1
+    lines = ["fgc 1", "p 1", "q 0", "nodes 2", "edge 0 1 S 1"]
+    at = 3 if line.startswith("nodes") else 4
+    lines[at] = line
+    with pytest.raises(ParseError) as exc:
+        parse_instance("\n".join(lines) + "\n")
+    assert type(exc.value) is ParseError
+    assert exc.value.line == at + 1
+    assert fragment in str(exc.value)
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as exc:
         parse_instance("fgc 1\np 1\nq 1\nnodes 2\nedge 0 1 X 1\n")
@@ -187,6 +209,13 @@ def test_field_range_errors_carry_the_line_in_text_only(edge, bad):
     with pytest.raises(FieldRangeError) as exc:
         instance_from_json(_json_with(("edges", 1), bad))
     assert exc.value.line is None
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_json_version_must_be_the_integer_one(version):
+    # True and 1.0 compared equal to 1 and loaded as version 1
+    with pytest.raises(ParseError, match="version"):
+        instance_from_json(_json_with(("version",), version))
 
 
 def test_json_base_object_loads():
